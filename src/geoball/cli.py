@@ -3,8 +3,8 @@
 Subcommands mirror the pipeline stages (ingest, ich, embed, tune, negatives,
 train-projector, infer, episodes, viz) plus `pipeline`, which runs the whole
 chain from one JSON config. Any subcommand that trains accepts --verbose to
-stream per-epoch losses and --seed to override the config seed; unset seeds
-fall back to a fixed constant, never to wall-clock state.
+stream per-epoch losses. Seeds: --seed, else the config section's seed, else
+the config's global seed, else a fixed constant, never wall-clock state.
 """
 
 from __future__ import annotations
@@ -12,20 +12,19 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from pathlib import Path
 
-from .embedding import BallSpace, EmbedConfig, train_embeddings
+from .embedding import BallSpace, train_embeddings
 from .evaluation import GridSpec, grid_search, score_space
-from .harness import (REFERENCE_RESULTS, evaluate_episodes,
-                      nearest_centroid_accuracy, read_features_csv,
-                      sample_episodes)
+from .harness import atomic_open, read_features_csv
 from .negatives import NegativeSets, build_negative_sets
 from .ontology import (OntologyError, compute_ich, compute_stats,
                        load_ontology, validate)
 from .pipeline import (DEFAULT_SEED, DESK_EMBED, DESK_PROJECTOR,
-                       PipelineConfig, PipelineError, merge_section,
-                       run_pipeline, _write_json)
-from .projector import Mlp, ProjectorConfig, ancestor_report, mlp_forward, train_base
+                       EpisodeConfig, PipelineConfig, PipelineError,
+                       episodes_report, print_losses, run_pipeline,
+                       stage_config, _write_json)
+from .projector import (Mlp, ancestor_report, classify, mlp_forward,
+                        train_base)
 from .viz import render_balls_2d
 
 
@@ -39,36 +38,9 @@ def _load_config_sections(path) -> dict:
     return obj
 
 
-def _stage_config(sections: dict, name: str, base, seed: int | None):
-    raw = dict(sections.get(name, {}))
-    if seed is not None:
-        raw["seed"] = seed
-    else:
-        raw.setdefault("seed", int(sections.get("seed", DEFAULT_SEED)))
-    return merge_section(base, raw)
-
-
-def _embed_config(sections: dict, seed: int | None) -> EmbedConfig:
-    return _stage_config(sections, "embed", DESK_EMBED, seed)
-
-
-def _projector_config(sections: dict, seed: int | None) -> ProjectorConfig:
-    return _stage_config(sections, "projector", DESK_PROJECTOR, seed)
-
-
-def _load_space(path) -> BallSpace:
+def _load(path, cls):
     with open(path) as fh:
-        return BallSpace.from_dict(json.load(fh))
-
-
-def _load_mlp(path) -> Mlp:
-    with open(path) as fh:
-        return Mlp.from_dict(json.load(fh))
-
-
-def _load_negatives(path) -> NegativeSets:
-    with open(path) as fh:
-        return NegativeSets.from_dict(json.load(fh))
+        return cls.from_dict(json.load(fh))
 
 
 def _float_list(text: str) -> tuple[float, ...]:
@@ -88,7 +60,7 @@ def cmd_ingest(args) -> int:
           f"{len(ontology.disjointness)} disjointness pairs, "
           f"{len(ontology.leaves)} leaves")
     if args.out:
-        _write_json(Path(args.out), ontology.to_dict())
+        _write_json(args.out, ontology.to_dict())
     return 0
 
 
@@ -97,7 +69,7 @@ def cmd_ich(args) -> int:
     ich = compute_ich(ontology)
     print(f"closure: {len(ich.pairs)} subsumption pairs")
     if args.out:
-        _write_json(Path(args.out), ich.to_dict())
+        _write_json(args.out, ich.to_dict())
     return 0
 
 
@@ -105,15 +77,15 @@ def cmd_embed(args) -> int:
     ontology = load_ontology(args.ontology)
     ich = compute_ich(ontology)
     stats = compute_stats(ontology, ich)
-    config = _embed_config(_load_config_sections(args.config), args.seed)
+    config = stage_config(_load_config_sections(args.config), "embed",
+                          DESK_EMBED, args.seed)
     space, history = train_embeddings(ontology, ich, stats, config)
     if args.verbose:
-        for i, breakdown in enumerate(history.epochs):
-            print(f"epoch {i + 1}: loss {breakdown.total:.6f}")
+        print_losses(history.totals())
     scores = score_space(space, ich, ontology.leaves)
     print(f"f1_all {scores.f1_all:.4f}  f1_leaf {scores.f1_leaf:.4f}  "
           f"s_d_fraction {scores.s_d_fraction:.4f}")
-    _write_json(Path(args.out), space.to_dict())
+    _write_json(args.out, space.to_dict())
     return 0
 
 
@@ -121,7 +93,8 @@ def cmd_tune(args) -> int:
     ontology = load_ontology(args.ontology)
     ich = compute_ich(ontology)
     stats = compute_stats(ontology, ich)
-    base = _embed_config(_load_config_sections(args.config), args.seed)
+    base = stage_config(_load_config_sections(args.config), "embed",
+                        DESK_EMBED, args.seed)
     grid = GridSpec(gammas=_float_list(args.gammas),
                     psis=_float_list(args.psis),
                     phis=_float_list(args.phis),
@@ -132,40 +105,40 @@ def cmd_tune(args) -> int:
           f"phi {result.best_config.phi} -> f1_leaf {best.f1_leaf:.4f}")
     if result.below_threshold:
         print("warning: no grid point met the separation threshold")
-    _write_json(Path(args.out), result.to_dict())
+    _write_json(args.out, result.to_dict())
     if args.space_out:
-        _write_json(Path(args.space_out), result.best_space.to_dict())
+        _write_json(args.space_out, result.best_space.to_dict())
     return 0
 
 
 def cmd_negatives(args) -> int:
-    space = _load_space(args.space)
+    space = _load(args.space, BallSpace)
     names = (tuple(args.leaves.split(",")) if args.leaves
              else tuple(space.concepts))
     seed = DEFAULT_SEED if args.seed is None else args.seed
     negatives = build_negative_sets(space, names, k=args.k, seed=seed)
-    _write_json(Path(args.out), negatives.to_dict())
+    _write_json(args.out, negatives.to_dict())
     print(f"negative sets for {len(negatives.negatives)} classes")
     return 0
 
 
 def cmd_train_projector(args) -> int:
-    space = _load_space(args.space)
-    negatives = _load_negatives(args.negatives)
+    space = _load(args.space, BallSpace)
+    negatives = _load(args.negatives, NegativeSets)
     features = read_features_csv(args.features, split="base")
-    config = _projector_config(_load_config_sections(args.config), args.seed)
+    config = stage_config(_load_config_sections(args.config), "projector",
+                          DESK_PROJECTOR, args.seed)
     mlp, losses = train_base(features, space, negatives, config)
     if args.verbose:
-        for i, value in enumerate(losses):
-            print(f"epoch {i + 1}: loss {value:.6f}")
+        print_losses(losses)
     print(f"final loss {losses[-1]:.6f}" if losses else "no training epochs")
-    _write_json(Path(args.out), mlp.to_dict())
+    _write_json(args.out, mlp.to_dict())
     return 0
 
 
 def cmd_infer(args) -> int:
-    space = _load_space(args.space)
-    mlp = _load_mlp(args.mlp)
+    space = _load(args.space, BallSpace)
+    mlp = _load(args.mlp, Mlp)
     features = read_features_csv(args.features, split="base")
     if args.candidates:
         names = tuple(args.candidates.split(","))
@@ -175,8 +148,6 @@ def cmd_infer(args) -> int:
     ich = None
     if args.ontology:
         ich = compute_ich(load_ontology(args.ontology))
-    from .projector import classify
-
     rows = []
     outputs = mlp_forward(features.features, mlp)
     for h, truth in zip(outputs, features.labels):
@@ -189,42 +160,37 @@ def cmd_infer(args) -> int:
     hits = sum(r["prediction"] == r["label"] for r in rows)
     print(f"accuracy {hits / len(rows):.4f} over {len(rows)} examples")
     if args.out:
-        _write_json(Path(args.out), {"predictions": rows})
+        _write_json(args.out, {"predictions": rows})
     return 0
 
 
 def cmd_episodes(args) -> int:
-    space = _load_space(args.space)
-    mlp = _load_mlp(args.mlp)
+    space = _load(args.space, BallSpace)
+    mlp = _load(args.mlp, Mlp)
     novel = read_features_csv(args.novel, split="novel")
-    negatives = _load_negatives(args.negatives)
+    negatives = _load(args.negatives, NegativeSets)
     sections = _load_config_sections(args.config)
-    config = _projector_config(sections, args.seed)
-    seed = DEFAULT_SEED if args.seed is None else args.seed
+    config = stage_config(sections, "projector", DESK_PROJECTOR, args.seed)
+    # episodes are sampled with the global seed, as the pipeline samples them
+    seed = (int(sections.get("seed", DEFAULT_SEED)) if args.seed is None
+            else args.seed)
     ich = None
     if args.ontology:
         ich = compute_ich(load_ontology(args.ontology))
-    episodes = sample_episodes(novel, w=args.w, s=args.s, q=args.q,
-                               n_episodes=args.episodes, seed=seed)
-    report = evaluate_episodes(space, mlp, episodes, config, negatives, ich=ich)
-    baseline = nearest_centroid_accuracy(episodes)
-    print(f"accuracy {report.accuracy:.4f} +/- {report.ci95:.4f} "
-          f"(baseline {baseline.accuracy:.4f})")
-    summary = {
-        "episodes": report.to_dict(),
-        "baseline_nearest_centroid": baseline.to_dict(),
-        "margin_over_baseline": report.accuracy - baseline.accuracy,
-        "protocol": {"w": args.w, "s": args.s, "q": args.q,
-                     "n_episodes": args.episodes, "seed": seed},
-        "reference_results": REFERENCE_RESULTS,
-    }
+    protocol = EpisodeConfig(w=args.w, s=args.s, q=args.q,
+                             n_episodes=args.episodes)
+    summary = episodes_report(space, mlp, novel, negatives, config, protocol,
+                              seed, ich=ich)
+    report = summary["episodes"]
+    print(f"accuracy {report['accuracy']:.4f} +/- {report['ci95']:.4f} "
+          f"(baseline {summary['baseline_nearest_centroid']['accuracy']:.4f})")
     if args.out:
-        _write_json(Path(args.out), summary)
+        _write_json(args.out, summary)
     return 0
 
 
 def cmd_viz(args) -> int:
-    space = _load_space(args.space)
+    space = _load(args.space, BallSpace)
     concepts = (tuple(args.concepts.split(",")) if args.concepts
                 else tuple(space.concepts))
     points = labels = None
@@ -232,7 +198,7 @@ def cmd_viz(args) -> int:
         dataset = read_features_csv(args.points, split="base")
         labels = dataset.labels
         if args.mlp:
-            points = mlp_forward(dataset.features, _load_mlp(args.mlp))
+            points = mlp_forward(dataset.features, _load(args.mlp, Mlp))
         elif dataset.dim == space.dim:
             points = dataset.features
         else:
@@ -240,7 +206,8 @@ def cmd_viz(args) -> int:
                 f"points are {dataset.dim}d but the space is {space.dim}d; "
                 "pass --mlp to project them")
     svg = render_balls_2d(space, concepts, points=points, point_labels=labels)
-    Path(args.out).write_text(svg)
+    with atomic_open(args.out) as fh:
+        fh.write(svg)
     print(f"wrote {args.out}")
     return 0
 
@@ -351,10 +318,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except PipelineError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (OntologyError, ValueError, KeyError, OSError) as exc:
+    except (PipelineError, OntologyError, ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -116,6 +116,10 @@ class BallSpace:
         radii = np.array([obj["balls"][c]["r"] for c in names], dtype=float)
         if centres.size == 0:
             centres = centres.reshape(0, dim)
+        if not np.isfinite(centres).all():
+            raise ValueError("ball centres must be finite")
+        if not (np.isfinite(radii) & (radii > 0.0)).all():
+            raise ValueError("ball radii must be finite and > 0")
         return cls(dim, names, centres, radii)
 
 
@@ -142,10 +146,9 @@ class LossBreakdown:
 
 @dataclass
 class TrainHistory:
-    """Per-epoch loss breakdowns; scores get attached after evaluation."""
+    """Per-epoch loss breakdowns."""
 
     epochs: list[LossBreakdown] = field(default_factory=list)
-    final_scores: object = None
 
     def totals(self) -> list[float]:
         return [e.total for e in self.epochs]
@@ -344,20 +347,35 @@ def init_space(concepts, stats: HierarchyStats, config: EmbedConfig) -> BallSpac
     return BallSpace(config.dim, concepts, centres, radii)
 
 
-class _Adam:
-    def __init__(self, shape, lr):
-        self.lr = lr
-        self.m = np.zeros(shape)
-        self.v = np.zeros(shape)
-        self.t = 0
+class Optimizer:
+    """In-place updates of parameter arrays: "adam" (betas 0.9/0.999), or
+    "sgd" stepping by lr / (1 + decay * t) after t earlier steps."""
 
-    def step(self, grad):
+    def __init__(self, kind: str, params, lr: float, decay: float = 0.0):
+        self.kind = kind
+        self.params = list(params)
+        self.lr = lr
+        self.decay = decay
+        self.t = 0
+        self.m = [np.zeros_like(p) for p in self.params]
+        self.v = [np.zeros_like(p) for p in self.params]
+
+    def step(self, grads):
+        if self.kind == "sgd":
+            lr = self.lr / (1.0 + self.decay * self.t)
+            for p, g in zip(self.params, grads):
+                p -= lr * g
+            self.t += 1
+            return
         self.t += 1
-        self.m = 0.9 * self.m + 0.1 * grad
-        self.v = 0.999 * self.v + 0.001 * grad * grad
-        m_hat = self.m / (1.0 - 0.9 ** self.t)
-        v_hat = self.v / (1.0 - 0.999 ** self.t)
-        return self.lr * m_hat / (np.sqrt(v_hat) + 1e-8)
+        for p, g, m, v in zip(self.params, grads, self.m, self.v):
+            m *= 0.9
+            m += 0.1 * g
+            v *= 0.999
+            v += 0.001 * g * g
+            m_hat = m / (1.0 - 0.9 ** self.t)
+            v_hat = v / (1.0 - 0.999 ** self.t)
+            p -= self.lr * m_hat / (np.sqrt(v_hat) + 1e-8)
 
 
 def _check_finite(breakdown: LossBreakdown):
@@ -386,12 +404,8 @@ def train_embeddings(ontology: Ontology, ich: Ich, stats: HierarchyStats,
     rng = np.random.default_rng(config.seed)
     history = TrainHistory()
 
-    if config.optimizer == "adam":
-        opt_c: _Adam | None = _Adam(centres.shape, config.learning_rate)
-        opt_r: _Adam | None = _Adam(radii.shape, config.learning_rate)
-    else:
-        opt_c = opt_r = None
-    step = 0
+    optimizer = Optimizer(config.optimizer, [centres, radii],
+                          config.learning_rate, config.lr_decay)
 
     for _ in range(config.epochs):
         if n_axioms:
@@ -406,15 +420,8 @@ def train_embeddings(ontology: Ontology, ich: Ich, stats: HierarchyStats,
             scale = (len(batch) / n_axioms) if n_axioms else 1.0
             g_c, g_r = _gradients(
                 centres, radii, ax, config, sub_rows, dis_rows, reg_scale=scale)
-            if config.optimizer == "adam":
-                centres -= opt_c.step(g_c)
-                radii -= opt_r.step(g_r)
-            else:
-                lr = config.learning_rate / (1.0 + config.lr_decay * step)
-                centres -= lr * g_c
-                radii -= lr * g_r
+            optimizer.step([g_c, g_r])
             np.maximum(radii, config.radius_clamp_min, out=radii)
-            step += 1
         breakdown = _breakdown(centres, radii, ax, config)
         _check_finite(breakdown)
         history.epochs.append(breakdown)

@@ -9,10 +9,13 @@ classes; evaluation fine-tunes a copy of the base projector per episode.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import math
+import os
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -74,9 +77,32 @@ class FeatureDataset:
         )
 
 
+@contextlib.contextmanager
+def atomic_open(path):
+    """Text handle on a temporary file beside ``path``, fsynced and renamed
+    onto it when the block completes and removed if the block raises."""
+    tmp = Path(f"{path}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", newline="") as fh:
+            yield fh
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def write_features_csv(dataset: FeatureDataset, path) -> None:
-    with open(path, "w", newline="") as fh:
+    with atomic_open(path) as fh:
         fh.write(features_csv_text(dataset))
+
+
+def _csv_field(text: str) -> str:
+    """``text`` as one CSV field, quoted where csv.reader would misread it."""
+    if text.startswith('"') or any(ch in text for ch in ',\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 def features_csv_text(dataset: FeatureDataset) -> str:
@@ -84,7 +110,8 @@ def features_csv_text(dataset: FeatureDataset) -> str:
     out = io.StringIO()
     out.write("label," + ",".join(f"f_{i + 1}" for i in range(dataset.dim)) + "\n")
     for label, row in zip(dataset.labels, dataset.features):
-        out.write(label + "," + ",".join(repr(float(v)) for v in row) + "\n")
+        out.write(_csv_field(label) + ","
+                  + ",".join(repr(float(v)) for v in row) + "\n")
     return out.getvalue()
 
 
@@ -105,6 +132,8 @@ def read_features_csv(path, split: str = "base") -> FeatureDataset:
             labels.append(line[0])
             rows.append([float(v) for v in line[1:]])
     features = np.array(rows, dtype=float).reshape(len(labels), dim)
+    if not np.isfinite(features).all():
+        raise ValueError(f"feature CSV {path} holds non-finite values")
     return FeatureDataset(dim, tuple(labels), features, split)
 
 

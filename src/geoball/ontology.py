@@ -144,10 +144,12 @@ def _find_cycle(concepts, parents) -> list[str] | None:
 
 
 def _reflexive_ancestors(ontology: Ontology) -> dict[str, set[str]]:
-    """Concept -> {itself plus everything reachable upward}. Assumes acyclic."""
+    """Concept -> {itself plus everything reachable upward}."""
     order = _topological_order(ontology.concepts, ontology.told_parents)
     if order is None:
-        raise OntologyError("cycle detected while computing ancestor sets")
+        cycle = _find_cycle(ontology.concepts, ontology.told_parents)
+        witness = " -> ".join(cycle) if cycle else "unknown"
+        raise OntologyError(f"cycle detected while closing the hierarchy: {witness}")
     anc: dict[str, set[str]] = {}
     for c in order:
         result = {c}
@@ -352,20 +354,9 @@ def load_ontology(path) -> Ontology:
 
 def compute_ich(ontology: Ontology) -> Ich:
     """Irreflexive transitive closure of the told subsumption relation."""
-    order = _topological_order(ontology.concepts, ontology.told_parents)
-    if order is None:
-        cycle = _find_cycle(ontology.concepts, ontology.told_parents)
-        witness = " -> ".join(cycle) if cycle else "unknown"
-        raise OntologyError(f"cycle detected while closing the hierarchy: {witness}")
-    anc: dict[str, set[str]] = {}
-    for c in order:
-        ups: set[str] = set()
-        for p in ontology.told_parents.get(c, ()):
-            ups.add(p)
-            ups |= anc[p]
-        anc[c] = ups
-    pairs = frozenset((c, a) for c in ontology.concepts for a in anc[c])
-    return Ich(pairs)
+    anc = _reflexive_ancestors(ontology)
+    return Ich(frozenset((c, a) for c in ontology.concepts for a in anc[c]
+                         if a != c))
 
 
 def compute_stats(ontology: Ontology, ich: Ich) -> HierarchyStats:

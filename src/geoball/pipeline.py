@@ -2,22 +2,24 @@
 
 Stages run in dependency order (ingest, embed, negatives, features,
 train-projector, episodes). Every stage derives its seed from the global one
-unless its config section pins its own, so re-running the same config file
-reproduces each artifact byte for byte. A stage failure aborts the run with
-the stage name attached; artifacts of completed stages stay on disk, nothing
-half-written is left behind.
+unless its config section pins its own (``stage_config``, which the CLI uses
+too), so re-running the same config file reproduces each artifact byte for
+byte. A stage failure aborts the run with the stage name attached; artifacts
+of completed stages stay on disk, and as each is written to a temporary file
+that is renamed into place, nothing half-written is left behind.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 from .embedding import EmbedConfig, train_embeddings
 from .evaluation import score_space
 from .harness import (
     REFERENCE_RESULTS,
+    atomic_open,
     evaluate_episodes,
     generate_synthetic_features,
     nearest_centroid_accuracy,
@@ -82,16 +84,26 @@ class EpisodeConfig:
             raise ValueError("episode parameters must be >= 1")
 
 
-def merge_section(base, raw: dict):
-    """Relaxed config parsing: unknown keys fail loudly, the rest override
-    the base (stock) config through the dataclass constructor checks."""
+def stage_config(sections: dict, name: str, base, seed: int | None = None):
+    """Section ``name`` of a pipeline config document over ``base``.
+
+    Unknown keys fail loudly; the rest override the stock config through the
+    dataclass constructor checks. For configs with a seed, a given ``seed``
+    wins, then the section's own seed, then the document's global seed, then
+    DEFAULT_SEED.
+    """
+    raw = dict(sections.get(name, {}))
     allowed = {f.name for f in fields(base)}
     unknown = set(raw) - allowed
     if unknown:
         raise ValueError(
             f"unknown {type(base).__name__} keys: {sorted(unknown)}")
+    if "seed" in allowed:
+        if seed is not None:
+            raw["seed"] = seed
+        raw.setdefault("seed", int(sections.get("seed", DEFAULT_SEED)))
     if "hidden_sizes" in raw:
-        raw = {**raw, "hidden_sizes": tuple(raw["hidden_sizes"])}
+        raw["hidden_sizes"] = tuple(raw["hidden_sizes"])
     return replace(base, **raw)
 
 
@@ -112,30 +124,20 @@ class PipelineConfig:
     @classmethod
     def from_dict(cls, obj: dict) -> "PipelineConfig":
         """Sections override the stock desk configuration field by field."""
-        known = {"ontology_path", "out_dir", "seed", "embed", "projector",
-                 "generator", "episodes", "negatives_k"}
-        unknown = set(obj) - known
+        unknown = set(obj) - {f.name for f in fields(cls)}
         if unknown:
             raise ValueError(f"unknown pipeline config keys: {sorted(unknown)}")
         for key in ("ontology_path", "out_dir"):
             if key not in obj:
                 raise ValueError(f"pipeline config needs {key!r}")
-        seed = int(obj.get("seed", DEFAULT_SEED))
-
-        def section(name, base, seeded=True):
-            raw = dict(obj.get(name, {}))
-            if seeded:
-                raw.setdefault("seed", seed)
-            return merge_section(base, raw)
-
         return cls(
             ontology_path=str(obj["ontology_path"]),
             out_dir=str(obj["out_dir"]),
-            seed=seed,
-            embed=section("embed", DESK_EMBED),
-            projector=section("projector", DESK_PROJECTOR),
-            generator=section("generator", GeneratorConfig(), seeded=False),
-            episodes=section("episodes", EpisodeConfig(), seeded=False),
+            seed=int(obj.get("seed", DEFAULT_SEED)),
+            embed=stage_config(obj, "embed", DESK_EMBED),
+            projector=stage_config(obj, "projector", DESK_PROJECTOR),
+            generator=stage_config(obj, "generator", GeneratorConfig()),
+            episodes=stage_config(obj, "episodes", EpisodeConfig()),
             negatives_k=obj.get("negatives_k"),
         )
 
@@ -151,23 +153,7 @@ class PipelineConfig:
                        projector=replace(self.projector, seed=seed))
 
     def to_dict(self) -> dict:
-        def plain(cfg):
-            out = {}
-            for f in fields(cfg):
-                value = getattr(cfg, f.name)
-                out[f.name] = list(value) if isinstance(value, tuple) else value
-            return out
-
-        return {
-            "ontology_path": self.ontology_path,
-            "out_dir": self.out_dir,
-            "seed": self.seed,
-            "embed": plain(self.embed),
-            "projector": plain(self.projector),
-            "generator": plain(self.generator),
-            "episodes": plain(self.episodes),
-            "negatives_k": self.negatives_k,
-        }
+        return asdict(self)
 
 
 class PipelineError(RuntimeError):
@@ -179,17 +165,40 @@ class PipelineError(RuntimeError):
         self.cause = cause
 
 
-def _write_json(path: Path, obj: dict) -> Path:
+def _write_json(path, obj: dict) -> None:
     text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
-    path.write_text(text)
-    return path
+    with atomic_open(path) as fh:
+        fh.write(text)
+
+
+def print_losses(losses, stage: str = "") -> None:
+    """One ``--verbose`` line per training epoch."""
+    for i, value in enumerate(losses):
+        print(f"{stage}epoch {i + 1}: loss {value:.6f}")
+
+
+def episodes_report(space, mlp, novel, negatives, projector: ProjectorConfig,
+                    protocol: EpisodeConfig, seed: int, ich=None) -> dict:
+    """Evaluate ``protocol``'s episodes and the nearest-centroid baseline."""
+    episodes = sample_episodes(novel, w=protocol.w, s=protocol.s,
+                               q=protocol.q, n_episodes=protocol.n_episodes,
+                               seed=seed)
+    report = evaluate_episodes(space, mlp, episodes, projector, negatives,
+                               ich=ich)
+    baseline = nearest_centroid_accuracy(episodes)
+    return {
+        "episodes": report.to_dict(),
+        "baseline_nearest_centroid": baseline.to_dict(),
+        "margin_over_baseline": report.accuracy - baseline.accuracy,
+        "protocol": {**asdict(protocol), "seed": seed},
+        "reference_results": REFERENCE_RESULTS,
+    }
 
 
 def run_pipeline(config: PipelineConfig, verbose: bool = False) -> list[Path]:
     """Execute all stages; returns the artifact paths in creation order."""
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    written: list[Path] = []
     stage = "ingest"
 
     def log(msg):
@@ -206,15 +215,14 @@ def run_pipeline(config: PipelineConfig, verbose: bool = False) -> list[Path]:
         stage = "embed"
         space, history = train_embeddings(ontology, ich, stats, config.embed)
         if verbose:
-            for i, bd in enumerate(history.epochs):
-                print(f"embed epoch {i + 1}: loss {bd.total:.6f}")
+            print_losses(history.totals(), "embed ")
         scores = score_space(space, ich, ontology.leaves)
-        written.append(_write_json(out / "space.json", space.to_dict()))
+        _write_json(out / "space.json", space.to_dict())
 
         stage = "negatives"
         negatives = build_negative_sets(space, ontology.leaves,
                                         k=config.negatives_k, seed=config.seed)
-        written.append(_write_json(out / "negatives.json", negatives.to_dict()))
+        _write_json(out / "negatives.json", negatives.to_dict())
 
         stage = "features"
         gen = config.generator
@@ -223,42 +231,26 @@ def run_pipeline(config: PipelineConfig, verbose: bool = False) -> list[Path]:
             noise_sigma=gen.noise_sigma, seed=config.seed,
             anchor_scale=gen.anchor_scale, step_scale=gen.step_scale,
             intrinsic_dim=gen.intrinsic_dim)
-        for name, dataset in (("features_base.csv", base),
-                              ("features_novel.csv", novel)):
-            write_features_csv(dataset, out / name)
-            written.append(out / name)
+        write_features_csv(base, out / "features_base.csv")
+        write_features_csv(novel, out / "features_novel.csv")
         log(f"features: {len(base.labels)} base / {len(novel.labels)} novel "
             f"examples in {gen.dim}d")
 
         stage = "train-projector"
         mlp, losses = train_base(base, space, negatives, config.projector)
         if verbose:
-            for i, value in enumerate(losses):
-                print(f"projector epoch {i + 1}: loss {value:.6f}")
-        written.append(_write_json(out / "mlp.json", mlp.to_dict()))
+            print_losses(losses, "projector ")
+        _write_json(out / "mlp.json", mlp.to_dict())
 
         stage = "episodes"
-        ep = config.episodes
-        episodes = sample_episodes(novel, w=ep.w, s=ep.s, q=ep.q,
-                                   n_episodes=ep.n_episodes, seed=config.seed)
-        report = evaluate_episodes(space, mlp, episodes, config.projector,
-                                   negatives, ich=ich)
-        baseline = nearest_centroid_accuracy(episodes)
-        summary = {
-            "embedding_scores": scores.to_dict(),
-            "projector_final_loss": losses[-1] if losses else None,
-            "episodes": report.to_dict(),
-            "baseline_nearest_centroid": baseline.to_dict(),
-            "margin_over_baseline": report.accuracy - baseline.accuracy,
-            "protocol": {"w": ep.w, "s": ep.s, "q": ep.q,
-                         "n_episodes": ep.n_episodes, "seed": config.seed},
-            "reference_results": REFERENCE_RESULTS,
-        }
-        written.append(_write_json(out / "report.json", summary))
-        log(f"episodes: accuracy {report.accuracy:.4f} "
-            f"(baseline {baseline.accuracy:.4f})")
-    except PipelineError:
-        raise
+        summary = episodes_report(space, mlp, novel, negatives,
+                                  config.projector, config.episodes,
+                                  config.seed, ich=ich)
+        summary["embedding_scores"] = scores.to_dict()
+        summary["projector_final_loss"] = losses[-1] if losses else None
+        _write_json(out / "report.json", summary)
+        log(f"episodes: accuracy {summary['episodes']['accuracy']:.4f} "
+            f"(baseline {summary['baseline_nearest_centroid']['accuracy']:.4f})")
     except Exception as exc:
         raise PipelineError(stage, exc) from exc
-    return written
+    return [out / name for name in ARTIFACT_NAMES]

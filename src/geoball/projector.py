@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .embedding import Ball, BallSpace
+from .embedding import Ball, BallSpace, Optimizer
 from .negatives import NegativeSets
 
 PRESET_HIDDEN = {
@@ -62,6 +62,9 @@ class Mlp:
                 raise ValueError("input basis shape mismatches first layer")
             if self.input_mean.shape != (raw,):
                 raise ValueError("input mean shape mismatches basis")
+            if not (np.isfinite(self.input_mean).all()
+                    and np.isfinite(self.input_basis).all()):
+                raise ValueError("input compression has non-finite values")
             self.input_mean.setflags(write=False)
             self.input_basis.setflags(write=False)
 
@@ -70,10 +73,6 @@ class Mlp:
         if self.input_basis is not None:
             return self.input_basis.shape[0]
         return self.sizes[0]
-
-    @property
-    def out_dim(self) -> int:
-        return self.sizes[-1]
 
     def parameter_copies(self):
         return [np.array(w) for w in self.weights], [np.array(b) for b in self.biases]
@@ -127,7 +126,6 @@ class ProjectorConfig:
     seed: int = 0
     hidden_sizes: tuple[int, ...] = PRESET_HIDDEN["desk"]
     optimizer: str = "sgd"
-    lr_decay: float = 0.0
     reduce_dim: int | None = None
 
     def __post_init__(self):
@@ -145,7 +143,6 @@ class Prediction(NamedTuple):
     label: str
     u_value: float
     inside: bool
-    containing_ancestors: tuple[str, ...] = ()
 
 
 def init_mlp(sizes, seed: int = 0) -> Mlp:
@@ -275,25 +272,6 @@ def _mean_loss(x, labels, weights, biases, balls, negative_balls, mu, nu):
     return total / len(x)
 
 
-class _AdamState:
-    def __init__(self, arrays, lr):
-        self.lr = lr
-        self.m = [np.zeros_like(a) for a in arrays]
-        self.v = [np.zeros_like(a) for a in arrays]
-        self.t = 0
-
-    def step(self, arrays, grads):
-        self.t += 1
-        for a, g, m, v in zip(arrays, grads, self.m, self.v):
-            m *= 0.9
-            m += 0.1 * g
-            v *= 0.999
-            v += 0.001 * g * g
-            m_hat = m / (1.0 - 0.9 ** self.t)
-            v_hat = v / (1.0 - 0.999 ** self.t)
-            a -= self.lr * m_hat / (np.sqrt(v_hat) + 1e-8)
-
-
 def _resolve_targets(labels, space: BallSpace, negatives: NegativeSets,
                      restrict_to=None):
     """Ball lookups per label; negatives optionally restricted to a label set."""
@@ -314,11 +292,8 @@ def _run_training(x, labels, weights, biases, balls, negative_balls, config,
                   epochs: int, seed: int):
     rng = np.random.default_rng(seed)
     history: list[float] = []
-    if config.optimizer == "adam":
-        adam = _AdamState(weights + biases, config.learning_rate)
-    else:
-        adam = None
-    step = 0
+    optimizer = Optimizer(config.optimizer, weights + biases,
+                          config.learning_rate)
     for _ in range(epochs):
         order = rng.permutation(len(x))
         for start in range(0, len(x), config.batch_size):
@@ -326,15 +301,7 @@ def _run_training(x, labels, weights, biases, balls, negative_balls, config,
             _, grads_w, grads_b = _batch_loss_grads(
                 x[batch], [labels[i] for i in batch], weights, biases,
                 balls, negative_balls, config.mu, config.nu)
-            if adam is not None:
-                adam.step(weights + biases, grads_w + grads_b)
-            else:
-                lr = config.learning_rate / (1.0 + config.lr_decay * step)
-                for w, g in zip(weights, grads_w):
-                    w -= lr * g
-                for b, g in zip(biases, grads_b):
-                    b -= lr * g
-            step += 1
+            optimizer.step(grads_w + grads_b)
         history.append(_mean_loss(x, labels, weights, biases, balls,
                                   negative_balls, config.mu, config.nu))
     return history

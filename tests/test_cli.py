@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+import geoball.cli
 from geoball.cli import main
 from test_pipeline import POODLE, small_config
 
@@ -153,3 +154,103 @@ def test_pipeline_subcommand_seed_override(config_path, tmp_path):
                  "--seed", "11"]) == 0
     second = (tmp_path / "run" / "space.json").read_bytes()
     assert first != second
+
+
+@pytest.fixture(scope="module")
+def world(tmp_path_factory):
+    """One pipeline run on the small config: its directory and config file."""
+    root = tmp_path_factory.mktemp("world")
+    config = root / "config.json"
+    config.write_text(json.dumps(small_config(root)))
+    assert main(["pipeline", "--config", str(config)]) == 0
+    return root / "run", config
+
+
+def test_episodes_config_seed_reproduces_pipeline_report(world, tmp_path):
+    run_dir, config = world
+    out = tmp_path / "report.json"
+    assert main(["episodes", str(run_dir / "space.json"),
+                 str(run_dir / "mlp.json"),
+                 "--novel", str(run_dir / "features_novel.csv"),
+                 "--negatives", str(run_dir / "negatives.json"),
+                 "--w", "1", "--s", "2", "--q", "2", "--episodes", "3",
+                 "--ontology", str(config.parent / "poodle.json"),
+                 "--config", str(config), "--out", str(out)]) == 0
+    ours = json.loads(out.read_text())
+    pipeline = json.loads((run_dir / "report.json").read_text())
+    for key in ("episodes", "baseline_nearest_centroid", "protocol"):
+        assert ours[key] == pipeline[key], key
+    assert ours["protocol"]["seed"] == 3
+
+
+STAGES = {"embed": "train_embeddings", "projector": "train_base"}
+
+
+@pytest.mark.parametrize("stage", sorted(STAGES))
+@pytest.mark.parametrize("doc, flag, expected", [
+    ({"seed": 3, "section_seed": 9}, ["--seed", "11"], 11),
+    ({"seed": 3, "section_seed": 9}, [], 9),
+    ({"seed": 3}, [], 3),
+    (None, [], 0),
+])
+def test_stage_seed_precedence(world, tmp_path, monkeypatch, stage, doc,
+                               flag, expected):
+    """--seed, then the section's seed, then the global seed, then 0."""
+    run_dir, config = world
+    seen = []
+    real = getattr(geoball.cli, STAGES[stage])
+
+    def recording(*args):
+        seen.append(args[-1].seed)
+        return real(*args)
+
+    monkeypatch.setattr(geoball.cli, STAGES[stage], recording)
+    argv = flag
+    if doc is not None:
+        section = dict(json.loads(config.read_text())[stage])
+        if "section_seed" in doc:
+            section["seed"] = doc["section_seed"]
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"seed": doc["seed"], stage: section}))
+        argv = [*flag, "--config", str(path)]
+    out = str(tmp_path / "out.json")
+    if stage == "embed":
+        argv = ["embed", str(config.parent / "poodle.json"), "--out", out, *argv]
+    else:
+        argv = ["train-projector", str(run_dir / "space.json"),
+                str(run_dir / "negatives.json"),
+                str(run_dir / "features_base.csv"), "--out", out, *argv]
+    assert main(argv) == 0
+    assert seen == [expected]
+
+
+def test_cli_rejects_non_finite_and_bad_artifacts(world, tmp_path, capsys):
+    run_dir, _ = world
+    space = json.loads((run_dir / "space.json").read_text())
+    mlp = json.loads((run_dir / "mlp.json").read_text())
+    lines = (run_dir / "features_base.csv").read_text().splitlines()
+    label, first, *rest = lines[1].split(",")
+    lines[1] = ",".join([label, "nan", *rest])
+    bad_csv = tmp_path / "bad.csv"
+    bad_csv.write_text("\n".join(lines) + "\n")
+
+    name = next(iter(space["balls"]))
+    space["balls"][name]["r"] = 0.0
+    bad_space = tmp_path / "bad_space.json"
+    bad_space.write_text(json.dumps(space))
+
+    dim = mlp["sizes"][0]
+    mlp["input_mean"] = [float("nan")] + [0.0] * (dim - 1)
+    mlp["input_basis"] = [[float(i == j) for j in range(dim)]
+                          for i in range(dim)]
+    bad_mlp = tmp_path / "bad_mlp.json"
+    bad_mlp.write_text(json.dumps(mlp))
+
+    good_space, good_mlp = str(run_dir / "space.json"), str(run_dir / "mlp.json")
+    good_csv = str(run_dir / "features_base.csv")
+    for argv in (["infer", good_space, good_mlp, str(bad_csv)],
+                 ["infer", str(bad_space), good_mlp, good_csv],
+                 ["infer", good_space, str(bad_mlp), good_csv]):
+        assert main(argv) == 1, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: "), argv

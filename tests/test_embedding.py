@@ -270,6 +270,21 @@ def test_ball_space_roundtrip():
     assert again.ball("b").radius == pytest.approx(space.radius_of("b"))
 
 
+@pytest.mark.parametrize("centre, radius", [
+    ([float("nan"), 0.0], 1.0),
+    ([float("inf"), 0.0], 1.0),
+    ([0.0, 0.0], 0.0),
+    ([0.0, 0.0], -0.5),
+    ([0.0, 0.0], float("nan")),
+    ([0.0, 0.0], float("inf")),
+])
+def test_ball_space_from_dict_rejects_bad_balls(centre, radius):
+    obj = {"dim": 2, "balls": {"a": {"c": [1.0, 0.0], "r": 0.5},
+                               "b": {"c": centre, "r": radius}}}
+    with pytest.raises(ValueError, match="ball"):
+        BallSpace.from_dict(obj)
+
+
 def test_ball_space_arrays_locked():
     rng = np.random.default_rng(0)
     space = random_space(rng, ("a", "b"), 3)

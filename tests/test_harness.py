@@ -168,6 +168,14 @@ def test_csv_rejects_malformed(tmp_path):
         read_features_csv(ragged)
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_csv_rejects_non_finite_values(tmp_path, value):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"label,f_1,f_2\nx,1.0,2.0\ny,{value},0.5\n")
+    with pytest.raises(ValueError, match="non-finite"):
+        read_features_csv(path)
+
+
 # ---------------------------------------------------------------------------
 # episode sampling
 

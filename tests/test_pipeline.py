@@ -1,6 +1,7 @@
 """Tests for the end-to-end pipeline orchestration."""
 
 import json
+import os
 
 import pytest
 
@@ -134,3 +135,27 @@ def test_config_validation(tmp_path):
 def test_config_dict_roundtrip(tmp_path):
     config = PipelineConfig.from_dict(small_config(tmp_path))
     assert PipelineConfig.from_dict(config.to_dict()) == config
+
+
+def test_interrupted_write_keeps_old_artifact(tmp_path, monkeypatch):
+    config = PipelineConfig.from_dict(small_config(tmp_path))
+    run_pipeline(config)
+    out = tmp_path / "run"
+    before = {name: (out / name).read_bytes() for name in ARTIFACT_NAMES}
+
+    # a re-run with another seed changes every artifact; the third write
+    # (features_base.csv) dies after its data went to the temporary file
+    calls = []
+
+    def failing_fsync(fd):
+        calls.append(fd)
+        if len(calls) == 3:
+            raise OSError("disk full")
+
+    monkeypatch.setattr(os, "fsync", failing_fsync)
+    with pytest.raises(PipelineError) as err:
+        run_pipeline(config.with_seed(11))
+    assert err.value.stage == "features"
+    assert (out / "features_base.csv").read_bytes() == before["features_base.csv"]
+    assert (out / "space.json").read_bytes() != before["space.json"]
+    assert sorted(p.name for p in out.iterdir()) == sorted(ARTIFACT_NAMES)

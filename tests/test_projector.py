@@ -527,3 +527,17 @@ def test_mlp_requires_paired_mean_and_basis():
     with pytest.raises(ValueError):
         Mlp(m.sizes, m.weights, m.biases, input_mean=np.zeros(5),
             input_basis=np.eye(5)[:, :2])
+
+
+@pytest.mark.parametrize("key", ["input_mean", "input_basis"])
+def test_mlp_from_dict_rejects_non_finite_compression(key):
+    m = init_mlp((2, 4, 2), seed=0)
+    obj = json.loads(json.dumps(
+        Mlp(m.sizes, m.weights, m.biases, input_mean=np.zeros(3),
+            input_basis=np.eye(3)[:, :2]).to_dict()))
+    assert Mlp.from_dict(obj).in_dim == 3
+    values = np.array(obj[key])
+    values.flat[0] = np.nan
+    obj[key] = values.tolist()
+    with pytest.raises(ValueError, match="non-finite"):
+        Mlp.from_dict(obj)
