@@ -7,6 +7,12 @@ support examples, feature source fixed throughout). An optional linear input
 compression, fit on the base split and frozen from then on, strips the noise
 directions that high-dimensional features carry. Classification is by the
 signed boundary distance U = ||c_P - h|| - r_P.
+
+The ranking loss has one array implementation, ``_ranking_loss_grad``. Each
+training run packs its targets once (class balls plus negative pools padded
+to the widest pool), and every optimiser step and the per-epoch loss history
+go through that one function. The scalar ``ranking_loss`` is the readable
+definition that tests compare the array form against.
 """
 
 from __future__ import annotations
@@ -178,6 +184,9 @@ def mlp_forward(f, mlp: Mlp) -> np.ndarray:
         x = x[None, :]
     if x.shape[1] != mlp.in_dim:
         raise ValueError(f"feature dimension {x.shape[1]} != input {mlp.in_dim}")
+    bad = ~np.isfinite(x).all(axis=1)
+    if bad.any():
+        raise ValueError(f"non-finite feature row {int(bad.argmax())}")
     acts, _ = _forward_pass(mlp.reduce(x), mlp.weights, mlp.biases)
     out = acts[-1]
     return out[0] if single else out
@@ -186,14 +195,33 @@ def mlp_forward(f, mlp: Mlp) -> np.ndarray:
 def _fit_reduction(x: np.ndarray, k: int):
     """Mean and top-k right singular vectors of the centred feature matrix.
 
-    Column signs are pinned (largest-magnitude entry positive) so refits on
-    identical data serialize identically.
+    The vectors come from an eigendecomposition of the smaller Gram matrix,
+    much cheaper than a full SVD of a wide matrix. With fewer rows than
+    columns that is X X^T, and each right vector is X^T u / sigma; a kept
+    eigenvalue at or below the rank tolerance has no recoverable vector, so
+    data spanning fewer than k directions is rejected. Otherwise X^T X gives
+    an orthonormal basis of the whole feature space, and directions beyond
+    the rank are null-space vectors, as a full SVD gives. Column signs are
+    pinned (largest-magnitude entry positive) so refits on identical data
+    serialize identically.
     """
-    if k > min(x.shape):
+    n, d = x.shape
+    if k > min(n, d):
         raise ValueError(f"reduce_dim {k} exceeds feature matrix rank bound")
     mean = x.mean(axis=0)
-    _, _, vt = np.linalg.svd(x - mean, full_matrices=False)
-    basis = vt[:k].T.copy()
+    xc = x - mean
+    row_side = n < d
+    eigvals, eigvecs = np.linalg.eigh(xc @ xc.T if row_side else xc.T @ xc)
+    eigvals, eigvecs = eigvals[::-1][:k], eigvecs[:, ::-1][:, :k]
+    if row_side:
+        tolerance = np.finfo(float).eps * d * eigvals[0]
+        rank = int((eigvals > tolerance).sum())
+        if rank < k:
+            raise ValueError(
+                f"feature matrix has numerical rank {rank} < reduce_dim {k}")
+        basis = (xc.T @ eigvecs) / np.sqrt(eigvals)
+    else:
+        basis = eigvecs.copy()
     for j in range(k):
         col = basis[:, j]
         if col[np.abs(col).argmax()] < 0.0:
@@ -218,63 +246,106 @@ def ranking_loss(h, positive: Ball, negatives, mu: float = 1.0,
     return loss
 
 
-def _point_loss_grad(h, positive: Ball, negatives, mu, nu):
-    """Per-point ranking loss and its gradient w.r.t. h (subgradient 0 at kinks)."""
-    grad = np.zeros_like(h)
-    diff = h - positive.centre
-    d = float(np.linalg.norm(diff))
-    loss = d - mu * positive.radius
-    if loss > 0.0:
-        if d > 0.0:
-            grad += diff / d
-    else:
-        loss = 0.0
-    for ball in negatives:
-        diff_q = h - ball.centre
-        d_q = float(np.linalg.norm(diff_q))
-        arg = nu * ball.radius - d_q
-        if arg > 0.0:
-            loss += arg
-            if d_q > 0.0:
-                grad -= diff_q / d_q
+class _Targets(NamedTuple):
+    """Ranking-loss targets as arrays, one row per distinct label.
+
+    Negative pools are padded to the widest pool (possibly width 0) with
+    radius-0 balls: their hinge nu * 0 - ||c - h|| never exceeds 0, so the
+    padding adds neither loss nor gradient.
+    """
+
+    pos_centres: np.ndarray  # (labels, dim)
+    pos_radii: np.ndarray  # (labels,)
+    neg_centres: np.ndarray  # (labels, width, dim)
+    neg_radii: np.ndarray  # (labels, width)
+
+
+def _pack_targets(labels, balls, negative_balls):
+    """Row index per example plus the padded target arrays of its label."""
+    names = sorted(set(labels))
+    row_of = {name: i for i, name in enumerate(names)}
+    pos_centres = np.array([balls[name].centre for name in names], dtype=float)
+    dim = pos_centres.shape[1]
+    width = max(len(negative_balls[name]) for name in names)
+    targets = _Targets(
+        pos_centres=pos_centres,
+        pos_radii=np.array([balls[name].radius for name in names], dtype=float),
+        neg_centres=np.zeros((len(names), width, dim)),
+        neg_radii=np.zeros((len(names), width)))
+    for i, name in enumerate(names):
+        for j, ball in enumerate(negative_balls[name]):
+            targets.neg_centres[i, j] = ball.centre
+            targets.neg_radii[i, j] = ball.radius
+    rows = np.array([row_of[label] for label in labels], dtype=np.intp)
+    return rows, targets
+
+
+def _ranking_loss_grad(h, rows, targets: _Targets, mu, nu):
+    """Per-example ranking loss and its gradient w.r.t. h, for h of shape (m, dim).
+
+    The array form of ``ranking_loss``: a hinge counts only when strictly
+    above 0, and a distance term has gradient 0 at distance 0.
+    """
+    diff = h - targets.pos_centres[rows]
+    dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+    excess = dist - mu * targets.pos_radii[rows]
+    active = excess > 0.0
+    loss = np.where(active, excess, 0.0)
+    scale = np.divide(1.0, dist, out=np.zeros_like(dist),
+                      where=active & (dist > 0.0))
+    grad = diff * scale[:, None]
+
+    diff_q = h[:, None, :] - targets.neg_centres[rows]
+    dist_q = np.sqrt(np.einsum("ijk,ijk->ij", diff_q, diff_q))
+    intrusion = nu * targets.neg_radii[rows] - dist_q
+    active_q = intrusion > 0.0
+    loss += np.where(active_q, intrusion, 0.0).sum(axis=1)
+    scale_q = np.divide(1.0, dist_q, out=np.zeros_like(dist_q),
+                        where=active_q & (dist_q > 0.0))
+    grad -= np.einsum("ij,ijk->ik", scale_q, diff_q)
     return loss, grad
 
 
-def _batch_loss_grads(x, labels, weights, biases, balls, negative_balls, mu, nu):
-    """Mean ranking loss over the batch plus parameter gradients."""
+def _loss_and_grads(x, rows, weights, biases, targets, mu, nu):
+    """Mean ranking loss over a batch plus parameter gradients."""
     acts, zs = _forward_pass(x, weights, biases)
-    h = acts[-1]
+    loss, delta = _ranking_loss_grad(acts[-1], rows, targets, mu, nu)
     m = len(x)
-    g_out = np.zeros_like(h)
-    total = 0.0
-    for i, label in enumerate(labels):
-        loss, grad = _point_loss_grad(h[i], balls[label], negative_balls[label], mu, nu)
-        total += loss
-        g_out[i] = grad
-
     grads_w = [None] * len(weights)
     grads_b = [None] * len(weights)
-    delta = g_out
     for layer in reversed(range(len(weights))):
         grads_w[layer] = delta.T @ acts[layer] / m
         grads_b[layer] = delta.sum(axis=0) / m
         if layer > 0:
             delta = (delta @ weights[layer]) * (zs[layer - 1] > 0.0)
-    return total / m, grads_w, grads_b
+    return float(loss.sum()) / m, grads_w, grads_b
+
+
+def _epoch_loss(x, rows, weights, biases, targets, mu, nu, block):
+    """Mean ranking loss over all examples, evaluated block rows at a time."""
+    h = _forward_pass(x, weights, biases)[0][-1]
+    total = 0.0
+    for start in range(0, len(x), block):
+        loss, _ = _ranking_loss_grad(h[start:start + block],
+                                     rows[start:start + block], targets, mu, nu)
+        total += float(loss.sum())
+    return total / len(x)
+
+
+def _batch_loss_grads(x, labels, weights, biases, balls, negative_balls, mu, nu):
+    """Mean ranking loss over the batch plus parameter gradients."""
+    rows, targets = _pack_targets(labels, balls, negative_balls)
+    return _loss_and_grads(x, rows, weights, biases, targets, mu, nu)
 
 
 def _mean_loss(x, labels, weights, biases, balls, negative_balls, mu, nu):
-    acts, _ = _forward_pass(x, weights, biases)
-    h = acts[-1]
-    total = 0.0
-    for i, label in enumerate(labels):
-        total += ranking_loss(h[i], balls[label], negative_balls[label], mu, nu)
-    return total / len(x)
+    rows, targets = _pack_targets(labels, balls, negative_balls)
+    return _epoch_loss(x, rows, weights, biases, targets, mu, nu, len(x))
 
 
 def _resolve_targets(labels, space: BallSpace, negatives: NegativeSets,
                      restrict_to=None):
-    """Ball lookups per label; negatives optionally restricted to a label set."""
+    """Packed targets per label; negatives optionally restricted to a label set."""
     balls: dict[str, Ball] = {}
     negative_balls: dict[str, list[Ball]] = {}
     for label in sorted(set(labels)):
@@ -285,11 +356,11 @@ def _resolve_targets(labels, space: BallSpace, negatives: NegativeSets,
         if restrict_to is not None:
             pool = [q for q in pool if q in restrict_to]
         negative_balls[label] = [space.ball(q) for q in pool if q in space.index]
-    return balls, negative_balls
+    return _pack_targets(labels, balls, negative_balls)
 
 
-def _run_training(x, labels, weights, biases, balls, negative_balls, config,
-                  epochs: int, seed: int):
+def _run_training(x, rows, weights, biases, targets, config, epochs: int,
+                  seed: int):
     rng = np.random.default_rng(seed)
     history: list[float] = []
     optimizer = Optimizer(config.optimizer, weights + biases,
@@ -298,12 +369,12 @@ def _run_training(x, labels, weights, biases, balls, negative_balls, config,
         order = rng.permutation(len(x))
         for start in range(0, len(x), config.batch_size):
             batch = order[start:start + config.batch_size]
-            _, grads_w, grads_b = _batch_loss_grads(
-                x[batch], [labels[i] for i in batch], weights, biases,
-                balls, negative_balls, config.mu, config.nu)
+            _, grads_w, grads_b = _loss_and_grads(
+                x[batch], rows[batch], weights, biases, targets,
+                config.mu, config.nu)
             optimizer.step(grads_w + grads_b)
-        history.append(_mean_loss(x, labels, weights, biases, balls,
-                                  negative_balls, config.mu, config.nu))
+        history.append(_epoch_loss(x, rows, weights, biases, targets,
+                                   config.mu, config.nu, config.batch_size))
     return history
 
 
@@ -315,7 +386,7 @@ def train_base(features, space: BallSpace, negatives: NegativeSets,
     labels so few-shot fine-tuning can reject overlapping class sets.
     """
     labels = list(features.labels)
-    balls, negative_balls = _resolve_targets(labels, space, negatives)
+    rows, targets = _resolve_targets(labels, space, negatives)
     x = np.asarray(features.features, dtype=float)
     mean = basis = None
     if config.reduce_dim is not None:
@@ -324,8 +395,8 @@ def train_base(features, space: BallSpace, negatives: NegativeSets,
     sizes = (x.shape[1], *config.hidden_sizes, space.dim)
     mlp = init_mlp(sizes, seed=config.seed)
     weights, biases = mlp.parameter_copies()
-    history = _run_training(x, labels, weights, biases, balls, negative_balls,
-                            config, config.epochs_bl, config.seed)
+    history = _run_training(x, rows, weights, biases, targets, config,
+                            config.epochs_bl, config.seed)
     trained = Mlp(sizes, tuple(weights), tuple(biases),
                   trained_labels=frozenset(labels),
                   input_mean=mean, input_basis=basis)
@@ -345,12 +416,12 @@ def finetune_fewshot(mlp: Mlp, support, space: BallSpace,
     if overlap:
         raise ValueError(
             f"support classes overlap base classes: {sorted(overlap)}")
-    balls, negative_balls = _resolve_targets(
+    rows, targets = _resolve_targets(
         support_labels, space, negatives, restrict_to=set(support_labels))
     weights, biases = mlp.parameter_copies()
     x = mlp.reduce(np.asarray(support.features, dtype=float))
-    _run_training(x, support_labels, weights, biases, balls, negative_balls,
-                  config, config.epochs_fsl, config.seed + 1)
+    _run_training(x, rows, weights, biases, targets, config, config.epochs_fsl,
+                  config.seed + 1)
     return Mlp(mlp.sizes, tuple(weights), tuple(biases),
                trained_labels=mlp.trained_labels | frozenset(support_labels),
                input_mean=mlp.input_mean, input_basis=mlp.input_basis)
@@ -361,12 +432,15 @@ def classify(h, candidates) -> Prediction:
 
     U = ||c - h|| - r per candidate; any U <= 0 means h is inside that ball
     and the smallest U wins, otherwise the smallest centre distance wins.
-    Ties keep the earliest candidate.
+    Ties keep the earliest candidate. A non-finite h is rejected, since no
+    distance to it can rank the candidates.
     """
     candidates = list(candidates)
     if not candidates:
         raise ValueError("empty candidate list")
     h = np.asarray(h, dtype=float)
+    if not np.isfinite(h).all():
+        raise ValueError("non-finite point h")
     distances = np.array([float(np.linalg.norm(h - ball.centre))
                           for _, ball in candidates])
     u_values = distances - np.array([ball.radius for _, ball in candidates])

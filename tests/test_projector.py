@@ -120,6 +120,17 @@ def test_forward_dimension_mismatch():
         mlp_forward(np.zeros(5), mlp)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_forward_rejects_non_finite_rows(bad):
+    mlp = init_mlp((3, 4, 2), seed=0)
+    x = np.zeros((4, 3))
+    x[2, 1] = bad
+    with pytest.raises(ValueError, match="non-finite feature row 2"):
+        mlp_forward(x, mlp)
+    with pytest.raises(ValueError, match="non-finite"):
+        mlp_forward(x[2], mlp)
+
+
 def test_mlp_json_roundtrip_row_major():
     mlp = init_mlp((3, 4, 2), seed=7)
     obj = json.loads(json.dumps(mlp.to_dict()))
@@ -319,6 +330,30 @@ def test_finetune_zero_epochs_keeps_parameters(world):
     assert all(np.array_equal(a, b) for a, b in zip(tuned.biases, mlp.biases))
 
 
+def test_finetune_with_every_pool_empty_trains_positive_term(world):
+    # every support label's negatives are base classes, so restricting them
+    # to the support set leaves each pool empty
+    mlp, _ = train_base(world.base, world.space, world.negatives, BASE_CONFIG)
+    base_names = tuple(sorted(set(world.base.labels)))
+    negatives = NegativeSets(
+        clusters=(), negatives={name: base_names for name in world.names[6:]})
+    first = finetune_fewshot(mlp, world.support, world.space, negatives,
+                             BASE_CONFIG)
+    second = finetune_fewshot(mlp, world.support, world.space, negatives,
+                              BASE_CONFIG)
+    assert json.dumps(first.to_dict()) == json.dumps(second.to_dict())
+    no_pools = finetune_fewshot(mlp, world.support, world.space,
+                                NegativeSets(clusters=(), negatives={}),
+                                BASE_CONFIG)
+    assert json.dumps(no_pools.to_dict()) == json.dumps(first.to_dict())
+    assert not all(np.array_equal(a, b)
+                   for a, b in zip(first.weights, mlp.weights))
+    h = mlp_forward(world.support.features, first)
+    for i, label in enumerate(world.support.labels):
+        d = float(np.linalg.norm(h[i] - world.space.centre_of(label)))
+        assert d <= world.space.radius_of(label)
+
+
 def test_finetune_rejects_overlapping_classes(world):
     mlp, _ = train_base(world.base, world.space, world.negatives, BASE_CONFIG)
     with pytest.raises(ValueError, match="overlap"):
@@ -369,6 +404,15 @@ def test_classify_tie_keeps_candidate_order():
 def test_classify_empty_candidates():
     with pytest.raises(ValueError, match="empty"):
         classify(np.zeros(2), [])
+
+
+@pytest.mark.parametrize("h", [[np.nan, 0.0], [0.0, np.inf]])
+def test_classify_rejects_non_finite_h(h):
+    # a NaN h used to return the first candidate: Prediction('a', nan, False)
+    candidates = [("a", Ball(np.array([5.0, 5.0]), 1.0)),
+                  ("b", Ball(np.zeros(2), 1.0))]
+    with pytest.raises(ValueError, match="non-finite"):
+        classify(np.array(h), candidates)
 
 
 def test_zero_ranking_loss_implies_correct_classification():
@@ -484,6 +528,37 @@ def test_fit_reduction_deterministic_signs():
     for j in range(basis_a.shape[1]):
         col = basis_a[:, j]
         assert col[np.abs(col).argmax()] > 0.0
+
+
+@pytest.mark.parametrize("shape", [(30, 80), (80, 30)])
+def test_fit_reduction_matches_svd(shape):
+    # the Gram side switches with the shape: rows x rows, then cols x cols
+    x = np.random.default_rng(5).normal(size=shape) @ np.diag(
+        np.linspace(1.0, 3.0, shape[1]))
+    _, basis = _fit_reduction(x, 4)
+    vt = np.linalg.svd(x - x.mean(axis=0), full_matrices=False)[2]
+    for j in range(4):
+        assert np.allclose(np.abs(basis[:, j] @ vt[j]), 1.0, atol=1e-10)
+    assert np.allclose(basis.T @ basis, np.eye(4), atol=1e-12)
+
+
+def test_fit_reduction_rejects_rank_deficient_wide_data():
+    # with fewer rows than columns a direction at the noise floor cannot be
+    # recovered from the rows x rows Gram matrix
+    rng = np.random.default_rng(11)
+    x = rng.normal(size=(12, 3)) @ rng.normal(size=(3, 40)) + 5.0
+    with pytest.raises(ValueError, match="rank 3 < reduce_dim 5"):
+        _fit_reduction(x, 5)
+    _, basis = _fit_reduction(x, 3)
+    assert np.allclose(basis.T @ basis, np.eye(3), atol=1e-12)
+
+
+def test_fit_reduction_completes_rank_deficient_tall_data():
+    rng = np.random.default_rng(11)
+    x = rng.normal(size=(40, 3)) @ rng.normal(size=(3, 12)) + 5.0
+    mean, basis = _fit_reduction(x, 5)
+    assert np.allclose(basis.T @ basis, np.eye(5), atol=1e-12)
+    assert np.allclose((x - mean) @ basis[:, 3:], 0.0, atol=1e-10)
 
 
 def test_reduced_training_matches_manual_projection(world):

@@ -1,16 +1,19 @@
-"""Property tests: every artifact format round-trips exactly."""
+"""Property tests: every artifact format round-trips exactly, and the array
+ranking loss agrees with its scalar definition."""
 
 import json
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from geoball.embedding import BallSpace
+from geoball.embedding import Ball, BallSpace
 from geoball.harness import FeatureDataset, read_features_csv, write_features_csv
 from geoball.negatives import NegativeSets
-from geoball.projector import Mlp
+from geoball.projector import (Mlp, _pack_targets, _ranking_loss_grad,
+                               ranking_loss)
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
 POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
@@ -99,3 +102,67 @@ def test_feature_csv_roundtrip_is_exact(tmp_path_factory, dataset):
     assert back.dim == dataset.dim
     assert back.labels == dataset.labels
     assert np.array_equal(back.features, dataset.features)
+
+
+COORDS = st.floats(-10.0, 10.0)
+
+
+@st.composite
+def loss_batches(draw):
+    """Labels c0..c{k-1} with k <= 5, where label ci has i negative balls;
+    some points sit exactly on their positive or on a negative centre."""
+    dim = draw(st.integers(1, 4))
+
+    def ball():
+        return Ball(draw(arrays(float, dim, elements=COORDS)),
+                    draw(st.floats(0.1, 5.0)))
+
+    names = [f"c{i}" for i in range(draw(st.integers(1, 5)))]
+    balls = {name: ball() for name in names}
+    negative_balls = {name: [ball() for _ in range(i)]
+                      for i, name in enumerate(names)}
+    labels = draw(st.lists(st.sampled_from(names), min_size=1, max_size=10))
+    points = []
+    for label in labels:
+        on = draw(st.sampled_from(["free", "positive", "negative"]))
+        if on == "positive":
+            points.append(balls[label].centre)
+        elif on == "negative" and negative_balls[label]:
+            points.append(draw(st.sampled_from(negative_balls[label])).centre)
+        else:
+            points.append(draw(arrays(float, dim, elements=COORDS)))
+    mu, nu = draw(st.floats(0.5, 2.0)), draw(st.floats(0.5, 2.0))
+    return np.array(points), labels, balls, negative_balls, mu, nu
+
+
+def kink_distance(h, positive, negatives, mu, nu):
+    """Distance of h to the nearest point where a loss term is not smooth."""
+    d = float(np.linalg.norm(h - positive.centre))
+    gaps = [d, abs(d - mu * positive.radius)]
+    for ball in negatives:
+        d_q = float(np.linalg.norm(h - ball.centre))
+        gaps += [d_q, abs(nu * ball.radius - d_q)]
+    return min(gaps)
+
+
+@given(loss_batches())
+def test_array_ranking_loss_matches_scalar_definition(batch):
+    h, labels, balls, negative_balls, mu, nu = batch
+    rows, targets = _pack_targets(labels, balls, negative_balls)
+    loss, grad = _ranking_loss_grad(h, rows, targets, mu, nu)
+    assert loss.shape == (len(h),) and grad.shape == h.shape
+    assert np.isfinite(grad).all()
+    step = 1e-6
+    for i, label in enumerate(labels):
+        positive, negatives = balls[label], negative_balls[label]
+        expected = ranking_loss(h[i], positive, negatives, mu, nu)
+        assert loss[i] == pytest.approx(expected, rel=1e-12, abs=1e-12)
+        if kink_distance(h[i], positive, negatives, mu, nu) < 1e-3:
+            continue
+        for k in range(h.shape[1]):
+            up, down = h[i].copy(), h[i].copy()
+            up[k] += step
+            down[k] -= step
+            fd = (ranking_loss(up, positive, negatives, mu, nu)
+                  - ranking_loss(down, positive, negatives, mu, nu)) / (2 * step)
+            assert grad[i, k] == pytest.approx(fd, abs=1e-6)
