@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import contextlib
 import csv
-import io
 import math
 import os
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -93,11 +93,6 @@ def atomic_open(path):
         raise
 
 
-def write_features_csv(dataset: FeatureDataset, path) -> None:
-    with atomic_open(path) as fh:
-        fh.write(features_csv_text(dataset))
-
-
 def _csv_field(text: str) -> str:
     """``text`` as one CSV field, quoted where csv.reader would misread it."""
     if text.startswith('"') or any(ch in text for ch in ',\r\n'):
@@ -105,36 +100,48 @@ def _csv_field(text: str) -> str:
     return text
 
 
-def features_csv_text(dataset: FeatureDataset) -> str:
-    """CSV with repr-formatted floats so values round-trip exactly."""
-    out = io.StringIO()
-    out.write("label," + ",".join(f"f_{i + 1}" for i in range(dataset.dim)) + "\n")
+def _csv_lines(dataset: FeatureDataset):
+    """The feature CSV line by line: a header, then one row per example with
+    repr-formatted floats so values round-trip exactly."""
+    yield "label," + ",".join(f"f_{i + 1}" for i in range(dataset.dim)) + "\n"
     for label, row in zip(dataset.labels, dataset.features):
-        out.write(_csv_field(label) + ","
-                  + ",".join(repr(float(v)) for v in row) + "\n")
-    return out.getvalue()
+        yield _csv_field(label) + "," + ",".join(map(repr, row.tolist())) + "\n"
+
+
+def write_features_csv(dataset: FeatureDataset, path) -> None:
+    with atomic_open(path) as fh:
+        fh.writelines(_csv_lines(dataset))
+
+
+def features_csv_text(dataset: FeatureDataset) -> str:
+    """The bytes ``write_features_csv`` writes, as one string."""
+    return "".join(_csv_lines(dataset))
 
 
 def read_features_csv(path, split: str = "base") -> FeatureDataset:
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
+        first = fh.readline()
+        if not first:
+            raise ValueError(f"feature CSV {path} is empty")
+        header = next(csv.reader([first]))
         if not header or header[0] != "label":
             raise ValueError("feature CSV must start with a 'label' column")
         dim = len(header) - 1
-        labels, rows = [], []
-        for line in reader:
-            if not line:
-                continue
-            if len(line) != dim + 1:
-                raise ValueError(f"row for {line[0]!r} has {len(line) - 1} "
-                                 f"features, expected {dim}")
-            labels.append(line[0])
-            rows.append([float(v) for v in line[1:]])
-    features = np.array(rows, dtype=float).reshape(len(labels), dim)
+        row = np.dtype([("label", object), ("f", float, (dim,))])
+        # comments=None: a label may start with '#'. A header-only file is a
+        # valid empty dataset, so loadtxt's no-data warning is not passed on.
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data",
+                                    UserWarning)
+            try:
+                table = np.loadtxt(fh, dtype=row, delimiter=",", quotechar='"',
+                                   comments=None, ndmin=1)
+            except ValueError as exc:
+                raise ValueError(f"feature CSV {path}: {exc}") from exc
+    features = table["f"]
     if not np.isfinite(features).all():
         raise ValueError(f"feature CSV {path} holds non-finite values")
-    return FeatureDataset(dim, tuple(labels), features, split)
+    return FeatureDataset(dim, tuple(table["label"].tolist()), features, split)
 
 
 def synthetic_ontology(fanouts, sibling_disjoint: bool = True,

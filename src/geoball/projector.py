@@ -10,9 +10,9 @@ signed boundary distance U = ||c_P - h|| - r_P.
 
 The ranking loss has one array implementation, ``_ranking_loss_grad``. Each
 training run packs its targets once (class balls plus negative pools padded
-to the widest pool), and every optimiser step and the per-epoch loss history
-go through that one function. The scalar ``ranking_loss`` is the readable
-definition that tests compare the array form against.
+to the widest pool), and every optimiser step and base learning's per-epoch
+loss history go through that one function. The scalar ``ranking_loss`` is the
+readable definition that tests compare the array form against.
 """
 
 from __future__ import annotations
@@ -360,9 +360,11 @@ def _resolve_targets(labels, space: BallSpace, negatives: NegativeSets,
 
 
 def _run_training(x, rows, weights, biases, targets, config, epochs: int,
-                  seed: int):
+                  seed: int, history: bool = False) -> list[float]:
+    """Train ``weights`` and ``biases`` in place. With ``history``, return the
+    mean loss after each epoch; only base learning reports it."""
     rng = np.random.default_rng(seed)
-    history: list[float] = []
+    losses: list[float] = []
     optimizer = Optimizer(config.optimizer, weights + biases,
                           config.learning_rate)
     for _ in range(epochs):
@@ -373,9 +375,10 @@ def _run_training(x, rows, weights, biases, targets, config, epochs: int,
                 x[batch], rows[batch], weights, biases, targets,
                 config.mu, config.nu)
             optimizer.step(grads_w + grads_b)
-        history.append(_epoch_loss(x, rows, weights, biases, targets,
-                                   config.mu, config.nu, config.batch_size))
-    return history
+        if history:
+            losses.append(_epoch_loss(x, rows, weights, biases, targets,
+                                      config.mu, config.nu, config.batch_size))
+    return losses
 
 
 def train_base(features, space: BallSpace, negatives: NegativeSets,
@@ -396,7 +399,7 @@ def train_base(features, space: BallSpace, negatives: NegativeSets,
     mlp = init_mlp(sizes, seed=config.seed)
     weights, biases = mlp.parameter_copies()
     history = _run_training(x, rows, weights, biases, targets, config,
-                            config.epochs_bl, config.seed)
+                            config.epochs_bl, config.seed, history=True)
     trained = Mlp(sizes, tuple(weights), tuple(biases),
                   trained_labels=frozenset(labels),
                   input_mean=mean, input_basis=basis)

@@ -224,6 +224,16 @@ def test_stage_seed_precedence(world, tmp_path, monkeypatch, stage, doc,
     assert seen == [expected]
 
 
+def test_empty_feature_csv_is_a_clean_error(world, tmp_path, capsys):
+    run_dir, _ = world
+    empty = tmp_path / "empty.csv"
+    empty.write_text("")
+    assert main(["episodes", str(run_dir / "space.json"),
+                 str(run_dir / "mlp.json"), "--novel", str(empty),
+                 "--negatives", str(run_dir / "negatives.json")]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_cli_rejects_non_finite_and_bad_artifacts(world, tmp_path, capsys):
     run_dir, _ = world
     space = json.loads((run_dir / "space.json").read_text())

@@ -1,5 +1,8 @@
 """Tests for the synthetic feature harness and episode evaluation."""
 
+import re
+import warnings
+
 import numpy as np
 import pytest
 
@@ -155,6 +158,60 @@ def test_csv_roundtrip_is_exact(tmp_path):
     assert back.labels == base.labels
     assert np.array_equal(back.features, base.features)
     assert back.dim == base.dim
+
+
+GOLDEN_VALUES = [0.1, -0.0, 5e-324, 1e16, 123456789.0]
+GOLDEN_LABELS = ("a,b", '"q', "#x", " ")
+GOLDEN_CSV = (
+    "label,f_1,f_2,f_3,f_4,f_5\n"
+    '"a,b",0.1,-0.0,5e-324,1e+16,123456789.0\n'
+    '"""q",123456789.0,0.1,-0.0,5e-324,1e+16\n'
+    "#x,1e+16,123456789.0,0.1,-0.0,5e-324\n"
+    " ,5e-324,1e+16,123456789.0,0.1,-0.0\n"
+)
+
+
+def test_csv_format_is_pinned(tmp_path):
+    """repr floats, quoted labels only where csv would misread them, and the
+    written file holds exactly the text form. It reads back bit for bit,
+    with the '#x' row read as data, not as a comment."""
+    rows = [np.roll(GOLDEN_VALUES, i) for i in range(len(GOLDEN_LABELS))]
+    dataset = FeatureDataset(5, GOLDEN_LABELS, np.array(rows))
+    assert features_csv_text(dataset) == GOLDEN_CSV
+    path = tmp_path / "golden.csv"
+    write_features_csv(dataset, path)
+    assert path.read_bytes() == GOLDEN_CSV.encode()
+    back = read_features_csv(path)
+    assert back.labels == GOLDEN_LABELS
+    assert np.array_equal(back.features, dataset.features)
+    assert np.array_equal(np.signbit(back.features), np.signbit(dataset.features))
+
+
+def test_csv_empty_file_is_a_value_error(tmp_path):
+    path = tmp_path / "empty.csv"
+    path.write_text("")
+    with pytest.raises(ValueError, match="empty"):
+        read_features_csv(path)
+
+
+def test_csv_header_only_is_an_empty_dataset(tmp_path):
+    path = tmp_path / "header.csv"
+    path.write_text("label,f_1,f_2,f_3\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        back = read_features_csv(path, split="novel")
+    assert back.features.shape == (0, 3)
+    assert back.labels == ()
+    assert back.split == "novel"
+
+
+@pytest.mark.parametrize("body", ["x,1.0,2.0\ny,1.0\n", "x,1.0,2.0,3.0\n",
+                                  "x,1.0,abc\n", "x,1_0,2.0\n"])
+def test_csv_bad_row_error_names_the_file(tmp_path, body):
+    path = tmp_path / "bad_rows.csv"
+    path.write_text("label,f_1,f_2\n" + body)
+    with pytest.raises(ValueError, match=re.escape(str(path))):
+        read_features_csv(path)
 
 
 def test_csv_rejects_malformed(tmp_path):

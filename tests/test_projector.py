@@ -7,6 +7,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import geoball.projector
 from geoball.embedding import Ball, BallSpace
 from geoball.negatives import NegativeSets, build_negative_sets
 from geoball.ontology import compute_ich, ontology_from_dict
@@ -352,6 +353,24 @@ def test_finetune_with_every_pool_empty_trains_positive_term(world):
     for i, label in enumerate(world.support.labels):
         d = float(np.linalg.norm(h[i] - world.space.centre_of(label)))
         assert d <= world.space.radius_of(label)
+
+
+def test_only_base_learning_computes_a_loss_history(world, monkeypatch):
+    calls = []
+    real = geoball.projector._epoch_loss
+
+    def counting(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(geoball.projector, "_epoch_loss", counting)
+    mlp, history = train_base(world.base, world.space, world.negatives,
+                              BASE_CONFIG)
+    assert len(calls) == len(history) == BASE_CONFIG.epochs_bl
+    calls.clear()
+    finetune_fewshot(mlp, world.support, world.space, world.negatives,
+                     BASE_CONFIG)
+    assert calls == []
 
 
 def test_finetune_rejects_overlapping_classes(world):

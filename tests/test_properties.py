@@ -1,5 +1,6 @@
-"""Property tests: every artifact format round-trips exactly, and the array
-ranking loss agrees with its scalar definition."""
+"""Property tests: every artifact format round-trips exactly, the array
+ranking loss agrees with its scalar definition, and classification does not
+depend on candidate order beyond its documented tie rule."""
 
 import json
 
@@ -13,7 +14,7 @@ from geoball.embedding import Ball, BallSpace
 from geoball.harness import FeatureDataset, read_features_csv, write_features_csv
 from geoball.negatives import NegativeSets
 from geoball.projector import (Mlp, _pack_targets, _ranking_loss_grad,
-                               ranking_loss)
+                               classify, ranking_loss)
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
 POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
@@ -166,3 +167,40 @@ def test_array_ranking_loss_matches_scalar_definition(batch):
             fd = (ranking_loss(up, positive, negatives, mu, nu)
                   - ranking_loss(down, positive, negatives, mu, nu)) / (2 * step)
             assert grad[i, k] == pytest.approx(fd, abs=1e-6)
+
+
+@st.composite
+def classify_cases(draw):
+    """Candidates drawn from a small pool of balls, so that exact ties in U
+    or in centre distance occur; h sometimes sits on a centre."""
+    dim = draw(st.integers(1, 3))
+    pool = draw(st.lists(st.builds(Ball, arrays(float, dim, elements=COORDS),
+                                   st.floats(0.1, 5.0)),
+                         min_size=1, max_size=4))
+    balls = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=6))
+    candidates = [(f"c{i}", ball) for i, ball in enumerate(balls)]
+    h = draw(st.one_of(arrays(float, dim, elements=COORDS),
+                       st.sampled_from([ball.centre for ball in pool])))
+    order = draw(st.permutations(range(len(candidates))))
+    return h, candidates, [candidates[i] for i in order]
+
+
+@given(classify_cases())
+def test_classify_ignores_candidate_order(case):
+    h, candidates, shuffled = case
+    ours, theirs = classify(h, candidates), classify(h, shuffled)
+    assert theirs.inside == ours.inside
+
+    def rank(ball):
+        d = float(np.linalg.norm(h - ball.centre))
+        return d - ball.radius if ours.inside else d
+
+    best = min(rank(ball) for _, ball in candidates)
+    tied = [name for name, ball in candidates if rank(ball) == best]
+    if len(tied) == 1:
+        assert theirs == ours
+    else:
+        # the documented tie rule: the earliest tied candidate in each order
+        assert ours.label == tied[0]
+        assert theirs.label == next(name for name, ball in shuffled
+                                    if rank(ball) == best)
