@@ -17,12 +17,11 @@ from .embedding import BallSpace, train_embeddings
 from .evaluation import GridSpec, grid_search, score_space
 from .harness import atomic_open, read_features_csv
 from .negatives import NegativeSets, build_negative_sets
-from .ontology import (OntologyError, compute_ich, compute_stats,
-                       load_ontology, validate)
-from .pipeline import (DEFAULT_SEED, DESK_EMBED, DESK_PROJECTOR,
-                       EpisodeConfig, PipelineConfig, PipelineError,
-                       episodes_report, print_losses, run_pipeline,
-                       stage_config, _write_json)
+from .ontology import OntologyError, compute_ich, compute_stats, load_ontology
+from .pipeline import (DESK_EMBED, DESK_PROJECTOR, EpisodeConfig,
+                       PipelineConfig, PipelineError, episodes_report,
+                       global_seed, print_losses, run_pipeline, stage_config,
+                       _write_json)
 from .projector import (Mlp, ancestor_report, classify, mlp_forward,
                         train_base)
 from .viz import render_balls_2d
@@ -53,8 +52,6 @@ def _float_list(text: str) -> tuple[float, ...]:
 
 def cmd_ingest(args) -> int:
     ontology = load_ontology(args.ontology)
-    for diag in validate(ontology):
-        print(f"{diag.kind}: {diag.message}")
     print(f"ok: {len(ontology.concepts)} concepts, "
           f"{len(ontology.told_subsumptions)} subsumptions, "
           f"{len(ontology.disjointness)} disjointness pairs, "
@@ -115,8 +112,8 @@ def cmd_negatives(args) -> int:
     space = _load(args.space, BallSpace)
     names = (tuple(args.leaves.split(",")) if args.leaves
              else tuple(space.concepts))
-    seed = DEFAULT_SEED if args.seed is None else args.seed
-    negatives = build_negative_sets(space, names, k=args.k, seed=seed)
+    negatives = build_negative_sets(space, names, k=args.k,
+                                    seed=global_seed({}, args.seed))
     _write_json(args.out, negatives.to_dict())
     print(f"negative sets for {len(negatives.negatives)} classes")
     return 0
@@ -172,8 +169,7 @@ def cmd_episodes(args) -> int:
     sections = _load_config_sections(args.config)
     config = stage_config(sections, "projector", DESK_PROJECTOR, args.seed)
     # episodes are sampled with the global seed, as the pipeline samples them
-    seed = (int(sections.get("seed", DEFAULT_SEED)) if args.seed is None
-            else args.seed)
+    seed = global_seed(sections, args.seed)
     ich = None
     if args.ontology:
         ich = compute_ich(load_ontology(args.ontology))
@@ -213,9 +209,7 @@ def cmd_viz(args) -> int:
 
 
 def cmd_pipeline(args) -> int:
-    config = PipelineConfig.from_json(args.config)
-    if args.seed is not None:
-        config = config.with_seed(args.seed)
+    config = PipelineConfig.from_json(args.config, args.seed)
     written = run_pipeline(config, verbose=args.verbose)
     print(f"wrote {len(written)} artifacts to {config.out_dir}")
     return 0

@@ -82,20 +82,27 @@ def direct_parents(ich: Ich, leaves) -> frozenset[str]:
     return frozenset(parents)
 
 
-def f1_all(space: BallSpace, ich: Ich) -> F1Result:
-    """Containment F1 over all ordered concept pairs, positives = closure."""
-    names = space.concepts
-    n = len(names)
-    pred = _containment_matrix(space)
-    actual = np.zeros((n, n), dtype=bool)
+def _pair_f1(space: BallSpace, ich: Ich, rows, cols) -> F1Result:
+    """Containment F1 over the pairs rows x cols, a concept with itself
+    excluded; the positives are the closure pairs."""
     idx = space.index
+    actual = np.zeros((len(space.concepts),) * 2, dtype=bool)
     for p, q in ich.pairs:
         actual[idx[p], idx[q]] = True
-    off = ~np.eye(n, dtype=bool)
+    r = np.array([idx[c] for c in rows], dtype=int)
+    c = np.array([idx[c] for c in cols], dtype=int)
+    block = np.ix_(r, c)
+    pred, actual = _containment_matrix(space)[block], actual[block]
+    off = r[:, None] != c[None, :]
     tp = int((pred & actual & off).sum())
     fp = int((pred & ~actual & off).sum())
     fn = int((~pred & actual & off).sum())
     return _f1(tp, fp, fn)
+
+
+def f1_all(space: BallSpace, ich: Ich) -> F1Result:
+    """Containment F1 over all ordered concept pairs, positives = closure."""
+    return _pair_f1(space, ich, space.concepts, space.concepts)
 
 
 def f1_leaf(space: BallSpace, ich: Ich, leaves) -> F1Result:
@@ -105,19 +112,7 @@ def f1_leaf(space: BallSpace, ich: Ich, leaves) -> F1Result:
         log.warning("f1_leaf over an empty leaf set; scoring 0")
         return F1Result(0.0, 0.0, 0.0)
     targets = sorted(set(leaves) | direct_parents(ich, leaves))
-    pred = _containment_matrix(space)
-    idx = space.index
-    tp = fp = fn = 0
-    for p in leaves:
-        for q in targets:
-            if p == q:
-                continue
-            holds = bool(pred[idx[p], idx[q]])
-            actual = (p, q) in ich.pairs
-            tp += holds and actual
-            fp += holds and not actual
-            fn += actual and not holds
-    return _f1(tp, fp, fn)
+    return _pair_f1(space, ich, leaves, targets)
 
 
 def s_d(space: BallSpace, leaves) -> int:

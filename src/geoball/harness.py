@@ -54,6 +54,8 @@ class FeatureDataset:
     def __post_init__(self):
         if self.split not in ("base", "novel"):
             raise ValueError(f"unknown split {self.split!r}")
+        if self.dim < 1:
+            raise ValueError(f"feature dim must be >= 1, got {self.dim}")
         if self.features.shape != (len(self.labels), self.dim):
             raise ValueError("feature array shape does not match labels/dim")
         self.features.setflags(write=False)
@@ -72,7 +74,7 @@ class FeatureDataset:
         return FeatureDataset(
             self.dim,
             tuple(self.labels[i] for i in indices),
-            np.array(self.features[indices]),
+            self.features[indices],
             split or self.split,
         )
 
@@ -127,6 +129,8 @@ def read_features_csv(path, split: str = "base") -> FeatureDataset:
         if not header or header[0] != "label":
             raise ValueError("feature CSV must start with a 'label' column")
         dim = len(header) - 1
+        if dim < 1:
+            raise ValueError(f"feature CSV {path} has no feature columns")
         row = np.dtype([("label", object), ("f", float, (dim,))])
         # comments=None: a label may start with '#'. A header-only file is a
         # valid empty dataset, so loadtxt's no-data warning is not passed on.
@@ -144,14 +148,13 @@ def read_features_csv(path, split: str = "base") -> FeatureDataset:
     return FeatureDataset(dim, tuple(table["label"].tolist()), features, split)
 
 
-def synthetic_ontology(fanouts, sibling_disjoint: bool = True,
-                       root: str = "root") -> Ontology:
-    """Balanced tree ontology: root at level 1, fanouts[i] children per node.
+def synthetic_ontology(fanouts) -> Ontology:
+    """Balanced tree ontology: "root" at level 1, fanouts[i] children per node.
 
     Sibling disjointness is declared at every level (pairwise within each
     parent) so the embedding has separation signal throughout.
     """
-    levels = [[root]]
+    levels = [["root"]]
     subclass = []
     disjoint = []
     for fanout in fanouts:
@@ -160,10 +163,9 @@ def synthetic_ontology(fanouts, sibling_disjoint: bool = True,
             children = [f"{parent}_{i}" for i in range(fanout)]
             nxt.extend(children)
             subclass.extend([child, parent] for child in children)
-            if sibling_disjoint:
-                for i in range(len(children)):
-                    for j in range(i + 1, len(children)):
-                        disjoint.append([children[i], children[j]])
+            for i in range(len(children)):
+                for j in range(i + 1, len(children)):
+                    disjoint.append([children[i], children[j]])
         levels.append(nxt)
     concepts = [c for level in levels for c in level]
     return ontology_from_dict({
@@ -263,11 +265,22 @@ def generate_synthetic_features(ontology: Ontology, dim: int, per_class: int,
 
 @dataclass(frozen=True)
 class Episode:
-    """One w-way s-shot task: candidate classes, support and query examples."""
+    """One w-way s-shot task: candidate classes, and the rows of the novel
+    split that form its support and query examples. The subsets are copied
+    out on access, so a list of episodes holds row indices, not features."""
 
     classes: tuple[str, ...]
-    support: FeatureDataset
-    query: FeatureDataset
+    novel: FeatureDataset
+    support_rows: np.ndarray
+    query_rows: np.ndarray
+
+    @property
+    def support(self) -> FeatureDataset:
+        return self.novel.subset(self.support_rows, "novel")
+
+    @property
+    def query(self) -> FeatureDataset:
+        return self.novel.subset(self.query_rows, "novel")
 
 
 def sample_episode(novel: FeatureDataset, w: int, s: int, q: int,
@@ -288,9 +301,8 @@ def sample_episode(novel: FeatureDataset, w: int, s: int, q: int,
         picked = pool[rng.choice(len(pool), size=s + q, replace=False)]
         support_idx.extend(picked[:s])
         query_idx.extend(picked[s:])
-    return Episode(tuple(chosen),
-                   novel.subset(support_idx, "novel"),
-                   novel.subset(query_idx, "novel"))
+    return Episode(tuple(chosen), novel, np.array(support_idx, dtype=int),
+                   np.array(query_idx, dtype=int))
 
 
 def sample_episodes(novel: FeatureDataset, w: int, s: int, q: int,
@@ -332,12 +344,13 @@ def evaluate_episodes(space: BallSpace, base_mlp: Mlp, episodes,
     per_episode = []
     wrong = semantic_wrong = 0
     for episode in episodes:
+        query = episode.query
         tuned = finetune_fewshot(base_mlp, episode.support, space, negatives,
                                  projector_config)
         candidates = [(name, space.ball(name)) for name in episode.classes]
-        outputs = mlp_forward(episode.query.features, tuned)
+        outputs = mlp_forward(query.features, tuned)
         correct = 0
-        for h, truth in zip(outputs, episode.query.labels):
+        for h, truth in zip(outputs, query.labels):
             prediction = classify(h, candidates)
             if prediction.label == truth:
                 correct += 1
@@ -347,7 +360,7 @@ def evaluate_episodes(space: BallSpace, base_mlp: Mlp, episodes,
                 parents = direct_parents(ich, [truth])
                 report = ancestor_report(h, space, ich)
                 semantic_wrong += any(p in report for p in parents)
-        per_episode.append(correct / len(episode.query.labels))
+        per_episode.append(correct / len(query.labels))
     semantic = (semantic_wrong / wrong) if (ich is not None and wrong) else (
         0.0 if ich is not None else None)
     return _aggregate(per_episode, semantic)
@@ -357,15 +370,16 @@ def nearest_centroid_accuracy(episodes) -> EvalReport:
     """Baseline: classify each query by the nearest support-class centroid."""
     per_episode = []
     for episode in episodes:
-        idx = episode.support.class_indices()
+        support, query = episode.support, episode.query
+        idx = support.class_indices()
         names = episode.classes
-        centroids = np.stack([episode.support.features[idx[name]].mean(axis=0)
+        centroids = np.stack([support.features[idx[name]].mean(axis=0)
                               for name in names])
         correct = 0
-        for row, truth in zip(episode.query.features, episode.query.labels):
+        for row, truth in zip(query.features, query.labels):
             d = np.linalg.norm(centroids - row, axis=1)
             correct += names[int(d.argmin())] == truth
-        per_episode.append(correct / len(episode.query.labels))
+        per_episode.append(correct / len(query.labels))
     return _aggregate(per_episode, None)
 
 

@@ -17,6 +17,10 @@ import numpy as np
 from .embedding import BallSpace
 
 
+MAX_ITERS = 100
+N_RESTARTS = 8
+
+
 class KmeansResult(NamedTuple):
     labels: np.ndarray
     centroids: np.ndarray
@@ -38,10 +42,10 @@ def _plusplus_seeding(points: np.ndarray, k: int, rng) -> np.ndarray:
     return centres
 
 
-def _lloyd(points: np.ndarray, centres: np.ndarray, max_iters: int):
+def _lloyd(points: np.ndarray, centres: np.ndarray):
     k = len(centres)
     labels = None
-    for _ in range(max_iters):
+    for _ in range(MAX_ITERS):
         d2 = ((points[:, None, :] - centres[None, :, :]) ** 2).sum(axis=-1)
         new_labels = d2.argmin(axis=1)
         for j in range(k):
@@ -92,11 +96,10 @@ def _exact_small(points: np.ndarray, k: int) -> KmeansResult:
     return KmeansResult(best, centroids, best_sse)
 
 
-def kmeans(points, k: int, seed: int = 0, max_iters: int = 100,
-           n_restarts: int = 8) -> KmeansResult:
+def kmeans(points, k: int, seed: int = 0) -> KmeansResult:
     """Seeded k-means++ plus Lloyd iterations to an assignment fixpoint.
 
-    Runs n_restarts independent seedings and keeps the lowest-SSE result
+    Runs N_RESTARTS independent seedings and keeps the lowest-SSE result
     (ties keep the earliest restart). Empty clusters are repaired by stealing
     the farthest point from the largest cluster. Instances of at most nine
     points skip the restarts entirely: exhaustive partition search is cheaper
@@ -110,10 +113,10 @@ def kmeans(points, k: int, seed: int = 0, max_iters: int = 100,
     if len(points) <= 9:
         return _exact_small(points, k)
     best: KmeansResult | None = None
-    for child_seed in np.random.SeedSequence(seed).spawn(n_restarts):
+    for child_seed in np.random.SeedSequence(seed).spawn(N_RESTARTS):
         rng = np.random.default_rng(child_seed)
         centres = _plusplus_seeding(points, k, rng)
-        labels, centres = _lloyd(points, centres, max_iters)
+        labels, centres = _lloyd(points, centres)
         sse = float(((points - centres[labels]) ** 2).sum())
         if best is None or sse < best.sse:
             best = KmeansResult(labels, centres, sse)

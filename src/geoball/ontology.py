@@ -85,11 +85,8 @@ class Ich:
     def ancestors_of(self, concept: str) -> set[str]:
         return {q for p, q in self.pairs if p == concept}
 
-    def sorted_pairs(self) -> list[tuple[str, str]]:
-        return sorted(self.pairs)
-
     def to_dict(self) -> dict:
-        return {"pairs": [list(p) for p in self.sorted_pairs()]}
+        return {"pairs": [list(p) for p in sorted(self.pairs)]}
 
 
 @dataclass(frozen=True)
@@ -105,53 +102,10 @@ def _canon_pair(a: str, b: str) -> tuple[str, str]:
     return (a, b) if a <= b else (b, a)
 
 
-def _find_cycle(concepts, parents) -> list[str] | None:
-    """Return a witness cycle over the child->parent edges, or None."""
-    WHITE, GREY, BLACK = 0, 1, 2
-    color = {c: WHITE for c in concepts}
-    stack_path: list[str] = []
-
-    def visit(start):
-        # iterative DFS keeping the grey path for the witness
-        todo = [(start, iter(parents.get(start, ())))]
-        color[start] = GREY
-        stack_path.append(start)
-        while todo:
-            node, it = todo[-1]
-            advanced = False
-            for nxt in it:
-                if color.get(nxt, BLACK) == GREY:
-                    i = stack_path.index(nxt)
-                    return stack_path[i:] + [nxt]
-                if color.get(nxt, BLACK) == WHITE:
-                    color[nxt] = GREY
-                    stack_path.append(nxt)
-                    todo.append((nxt, iter(parents.get(nxt, ()))))
-                    advanced = True
-                    break
-            if not advanced:
-                todo.pop()
-                stack_path.pop()
-                color[node] = BLACK
-        return None
-
-    for c in concepts:
-        if color[c] == WHITE:
-            cycle = visit(c)
-            if cycle is not None:
-                return cycle
-    return None
-
-
 def _reflexive_ancestors(ontology: Ontology) -> dict[str, set[str]]:
     """Concept -> {itself plus everything reachable upward}."""
-    order = _topological_order(ontology.concepts, ontology.told_parents)
-    if order is None:
-        cycle = _find_cycle(ontology.concepts, ontology.told_parents)
-        witness = " -> ".join(cycle) if cycle else "unknown"
-        raise OntologyError(f"cycle detected while closing the hierarchy: {witness}")
     anc: dict[str, set[str]] = {}
-    for c in order:
+    for c in _topological_order(ontology.concepts, ontology.told_parents):
         result = {c}
         for p in ontology.told_parents.get(c, ()):
             result |= anc[p]
@@ -159,8 +113,14 @@ def _reflexive_ancestors(ontology: Ontology) -> dict[str, set[str]]:
     return anc
 
 
-def _topological_order(concepts, parents) -> list[str] | None:
-    """Order with every parent before its children, or None on a cycle."""
+def _topological_order(concepts, parents) -> list[str]:
+    """Order with every parent before its children.
+
+    Concepts left over sit on or below a cycle, and each has a left-over
+    parent, so walking up through left-over parents from the first one must
+    revisit a concept. That closed walk of (child, parent) edges is the
+    witness the OntologyError names and carries as a "cycle" diagnostic.
+    """
     out_deg = {c: len(parents.get(c, ())) for c in concepts}
     children: dict[str, list[str]] = {c: [] for c in concepts}
     for c in concepts:
@@ -175,9 +135,16 @@ def _topological_order(concepts, parents) -> list[str] | None:
             out_deg[ch] -= 1
             if out_deg[ch] == 0:
                 ready.append(ch)
-    if len(order) != len(concepts):
-        return None
-    return order
+    if len(order) == len(concepts):
+        return order
+    walk: dict[str, int] = {}  # concept -> position on the walk
+    node = next(c for c in concepts if out_deg[c] > 0)
+    while node not in walk:
+        walk[node] = len(walk)
+        node = next(p for p in parents[node] if out_deg[p] > 0)
+    cycle = list(walk)[walk[node]:] + [node]
+    message = "subsumption cycle: " + " -> ".join(cycle)
+    raise OntologyError(message, [Diagnostic("cycle", message, tuple(cycle[:-1]))])
 
 
 def validate(ontology: Ontology) -> list[Diagnostic]:
@@ -221,13 +188,10 @@ def validate(ontology: Ontology) -> list[Diagnostic]:
         # structural references are broken; graph checks below would be misleading
         return diags
 
-    cycle = _find_cycle(ontology.concepts, ontology.told_parents)
-    if cycle is not None:
-        diags.append(Diagnostic(
-            "cycle",
-            "subsumption cycle: " + " -> ".join(cycle),
-            tuple(dict.fromkeys(cycle))))
-        return diags
+    try:
+        anc = _reflexive_ancestors(ontology)
+    except OntologyError as err:
+        return list(err.diagnostics)
 
     for leaf in ontology.leaves:
         kids = ontology.told_children.get(leaf, ())
@@ -237,7 +201,6 @@ def validate(ontology: Ontology) -> list[Diagnostic]:
                 f"leaf {leaf!r} has told children {sorted(kids)}",
                 (leaf,) + tuple(sorted(kids))))
 
-    anc = _reflexive_ancestors(ontology)
     for a, b in ontology.disjointness:
         if b in anc[a] or a in anc[b]:
             diags.append(Diagnostic(
@@ -257,7 +220,7 @@ def validate(ontology: Ontology) -> list[Diagnostic]:
     return diags
 
 
-def _build_ontology(concepts, subclass_pairs, disjoint_pairs, leaves, strict=True) -> Ontology:
+def _build_ontology(concepts, subclass_pairs, disjoint_pairs, leaves) -> Ontology:
     """Assemble, deduplicate (warning per duplicate axiom) and validate."""
     interned: list[str] = []
     seen = set()
@@ -310,15 +273,14 @@ def _build_ontology(concepts, subclass_pairs, disjoint_pairs, leaves, strict=Tru
             leaf_list.append(leaf)
 
     onto = Ontology(tuple(interned), tuple(sub), tuple(dis), tuple(leaf_list))
-    if strict:
-        diags = validate(onto)
-        if diags:
-            raise OntologyError(
-                "invalid ontology: " + "; ".join(d.message for d in diags), diags)
+    diags = validate(onto)
+    if diags:
+        raise OntologyError(
+            "invalid ontology: " + "; ".join(d.message for d in diags), diags)
     return onto
 
 
-def ontology_from_dict(obj: dict, strict: bool = True) -> Ontology:
+def ontology_from_dict(obj: dict) -> Ontology:
     if not isinstance(obj, dict):
         raise OntologyError("ontology document must be a JSON object")
     if "concepts" not in obj:
@@ -328,7 +290,6 @@ def ontology_from_dict(obj: dict, strict: bool = True) -> Ontology:
         obj.get("subclass", []),
         obj.get("disjoint", []),
         obj.get("leaves", []),
-        strict=strict,
     )
 
 
@@ -362,11 +323,8 @@ def compute_ich(ontology: Ontology) -> Ich:
 def compute_stats(ontology: Ontology, ich: Ich) -> HierarchyStats:
     """Levels by longest told path from a root (roots at 1); occurrence counts
     over closed subsumption pairs plus disjointness pairs."""
-    order = _topological_order(ontology.concepts, ontology.told_parents)
-    if order is None:
-        raise OntologyError("cycle detected while computing levels")
     level: dict[str, int] = {}
-    for c in order:
+    for c in _topological_order(ontology.concepts, ontology.told_parents):
         parents = ontology.told_parents.get(c, ())
         level[c] = 1 if not parents else 1 + max(level[p] for p in parents)
     level = {c: level[c] for c in ontology.concepts}
@@ -407,9 +365,7 @@ def ingest_hypernym_edges(edges_text: str, leaf_labels, sibling_disjoint: bool =
         if parent not in parents[child]:
             parents[child].append(parent)
 
-    cycle = _find_cycle(sorted(nodes), {c: tuple(ps) for c, ps in parents.items()})
-    if cycle is not None:
-        raise OntologyError("cycle in edge list: " + " -> ".join(cycle))
+    _topological_order(sorted(nodes), parents)  # raises on a cycle
 
     leaf_list = [str(label).strip() for label in leaf_labels]
     for leaf in leaf_list:

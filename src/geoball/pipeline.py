@@ -84,13 +84,18 @@ class EpisodeConfig:
             raise ValueError("episode parameters must be >= 1")
 
 
+def global_seed(sections: dict, seed: int | None = None) -> int:
+    """A given ``seed``, else the config document's global seed, else
+    DEFAULT_SEED."""
+    return int(sections.get("seed", DEFAULT_SEED)) if seed is None else seed
+
+
 def stage_config(sections: dict, name: str, base, seed: int | None = None):
     """Section ``name`` of a pipeline config document over ``base``.
 
     Unknown keys fail loudly; the rest override the stock config through the
     dataclass constructor checks. For configs with a seed, a given ``seed``
-    wins, then the section's own seed, then the document's global seed, then
-    DEFAULT_SEED.
+    wins, then the section's own seed, then ``global_seed``.
     """
     raw = dict(sections.get(name, {}))
     allowed = {f.name for f in fields(base)}
@@ -98,10 +103,8 @@ def stage_config(sections: dict, name: str, base, seed: int | None = None):
     if unknown:
         raise ValueError(
             f"unknown {type(base).__name__} keys: {sorted(unknown)}")
-    if "seed" in allowed:
-        if seed is not None:
-            raw["seed"] = seed
-        raw.setdefault("seed", int(sections.get("seed", DEFAULT_SEED)))
+    if "seed" in allowed and (seed is not None or "seed" not in raw):
+        raw["seed"] = global_seed(sections, seed)
     if "hidden_sizes" in raw:
         raw["hidden_sizes"] = tuple(raw["hidden_sizes"])
     return replace(base, **raw)
@@ -122,8 +125,9 @@ class PipelineConfig:
     negatives_k: int | None = None
 
     @classmethod
-    def from_dict(cls, obj: dict) -> "PipelineConfig":
-        """Sections override the stock desk configuration field by field."""
+    def from_dict(cls, obj: dict, seed: int | None = None) -> "PipelineConfig":
+        """Sections override the stock desk configuration field by field; a
+        given ``seed`` replaces the global seed and every section's own."""
         unknown = set(obj) - {f.name for f in fields(cls)}
         if unknown:
             raise ValueError(f"unknown pipeline config keys: {sorted(unknown)}")
@@ -133,24 +137,18 @@ class PipelineConfig:
         return cls(
             ontology_path=str(obj["ontology_path"]),
             out_dir=str(obj["out_dir"]),
-            seed=int(obj.get("seed", DEFAULT_SEED)),
-            embed=stage_config(obj, "embed", DESK_EMBED),
-            projector=stage_config(obj, "projector", DESK_PROJECTOR),
+            seed=global_seed(obj, seed),
+            embed=stage_config(obj, "embed", DESK_EMBED, seed),
+            projector=stage_config(obj, "projector", DESK_PROJECTOR, seed),
             generator=stage_config(obj, "generator", GeneratorConfig()),
             episodes=stage_config(obj, "episodes", EpisodeConfig()),
             negatives_k=obj.get("negatives_k"),
         )
 
     @classmethod
-    def from_json(cls, path) -> "PipelineConfig":
+    def from_json(cls, path, seed: int | None = None) -> "PipelineConfig":
         with open(path) as fh:
-            return cls.from_dict(json.load(fh))
-
-    def with_seed(self, seed: int) -> "PipelineConfig":
-        """Force one seed onto the run and every seeded stage config."""
-        return replace(self, seed=seed,
-                       embed=replace(self.embed, seed=seed),
-                       projector=replace(self.projector, seed=seed))
+            return cls.from_dict(json.load(fh), seed)
 
     def to_dict(self) -> dict:
         return asdict(self)

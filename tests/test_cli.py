@@ -6,6 +6,7 @@ import pytest
 
 import geoball.cli
 from geoball.cli import main
+from geoball.pipeline import ARTIFACT_NAMES
 from test_pipeline import POODLE, small_config
 
 
@@ -154,6 +155,18 @@ def test_pipeline_subcommand_seed_override(config_path, tmp_path):
                  "--seed", "11"]) == 0
     second = (tmp_path / "run" / "space.json").read_bytes()
     assert first != second
+
+
+def test_pipeline_seed_flag_matches_config_global_seed(tmp_path):
+    flagged = tmp_path / "flagged.json"
+    flagged.write_text(json.dumps(small_config(tmp_path, "flag")))
+    pinned = tmp_path / "pinned.json"
+    pinned.write_text(json.dumps(small_config(tmp_path, "pin", seed=11)))
+    assert main(["pipeline", "--config", str(flagged), "--seed", "11"]) == 0
+    assert main(["pipeline", "--config", str(pinned)]) == 0
+    for name in ARTIFACT_NAMES:
+        assert ((tmp_path / "flag" / name).read_bytes()
+                == (tmp_path / "pin" / name).read_bytes()), name
 
 
 @pytest.fixture(scope="module")

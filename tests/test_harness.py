@@ -1,6 +1,7 @@
 """Tests for the synthetic feature harness and episode evaluation."""
 
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -225,6 +226,19 @@ def test_csv_rejects_malformed(tmp_path):
         read_features_csv(ragged)
 
 
+def test_dataset_rejects_zero_width():
+    with pytest.raises(ValueError, match="dim must be >= 1"):
+        FeatureDataset(0, ("x",), np.zeros((1, 0)))
+
+
+def test_csv_without_feature_columns_names_the_file(tmp_path):
+    path = tmp_path / "labels_only.csv"
+    path.write_text("label\nx\n")
+    with pytest.raises(ValueError, match=re.escape(f"feature CSV {path} has "
+                                                   "no feature columns")):
+        read_features_csv(path)
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 def test_csv_rejects_non_finite_values(tmp_path, value):
     path = tmp_path / "bad.csv"
@@ -282,6 +296,21 @@ def test_episode_seeding():
     assert np.array_equal(a.query.features, b.query.features)
     batch = sample_episodes(novel, w=2, s=2, q=2, n_episodes=12, seed=0)
     assert len({ep.classes for ep in batch}) > 1
+
+
+def test_sampled_episodes_hold_no_feature_copies():
+    """Forty sampled episodes allocate less than two episodes' features."""
+    novel = unique_novel(n_classes=8, per_class=25, dim=256)
+    one_episode = 5 * (5 + 15) * novel.dim * novel.features.itemsize
+    tracemalloc.start()
+    try:
+        episodes = sample_episodes(novel, w=5, s=5, q=15, n_episodes=40,
+                                   seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(episodes) == 40
+    assert peak < 2 * one_episode
 
 
 def test_episode_insufficient_classes_or_examples():

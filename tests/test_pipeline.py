@@ -118,6 +118,18 @@ def test_config_seed_propagates_unless_overridden(tmp_path):
     assert bare.embed.seed == DEFAULT_SEED
 
 
+def test_config_seed_argument_overrides_pinned_sections(tmp_path):
+    obj = small_config(tmp_path)
+    obj["embed"]["seed"] = 5
+    obj["projector"]["seed"] = 9
+    config = PipelineConfig.from_dict(obj, seed=11)
+    assert (config.seed, config.embed.seed, config.projector.seed) == (11, 11, 11)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(obj))
+    assert PipelineConfig.from_json(path, seed=11) == config
+    assert PipelineConfig.from_json(path) == PipelineConfig.from_dict(obj)
+
+
 def test_config_validation(tmp_path):
     with pytest.raises(ValueError, match="ontology_path"):
         PipelineConfig.from_dict({"out_dir": "y"})
@@ -154,7 +166,7 @@ def test_interrupted_write_keeps_old_artifact(tmp_path, monkeypatch):
 
     monkeypatch.setattr(os, "fsync", failing_fsync)
     with pytest.raises(PipelineError) as err:
-        run_pipeline(config.with_seed(11))
+        run_pipeline(PipelineConfig.from_dict(small_config(tmp_path), seed=11))
     assert err.value.stage == "features"
     assert (out / "features_base.csv").read_bytes() == before["features_base.csv"]
     assert (out / "space.json").read_bytes() != before["space.json"]

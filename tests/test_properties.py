@@ -1,6 +1,7 @@
 """Property tests: every artifact format round-trips exactly, the array
-ranking loss agrees with its scalar definition, and classification does not
-depend on candidate order beyond its documented tie rule."""
+ranking loss agrees with its scalar definition, classification does not
+depend on candidate order beyond its documented tie rule, and every entry
+point names the same cycle witness."""
 
 import json
 
@@ -13,6 +14,8 @@ from hypothesis.extra.numpy import arrays
 from geoball.embedding import Ball, BallSpace
 from geoball.harness import FeatureDataset, read_features_csv, write_features_csv
 from geoball.negatives import NegativeSets
+from geoball.ontology import (Ich, Ontology, OntologyError, compute_ich,
+                              compute_stats, ingest_hypernym_edges, validate)
 from geoball.projector import (Mlp, _pack_targets, _ranking_loss_grad,
                                classify, ranking_loss)
 
@@ -204,3 +207,50 @@ def test_classify_ignores_candidate_order(case):
         assert ours.label == tied[0]
         assert theirs.label == next(name for name, ball in shuffled
                                     if rank(ball) == best)
+
+
+@st.composite
+def cyclic_hierarchies(draw):
+    """A random DAG whose edges point from a higher to a lower index, plus
+    one back edge from an ancestor of some concept down to that concept."""
+    n = draw(st.integers(2, 12))
+    names = [f"c{i:02d}" for i in range(n)]
+    pairs = st.tuples(st.integers(1, n - 1), st.integers(0, n - 2)).filter(
+        lambda e: e[0] > e[1])
+    edges = [(names[a], names[b])
+             for a, b in draw(st.lists(pairs, min_size=1, max_size=30,
+                                       unique=True))]
+    parents = {}
+    for child, parent in edges:
+        parents.setdefault(child, []).append(parent)
+    start = draw(st.sampled_from(sorted(parents)))
+    ancestors, stack = set(), [start]
+    while stack:
+        for parent in parents.get(stack.pop(), ()):
+            if parent not in ancestors:
+                ancestors.add(parent)
+                stack.append(parent)
+    back = (draw(st.sampled_from(sorted(ancestors))), start)
+    cut = draw(st.integers(0, len(edges)))
+    return names, edges[:cut] + [back] + edges[cut:]
+
+
+@given(cyclic_hierarchies())
+def test_cycle_witness_is_one_closed_walk_everywhere(case):
+    names, edges = case
+    onto = Ontology(tuple(names), tuple(edges), (), ())
+    diags = validate(onto)
+    assert [d.kind for d in diags] == ["cycle"]
+    message = diags[0].message
+    witness = message.removeprefix("subsumption cycle: ").split(" -> ")
+    assert witness[0] == witness[-1]
+    assert len(set(witness)) == len(witness) - 1
+    assert set(zip(witness, witness[1:])) <= set(edges)
+    assert diags[0].concepts == tuple(witness[:-1])
+    text = "".join(f"{child}\t{parent}\n" for child, parent in edges)
+    for entry in (lambda: compute_ich(onto),
+                  lambda: compute_stats(onto, Ich(frozenset())),
+                  lambda: ingest_hypernym_edges(text, [edges[0][0]])):
+        with pytest.raises(OntologyError) as err:
+            entry()
+        assert str(err.value) == message
