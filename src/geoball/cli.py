@@ -12,10 +12,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from pathlib import Path
 
 from .embedding import BallSpace, train_embeddings
 from .evaluation import GridSpec, grid_search, score_space
-from .harness import atomic_open, read_features_csv
+from .harness import atomic_open, read_features_csv, read_features_npz
 from .negatives import NegativeSets, build_negative_sets
 from .ontology import OntologyError, compute_ich, compute_stats, load_ontology
 from .pipeline import (DESK_EMBED, DESK_PROJECTOR, EpisodeConfig,
@@ -40,6 +41,13 @@ def _load_config_sections(path) -> dict:
 def _load(path, cls):
     with open(path) as fh:
         return cls.from_dict(json.load(fh))
+
+
+def _read_features(path, split: str):
+    """A ``.npz`` feature file as the pipeline writes it, any other as CSV."""
+    if Path(path).suffix == ".npz":
+        return read_features_npz(path, split)
+    return read_features_csv(path, split)
 
 
 def _float_list(text: str) -> tuple[float, ...]:
@@ -122,7 +130,7 @@ def cmd_negatives(args) -> int:
 def cmd_train_projector(args) -> int:
     space = _load(args.space, BallSpace)
     negatives = _load(args.negatives, NegativeSets)
-    features = read_features_csv(args.features, split="base")
+    features = _read_features(args.features, "base")
     config = stage_config(_load_config_sections(args.config), "projector",
                           DESK_PROJECTOR, args.seed)
     mlp, losses = train_base(features, space, negatives, config)
@@ -136,7 +144,7 @@ def cmd_train_projector(args) -> int:
 def cmd_infer(args) -> int:
     space = _load(args.space, BallSpace)
     mlp = _load(args.mlp, Mlp)
-    features = read_features_csv(args.features, split="base")
+    features = _read_features(args.features, "base")
     if args.candidates:
         names = tuple(args.candidates.split(","))
     else:
@@ -164,7 +172,7 @@ def cmd_infer(args) -> int:
 def cmd_episodes(args) -> int:
     space = _load(args.space, BallSpace)
     mlp = _load(args.mlp, Mlp)
-    novel = read_features_csv(args.novel, split="novel")
+    novel = _read_features(args.novel, "novel")
     negatives = _load(args.negatives, NegativeSets)
     sections = _load_config_sections(args.config)
     config = stage_config(sections, "projector", DESK_PROJECTOR, args.seed)
@@ -191,7 +199,7 @@ def cmd_viz(args) -> int:
                 else tuple(space.concepts))
     points = labels = None
     if args.points:
-        dataset = read_features_csv(args.points, split="base")
+        dataset = _read_features(args.points, "base")
         labels = dataset.labels
         if args.mlp:
             points = mlp_forward(dataset.features, _load(args.mlp, Mlp))
@@ -267,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
             "base learning for the feature projector")
     p.add_argument("space")
     p.add_argument("negatives")
-    p.add_argument("features", help="base-split feature CSV")
+    p.add_argument("features", help="base-split feature file (.npz or CSV)")
     p.add_argument("--out", required=True)
     p.add_argument("--config", help="pipeline JSON; the projector section is used")
     p.add_argument("--verbose", action="store_true")
@@ -283,7 +291,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("episodes", cmd_episodes, "few-shot episode evaluation")
     p.add_argument("space")
     p.add_argument("mlp")
-    p.add_argument("--novel", required=True, help="novel-split feature CSV")
+    p.add_argument("--novel", required=True,
+                   help="novel-split feature file (.npz or CSV)")
     p.add_argument("--negatives", required=True,
                    help="hard-negative sets JSON (few-shot stage needs them)")
     p.add_argument("--w", type=int, default=5)
@@ -298,7 +307,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("space")
     p.add_argument("--out", required=True)
     p.add_argument("--concepts", help="comma-separated (default: all)")
-    p.add_argument("--points", help="feature CSV to scatter over the balls")
+    p.add_argument("--points",
+                   help="feature file (.npz or CSV) to scatter over the balls")
     p.add_argument("--mlp", help="projector used to map --points into the space")
 
     p = add("pipeline", cmd_pipeline, "run every stage from one config")

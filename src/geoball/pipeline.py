@@ -24,7 +24,7 @@ from .harness import (
     generate_synthetic_features,
     nearest_centroid_accuracy,
     sample_episodes,
-    write_features_csv,
+    write_features_npz,
 )
 from .negatives import build_negative_sets
 from .ontology import compute_ich, compute_stats, load_ontology
@@ -36,8 +36,8 @@ DEFAULT_SEED = 0
 ARTIFACT_NAMES = (
     "space.json",
     "negatives.json",
-    "features_base.csv",
-    "features_novel.csv",
+    "features_base.npz",
+    "features_novel.npz",
     "mlp.json",
     "report.json",
 )
@@ -229,8 +229,8 @@ def run_pipeline(config: PipelineConfig, verbose: bool = False) -> list[Path]:
             noise_sigma=gen.noise_sigma, seed=config.seed,
             anchor_scale=gen.anchor_scale, step_scale=gen.step_scale,
             intrinsic_dim=gen.intrinsic_dim)
-        write_features_csv(base, out / "features_base.csv")
-        write_features_csv(novel, out / "features_novel.csv")
+        write_features_npz(base, out / "features_base.npz")
+        write_features_npz(novel, out / "features_novel.npz")
         log(f"features: {len(base.labels)} base / {len(novel.labels)} novel "
             f"examples in {gen.dim}d")
 

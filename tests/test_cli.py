@@ -2,10 +2,14 @@
 
 import json
 
+import numpy as np
 import pytest
 
 import geoball.cli
 from geoball.cli import main
+from geoball.harness import (FeatureDataset, read_features_csv,
+                             read_features_npz, write_features_csv,
+                             write_features_npz)
 from geoball.pipeline import ARTIFACT_NAMES
 from test_pipeline import POODLE, small_config
 
@@ -67,17 +71,17 @@ def test_stagewise_chain_matches_pipeline(poodle_path, config_path, tmp_path,
     assert main(["negatives", str(space), "--out", str(negs),
                  "--leaves", "poodle,retriever,street_sign"]) == 0
 
-    # pipeline writes the feature CSVs this chain trains on
+    # pipeline writes the feature files this chain trains on
     assert main(["pipeline", "--config", str(config_path)]) == 0
     run_dir = tmp_path / "run"
-    base_csv = run_dir / "features_base.csv"
-    novel_csv = run_dir / "features_novel.csv"
+    base_npz = run_dir / "features_base.npz"
+    novel_npz = run_dir / "features_novel.npz"
 
-    assert main(["train-projector", str(space), str(negs), str(base_csv),
+    assert main(["train-projector", str(space), str(negs), str(base_npz),
                  "--out", str(mlp), "--config", str(config_path)]) == 0
     for args_out in (report_a, report_b):
         assert main(["episodes", str(space), str(mlp),
-                     "--novel", str(novel_csv), "--negatives", str(negs),
+                     "--novel", str(novel_npz), "--negatives", str(negs),
                      "--w", "1", "--s", "2", "--q", "2", "--episodes", "3",
                      "--seed", "3", "--config", str(config_path),
                      "--out", str(args_out)]) == 0
@@ -100,12 +104,24 @@ def test_infer_and_viz_consume_pipeline_artifacts(config_path, tmp_path,
     preds = tmp_path / "preds.json"
     assert main(["infer", str(run_dir / "space.json"),
                  str(run_dir / "mlp.json"),
-                 str(run_dir / "features_base.csv"),
+                 str(run_dir / "features_base.npz"),
                  "--out", str(preds)]) == 0
     assert "accuracy" in capsys.readouterr().out
     rows = json.loads(preds.read_text())["predictions"]
     assert len(rows) == 12  # 2 base classes x 6 examples
     assert {"label", "prediction", "u", "inside"} <= set(rows[0])
+
+    # the same features exported as CSV give the same predictions
+    exported = tmp_path / "base.csv"
+    base = read_features_npz(run_dir / "features_base.npz")
+    write_features_csv(base, exported)
+    assert read_features_csv(exported).features.tobytes() == \
+        base.features.tobytes()
+    preds_csv = tmp_path / "preds_csv.json"
+    assert main(["infer", str(run_dir / "space.json"),
+                 str(run_dir / "mlp.json"), str(exported),
+                 "--out", str(preds_csv)]) == 0
+    assert preds_csv.read_bytes() == preds.read_bytes()
 
     svg = tmp_path / "balls.svg"
     assert main(["viz", str(run_dir / "space.json"), "--out", str(svg),
@@ -115,7 +131,7 @@ def test_infer_and_viz_consume_pipeline_artifacts(config_path, tmp_path,
 
     dotted = tmp_path / "dots.svg"
     assert main(["viz", str(run_dir / "space.json"), "--out", str(dotted),
-                 "--points", str(run_dir / "features_base.csv"),
+                 "--points", str(run_dir / "features_base.npz"),
                  "--mlp", str(run_dir / "mlp.json")]) == 0
     assert "circle" in dotted.read_text()
 
@@ -125,7 +141,7 @@ def test_viz_rejects_unprojectable_points(config_path, tmp_path, capsys):
     run_dir = tmp_path / "run"
     code = main(["viz", str(run_dir / "space.json"),
                  "--out", str(tmp_path / "x.svg"),
-                 "--points", str(run_dir / "features_base.csv")])
+                 "--points", str(run_dir / "features_base.npz")])
     assert code == 1
     assert "--mlp" in capsys.readouterr().err
 
@@ -184,7 +200,7 @@ def test_episodes_config_seed_reproduces_pipeline_report(world, tmp_path):
     out = tmp_path / "report.json"
     assert main(["episodes", str(run_dir / "space.json"),
                  str(run_dir / "mlp.json"),
-                 "--novel", str(run_dir / "features_novel.csv"),
+                 "--novel", str(run_dir / "features_novel.npz"),
                  "--negatives", str(run_dir / "negatives.json"),
                  "--w", "1", "--s", "2", "--q", "2", "--episodes", "3",
                  "--ontology", str(config.parent / "poodle.json"),
@@ -232,7 +248,7 @@ def test_stage_seed_precedence(world, tmp_path, monkeypatch, stage, doc,
     else:
         argv = ["train-projector", str(run_dir / "space.json"),
                 str(run_dir / "negatives.json"),
-                str(run_dir / "features_base.csv"), "--out", out, *argv]
+                str(run_dir / "features_base.npz"), "--out", out, *argv]
     assert main(argv) == 0
     assert seen == [expected]
 
@@ -251,11 +267,18 @@ def test_cli_rejects_non_finite_and_bad_artifacts(world, tmp_path, capsys):
     run_dir, _ = world
     space = json.loads((run_dir / "space.json").read_text())
     mlp = json.loads((run_dir / "mlp.json").read_text())
-    lines = (run_dir / "features_base.csv").read_text().splitlines()
-    label, first, *rest = lines[1].split(",")
-    lines[1] = ",".join([label, "nan", *rest])
-    bad_csv = tmp_path / "bad.csv"
-    bad_csv.write_text("\n".join(lines) + "\n")
+    base = read_features_npz(run_dir / "features_base.npz")
+    features = base.features.copy()
+    features[0, 0] = np.nan
+    with_nan = FeatureDataset(base.dim, base.labels, features)
+    bad_csv, bad_npz = tmp_path / "bad.csv", tmp_path / "bad.npz"
+    write_features_csv(with_nan, bad_csv)
+    write_features_npz(with_nan, bad_npz)
+    # an object array can only be read back by unpickling it
+    pickled = tmp_path / "pickled.npz"
+    with open(pickled, "wb") as fh:
+        np.savez(fh, labels=np.array(base.labels, dtype=object),
+                 features=base.features)
 
     name = next(iter(space["balls"]))
     space["balls"][name]["r"] = 0.0
@@ -270,10 +293,19 @@ def test_cli_rejects_non_finite_and_bad_artifacts(world, tmp_path, capsys):
     bad_mlp.write_text(json.dumps(mlp))
 
     good_space, good_mlp = str(run_dir / "space.json"), str(run_dir / "mlp.json")
-    good_csv = str(run_dir / "features_base.csv")
+    good_features = str(run_dir / "features_base.npz")
     for argv in (["infer", good_space, good_mlp, str(bad_csv)],
-                 ["infer", str(bad_space), good_mlp, good_csv],
-                 ["infer", good_space, str(bad_mlp), good_csv]):
+                 ["infer", good_space, good_mlp, str(bad_npz)],
+                 ["infer", good_space, good_mlp, str(pickled)],
+                 ["infer", str(bad_space), good_mlp, good_features],
+                 ["infer", good_space, str(bad_mlp), good_features]):
         assert main(argv) == 1, argv
         err = capsys.readouterr().err
         assert err.startswith("error: "), argv
+    for path, reason in ((bad_csv, "non-finite"), (bad_npz, "non-finite"),
+                         (pickled, "allow_pickle=False")):
+        assert main(["episodes", good_space, good_mlp, "--novel", str(path),
+                     "--negatives", str(run_dir / "negatives.json")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(path) in err, path
+        assert reason in err, path

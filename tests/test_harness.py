@@ -1,5 +1,7 @@
 """Tests for the synthetic feature harness and episode evaluation."""
 
+import hashlib
+import io
 import re
 import tracemalloc
 import warnings
@@ -14,15 +16,17 @@ from geoball.harness import (
     generate_synthetic_features,
     nearest_centroid_accuracy,
     read_features_csv,
+    read_features_npz,
     sample_episode,
     sample_episodes,
     split_leaves,
     synthetic_ontology,
     evaluate_episodes,
     write_features_csv,
+    write_features_npz,
 )
 from geoball.negatives import build_negative_sets
-from geoball.ontology import compute_ich, compute_stats
+from geoball.ontology import Ontology, OntologyError, compute_ich, compute_stats
 from geoball.projector import ProjectorConfig, train_base
 from geoball.pipeline import DESK_PROJECTOR
 
@@ -146,6 +150,18 @@ def test_generator_split_handling():
         gen(onto, base_leaves=("root_0",))  # inner concept, not a leaf
 
 
+def test_generator_names_the_cycle_like_every_entry_point():
+    onto = Ontology(("a", "b", "c"), (("a", "b"), ("b", "a"), ("c", "b")),
+                    (), ("c", "a"))
+    with pytest.raises(OntologyError) as expected:
+        compute_ich(onto)
+    assert str(expected.value) == "subsumption cycle: a -> b -> a"
+    with pytest.raises(OntologyError) as err:
+        gen(onto)
+    assert str(err.value) == str(expected.value)
+    assert err.value.diagnostics == expected.value.diagnostics
+
+
 # ---------------------------------------------------------------------------
 # CSV round trip
 
@@ -245,6 +261,92 @@ def test_csv_rejects_non_finite_values(tmp_path, value):
     path.write_text(f"label,f_1,f_2\nx,1.0,2.0\ny,{value},0.5\n")
     with pytest.raises(ValueError, match="non-finite"):
         read_features_csv(path)
+
+
+# ---------------------------------------------------------------------------
+# NPZ round trip
+
+
+def sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_npz_roundtrip_is_exact_and_repeatable(tmp_path):
+    rows = [np.roll(GOLDEN_VALUES, i) for i in range(len(GOLDEN_LABELS))]
+    dataset = FeatureDataset(5, GOLDEN_LABELS, np.array(rows))
+    first, second = tmp_path / "a.npz", tmp_path / "b.npz"
+    write_features_npz(dataset, first)
+    write_features_npz(dataset, second)
+    assert sha256(first) == sha256(second)
+    back = read_features_npz(first, split="novel")
+    assert back.labels == GOLDEN_LABELS
+    assert back.features.tobytes() == dataset.features.tobytes()
+    assert back.split == "novel"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.npz", "b.npz"]
+
+
+def test_npz_zero_rows_roundtrip(tmp_path):
+    path = tmp_path / "empty.npz"
+    write_features_npz(FeatureDataset(3, (), np.zeros((0, 3))), path)
+    with np.load(path, allow_pickle=False) as npz:
+        assert npz["labels"].dtype.kind == "U"
+    back = read_features_npz(path)
+    assert back.labels == ()
+    assert back.features.shape == (0, 3)
+
+
+def test_npz_writer_refuses_trailing_nul_label(tmp_path):
+    path = tmp_path / "nul.npz"
+    dataset = FeatureDataset(1, ("ok", "bad\x00"), np.zeros((2, 1)))
+    with pytest.raises(ValueError, match="NUL"):
+        write_features_npz(dataset, path)
+    assert list(tmp_path.iterdir()) == []
+
+
+def write_raw_npz(path, **arrays):
+    with open(path, "wb") as fh:
+        np.savez(fh, **arrays)
+
+
+@pytest.mark.parametrize("arrays, reason", [
+    ({"features": np.zeros((1, 2))}, "missing arrays \\['labels'\\]"),
+    ({"labels": np.array(["x"])}, "missing arrays \\['features'\\]"),
+    ({"labels": np.array(["x"]), "features": np.zeros(2)}, "float64 matrix"),
+    ({"labels": np.array(["x"]), "features": np.zeros((1, 0))},
+     "at least one column"),
+    ({"labels": np.array(["x", "y"]), "features": np.zeros((1, 2))},
+     "one str label per row"),
+    ({"labels": np.array([1.0]), "features": np.zeros((1, 2))},
+     "one str label per row"),
+    ({"labels": np.array(["x"]), "features": np.array([[1.0, np.nan]])},
+     "non-finite"),
+    ({"labels": np.array(["x"]), "features": np.array([[np.inf, 1.0]])},
+     "non-finite"),
+    ({"labels": np.array(["x"], dtype=object), "features": np.zeros((1, 2))},
+     "allow_pickle=False"),
+])
+def test_npz_refusals_name_the_file(tmp_path, arrays, reason):
+    path = tmp_path / "bad.npz"
+    write_raw_npz(path, **arrays)
+    with pytest.raises(ValueError, match=re.escape(str(path))) as err:
+        read_features_npz(path)
+    assert re.search(reason, str(err.value))
+
+
+def npy_bytes(array):
+    buf = io.BytesIO()
+    np.save(buf, array)
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("content", [b"", b"label,f_1\nx,1.0\n",
+                                     b"PK\x03\x04truncated",
+                                     npy_bytes(np.zeros((2, 3)))])
+def test_npz_unreadable_file_names_the_file(tmp_path, content):
+    path = tmp_path / "junk.npz"
+    path.write_bytes(content)
+    with pytest.raises(ValueError, match=re.escape(str(path))):
+        read_features_npz(path)
 
 
 # ---------------------------------------------------------------------------

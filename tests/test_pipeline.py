@@ -156,7 +156,8 @@ def test_interrupted_write_keeps_old_artifact(tmp_path, monkeypatch):
     before = {name: (out / name).read_bytes() for name in ARTIFACT_NAMES}
 
     # a re-run with another seed changes every artifact; the third write
-    # (features_base.csv) dies after its data went to the temporary file
+    # (features_base.npz, a binary write) dies after its data went to the
+    # temporary file
     calls = []
 
     def failing_fsync(fd):
@@ -168,6 +169,6 @@ def test_interrupted_write_keeps_old_artifact(tmp_path, monkeypatch):
     with pytest.raises(PipelineError) as err:
         run_pipeline(PipelineConfig.from_dict(small_config(tmp_path), seed=11))
     assert err.value.stage == "features"
-    assert (out / "features_base.csv").read_bytes() == before["features_base.csv"]
+    assert (out / "features_base.npz").read_bytes() == before["features_base.npz"]
     assert (out / "space.json").read_bytes() != before["space.json"]
     assert sorted(p.name for p in out.iterdir()) == sorted(ARTIFACT_NAMES)

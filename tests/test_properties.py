@@ -4,6 +4,7 @@ depend on candidate order beyond its documented tie rule, and every entry
 point names the same cycle witness."""
 
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -12,7 +13,9 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from geoball.embedding import Ball, BallSpace
-from geoball.harness import FeatureDataset, read_features_csv, write_features_csv
+from geoball.harness import (FeatureDataset, read_features_csv,
+                             read_features_npz, write_features_csv,
+                             write_features_npz)
 from geoball.negatives import NegativeSets
 from geoball.ontology import (Ich, Ontology, OntologyError, compute_ich,
                               compute_stats, ingest_hypernym_edges, validate)
@@ -106,6 +109,34 @@ def test_feature_csv_roundtrip_is_exact(tmp_path_factory, dataset):
     assert back.dim == dataset.dim
     assert back.labels == dataset.labels
     assert np.array_equal(back.features, dataset.features)
+
+
+# labels a CSV must quote or a reader could take for a comment; a str_ array
+# drops trailing NULs, which the writer refuses
+NPZ_LABELS = st.one_of(st.sampled_from(["", "a,b", '"q"', "#x", "é ü", "犬"]),
+                       st.text(max_size=8)).filter(lambda t: not t.endswith("\0"))
+EDGE_VALUES = st.sampled_from([-0.0, 5e-324, -2.2e-308, sys.float_info.max,
+                               -sys.float_info.max])
+
+
+@st.composite
+def npz_datasets(draw):
+    labels = draw(st.lists(NPZ_LABELS, max_size=6))
+    dim = draw(st.integers(1, 4))
+    features = draw(arrays(float, (len(labels), dim),
+                           elements=st.one_of(EDGE_VALUES, FINITE)))
+    return FeatureDataset(dim, tuple(labels), features)
+
+
+@settings(max_examples=50)
+@given(npz_datasets())
+def test_feature_npz_roundtrip_is_exact(tmp_path_factory, dataset):
+    path = tmp_path_factory.mktemp("npz") / "features.npz"
+    write_features_npz(dataset, path)
+    back = read_features_npz(path)
+    assert back.labels == dataset.labels
+    assert back.features.shape == dataset.features.shape
+    assert back.features.tobytes() == dataset.features.tobytes()
 
 
 COORDS = st.floats(-10.0, 10.0)
