@@ -14,8 +14,8 @@ from .negatives import NegativeSets, build_negative_sets, kmeans
 from .ontology import (Ich, Ontology, compute_ich, compute_stats,
                        load_ontology, ontology_from_dict)
 from .pipeline import PipelineConfig, PipelineError, run_pipeline
-from .projector import (Mlp, ProjectorConfig, classify, finetune_fewshot,
-                        mlp_forward, train_base)
+from .projector import (Mlp, ProjectorConfig, classify, classify_batch,
+                        finetune_fewshot, mlp_forward, train_base)
 from .viz import render_balls_2d
 
 __version__ = "0.1.0"
@@ -29,7 +29,7 @@ __all__ = [
     "Ich", "Ontology", "compute_ich", "compute_stats", "load_ontology",
     "ontology_from_dict",
     "PipelineConfig", "PipelineError", "run_pipeline",
-    "Mlp", "ProjectorConfig", "classify", "finetune_fewshot", "mlp_forward",
-    "train_base",
+    "Mlp", "ProjectorConfig", "classify", "classify_batch", "finetune_fewshot",
+    "mlp_forward", "train_base",
     "render_balls_2d",
 ]

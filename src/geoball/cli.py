@@ -23,7 +23,7 @@ from .pipeline import (DESK_EMBED, DESK_PROJECTOR, EpisodeConfig,
                        PipelineConfig, PipelineError, episodes_report,
                        global_seed, print_losses, run_pipeline, stage_config,
                        _write_json)
-from .projector import (Mlp, ancestor_report, classify, mlp_forward,
+from .projector import (Mlp, ancestor_report, classify_batch, mlp_forward,
                         train_base)
 from .viz import render_balls_2d
 
@@ -133,7 +133,8 @@ def cmd_train_projector(args) -> int:
     features = _read_features(args.features, "base")
     config = stage_config(_load_config_sections(args.config), "projector",
                           DESK_PROJECTOR, args.seed)
-    mlp, losses = train_base(features, space, negatives, config)
+    mlp, losses = train_base(features, space, negatives, config,
+                              history=args.verbose)
     if args.verbose:
         print_losses(losses)
     print(f"final loss {losses[-1]:.6f}" if losses else "no training epochs")
@@ -155,12 +156,13 @@ def cmd_infer(args) -> int:
         ich = compute_ich(load_ontology(args.ontology))
     rows = []
     outputs = mlp_forward(features.features, mlp)
-    for h, truth in zip(outputs, features.labels):
-        pred = classify(h, candidates)
-        row = {"label": truth, "prediction": pred.label,
-               "u": pred.u_value, "inside": pred.inside}
+    picks, u, inside = classify_batch(outputs, candidates)
+    for i, truth in enumerate(features.labels):
+        pick = int(picks[i])
+        row = {"label": truth, "prediction": names[pick],
+               "u": float(u[i, pick]), "inside": bool(inside[i])}
         if ich is not None:
-            row["ancestors"] = ancestor_report(h, space, ich)
+            row["ancestors"] = ancestor_report(outputs[i], space, ich)
         rows.append(row)
     hits = sum(r["prediction"] == r["label"] for r in rows)
     print(f"accuracy {hits / len(rows):.4f} over {len(rows)} examples")

@@ -197,20 +197,43 @@ def center_norm_penalty(c_p, n_occurrences: int, phi: float) -> float:
 # vectorized loss over a whole space
 
 
-class _AxiomIndex(NamedTuple):
-    """Integer views of the axioms, row-aligned with a BallSpace."""
+class _Rows(NamedTuple):
+    """Axiom rows in one packed form. Row i's hinge is
+    max(0, sign_i * ||c_a - c_b|| + r_a + r_b_weight_i * r_b + offset_i):
+    (+1, -1, -gamma) for a subsumption, a inside b, and (-1, +1,
+    +gamma_disjoint) for a disjointness. ``x + (-y)`` equals ``x - y``
+    exactly, so each hinge keeps the value of its scalar definition."""
 
-    sub_child: np.ndarray
-    sub_parent: np.ndarray
-    dis_a: np.ndarray
-    dis_b: np.ndarray
+    a: np.ndarray
+    b: np.ndarray
+    sign: np.ndarray
+    r_b_weight: np.ndarray
+    offset: np.ndarray
+
+    def take(self, index) -> "_Rows":
+        return _Rows(*(column[index] for column in self))
+
+
+class _AxiomTable(NamedTuple):
+    """The axioms of a space, packed once per run: subsumption rows (sorted
+    closure pairs), then disjointness rows, plus the per-concept penalties.
+
+    Gradients live in one flat (centres, radii) vector. For each row's a end
+    and then its b end, ``ends_index`` holds the flat positions of that
+    concept's centre entries and radius, and ``ends_factor`` the factors that
+    turn the row's unit vector and activity into gradient entries there."""
+
+    rows: _Rows
+    n_sub: int
+    ends_index: np.ndarray  # (rows, 2, dim + 1)
+    ends_factor: np.ndarray  # (rows, 2, dim + 1)
     floors: np.ndarray  # per-concept psi*sqrt(n_h - level)
     occurrences: np.ndarray
 
 
-def _axiom_index(concepts, ich: Ich, disjoint, stats: HierarchyStats,
-                 config: EmbedConfig) -> _AxiomIndex:
-    index = {c: i for i, c in enumerate(concepts)}
+def _axiom_table(space: BallSpace, ich: Ich, disjoint, stats: HierarchyStats,
+                 config: EmbedConfig) -> _AxiomTable:
+    index = space.index
 
     def look(name):
         try:
@@ -218,36 +241,55 @@ def _axiom_index(concepts, ich: Ich, disjoint, stats: HierarchyStats,
         except KeyError:
             raise KeyError(f"no ball for concept {name!r}") from None
 
-    sub_pairs = sorted(ich.pairs)
-    sub_child = np.array([look(p) for p, _ in sub_pairs], dtype=int)
-    sub_parent = np.array([look(q) for _, q in sub_pairs], dtype=int)
-    dis_a = np.array([look(a) for a, _ in disjoint], dtype=int)
-    dis_b = np.array([look(b) for _, b in disjoint], dtype=int)
+    pairs = [*sorted(ich.pairs), *disjoint]
+    is_sub = np.arange(len(pairs)) < len(ich.pairs)
+    rows = _Rows(
+        a=np.array([look(a) for a, _ in pairs], dtype=np.intp),
+        b=np.array([look(b) for _, b in pairs], dtype=np.intp),
+        sign=np.where(is_sub, 1.0, -1.0),
+        r_b_weight=np.where(is_sub, -1.0, 1.0),
+        offset=np.where(is_sub, -config.gamma, config.gamma_disjoint))
+    dim = space.dim
+    ends = np.stack([rows.a, rows.b], axis=1)[..., None]  # (rows, 2, 1)
+    ends_index = np.concatenate(
+        [ends * dim + np.arange(dim), space.centres.size + ends], axis=2)
+    centre_factor = np.stack([rows.sign, -rows.sign], axis=1)[..., None]
+    radius_factor = np.stack([np.ones(len(pairs)), rows.r_b_weight], axis=1)
+    ends_factor = np.concatenate(
+        [np.repeat(centre_factor, dim, axis=2), radius_factor[..., None]],
+        axis=2)
     floors = np.array(
-        [config.psi * math.sqrt(stats.total_levels - stats.level[c]) for c in concepts])
-    occurrences = np.array([stats.occurrences[c] for c in concepts], dtype=float)
-    return _AxiomIndex(sub_child, sub_parent, dis_a, dis_b, floors, occurrences)
+        [config.psi * math.sqrt(stats.total_levels - stats.level[c])
+         for c in space.concepts])
+    occurrences = np.array([stats.occurrences[c] for c in space.concepts],
+                           dtype=float)
+    return _AxiomTable(rows, len(ich.pairs), ends_index, ends_factor, floors,
+                       occurrences)
 
 
-def _pair_distances(centres, idx_a, idx_b):
-    if len(idx_a) == 0:
-        return np.zeros(0)
-    return np.linalg.norm(centres[idx_a] - centres[idx_b], axis=1)
+def _hinges(centres, radii, rows: _Rows):
+    """Per row: centre difference c_a - c_b, its length, and the hinge
+    argument (the hinge is its positive part)."""
+    diff = centres[rows.a] - centres[rows.b]
+    dist = np.sqrt(np.add.reduce(diff * diff, axis=1))
+    hinge = (rows.sign * dist + radii[rows.a] + rows.r_b_weight * radii[rows.b]
+             + rows.offset)
+    return diff, dist, hinge
 
 
-def _breakdown(centres, radii, ax: _AxiomIndex, config: EmbedConfig) -> LossBreakdown:
-    d_sub = _pair_distances(centres, ax.sub_child, ax.sub_parent)
-    sub = np.maximum(
-        0.0, d_sub + radii[ax.sub_child] - radii[ax.sub_parent] - config.gamma)
-    d_dis = _pair_distances(centres, ax.dis_a, ax.dis_b)
-    dis = np.maximum(
-        0.0, -d_dis + radii[ax.dis_a] + radii[ax.dis_b] + config.gamma_disjoint)
-    floor = np.maximum(0.0, ax.floors - radii)
-    norms = np.linalg.norm(centres, axis=1)
-    cn = ax.occurrences * np.abs(norms - config.phi)
+def _centre_norms(centres):
+    return np.sqrt(np.add.reduce(centres * centres, axis=1))
+
+
+def _breakdown(centres, radii, table: _AxiomTable,
+               config: EmbedConfig) -> LossBreakdown:
+    _, _, hinge = _hinges(centres, radii, table.rows)
+    axiom = np.maximum(0.0, hinge)
+    floor = np.maximum(0.0, table.floors - radii)
+    cn = table.occurrences * np.abs(_centre_norms(centres) - config.phi)
     return LossBreakdown(
-        subsumption=float(sub.sum()),
-        disjointness=float(dis.sum()),
+        subsumption=float(axiom[:table.n_sub].sum()),
+        disjointness=float(axiom[table.n_sub:].sum()),
         radius_floor=float(floor.sum()),
         center_norm=float(cn.sum()),
     )
@@ -257,65 +299,76 @@ def total_loss(space: BallSpace, ich: Ich, disjoint, stats: HierarchyStats,
                config: EmbedConfig) -> LossBreakdown:
     """Full objective: subsumption and disjointness hinges over the axioms plus
     radius-floor and centre-norm penalties over every concept."""
-    ax = _axiom_index(space.concepts, ich, disjoint, stats, config)
-    return _breakdown(space.centres, space.radii, ax, config)
+    table = _axiom_table(space, ich, disjoint, stats, config)
+    return _breakdown(space.centres, space.radii, table, config)
 
 
-def _unit_rows(diff, dist):
-    """Row-wise diff/dist with zero rows where dist == 0 (subgradient choice)."""
-    safe = np.where(dist > 0.0, dist, 1.0)
-    u = diff / safe[:, None]
-    u[dist == 0.0] = 0.0
-    return u
+class _Batch(NamedTuple):
+    rows: _Rows
+    ends_at: np.ndarray  # (2m,) the batch row of each end
+    ends_index: np.ndarray  # (2m * (dim + 1),)
+    ends_factor: np.ndarray  # (2m, dim + 1)
+    reg_scale: float  # batch share of the axioms; 1 when there are none
 
 
-def _gradients(centres, radii, ax: _AxiomIndex, config: EmbedConfig,
-               sub_rows=None, dis_rows=None, reg_scale: float = 1.0):
-    """Analytic gradients of the objective, optionally over axiom subsets.
+def _batches(table: _AxiomTable, order, batch_size: int) -> list[_Batch]:
+    """Consecutive ``batch_size`` slices of the axiom rows in ``order``.
 
-    sub_rows / dis_rows select mini-batch rows; reg_scale multiplies the
-    per-concept penalty gradients so an epoch of batches applies them once.
+    Inside a batch the subsumption rows come first and the disjointness rows
+    second, each in ``order``; its ends run over the subsumption rows' a ends,
+    their b ends, then the disjointness rows' a ends and b ends. That is the
+    order in which the gradient scatter accumulates into each entry.
     """
-    g_c = np.zeros_like(centres)
-    g_r = np.zeros_like(radii)
+    n = len(order)
+    batch = np.arange(n) // batch_size
+    key = batch * 4 + (order >= table.n_sub) * 2
+    row_sort = np.argsort(key, kind="stable")
+    slot = np.empty(n, dtype=np.intp)
+    slot[row_sort] = np.arange(n) % batch_size
+    end_sort = np.argsort(np.concatenate([key, key + 1]), kind="stable")
+    at, end = end_sort % max(n, 1), end_sort // max(n, 1)
+    rows = table.rows.take(order[row_sort])
+    ends_at = slot[at]
+    ends_index = table.ends_index[order[at], end]
+    ends_factor = table.ends_factor[order[at], end]
+    out = []
+    for start in range(0, max(n, 1), batch_size):
+        stop = min(start + batch_size, n)
+        ends = slice(2 * start, 2 * stop)
+        out.append(_Batch(rows.take(slice(start, stop)), ends_at[ends],
+                          ends_index[ends].ravel(), ends_factor[ends],
+                          (stop - start) / n if n else 1.0))
+    return out
 
-    sc = ax.sub_child if sub_rows is None else ax.sub_child[sub_rows]
-    sp = ax.sub_parent if sub_rows is None else ax.sub_parent[sub_rows]
-    if len(sc):
-        diff = centres[sc] - centres[sp]
-        dist = np.linalg.norm(diff, axis=1)
-        active = dist + radii[sc] - radii[sp] - config.gamma > 0.0
-        if active.any():
-            u = _unit_rows(diff[active], dist[active])
-            np.add.at(g_c, sc[active], u)
-            np.add.at(g_c, sp[active], -u)
-            np.add.at(g_r, sc[active], 1.0)
-            np.add.at(g_r, sp[active], -1.0)
 
-    da = ax.dis_a if dis_rows is None else ax.dis_a[dis_rows]
-    db = ax.dis_b if dis_rows is None else ax.dis_b[dis_rows]
-    if len(da):
-        diff = centres[da] - centres[db]
-        dist = np.linalg.norm(diff, axis=1)
-        active = -dist + radii[da] + radii[db] + config.gamma_disjoint > 0.0
-        if active.any():
-            u = _unit_rows(diff[active], dist[active])
-            np.add.at(g_c, da[active], -u)
-            np.add.at(g_c, db[active], u)
-            np.add.at(g_r, da[active], 1.0)
-            np.add.at(g_r, db[active], 1.0)
+def _gradients(centres, radii, table: _AxiomTable, batch: _Batch,
+               config: EmbedConfig) -> np.ndarray:
+    """Analytic gradient of the objective over one batch of axiom rows, as one
+    flat (centres, radii) vector. The per-concept penalty gradients are
+    scaled by the batch's share, so an epoch of batches applies them once.
+    """
+    diff, dist, hinge = _hinges(centres, radii, batch.rows)
+    active = hinge > 0.0
+    dim = centres.shape[1]
+    # unit vectors of the active rows, then the activity as the radius
+    # column. Inactive rows, and coincident centres (the subgradient choice),
+    # divide by inf into signed zeros, which add nothing to any sum.
+    unit = np.empty((len(dist), dim + 1))
+    np.divide(diff, np.where(active & (dist > 0.0), dist, np.inf)[:, None],
+              out=unit[:, :dim])
+    unit[:, dim] = active
+    grad = np.bincount(batch.ends_index,
+                       (unit[batch.ends_at] * batch.ends_factor).ravel(),
+                       minlength=centres.size + len(radii))
+    g_c = grad[:centres.size].reshape(centres.shape)
+    g_r = grad[centres.size:]
 
-    if reg_scale != 0.0:
-        floor_active = ax.floors - radii > 0.0
-        g_r[floor_active] -= reg_scale
-
-        norms = np.linalg.norm(centres, axis=1)
-        sign = np.sign(norms - config.phi)
-        weight = ax.occurrences * sign * reg_scale
-        safe = np.where(norms > 0.0, norms, 1.0)
-        g_c += (weight / safe)[:, None] * centres  # zero rows stay zero
-
-    return g_c, g_r
+    g_r[table.floors - radii > 0.0] -= batch.reg_scale
+    norms = _centre_norms(centres)
+    weight = table.occurrences * np.sign(norms - config.phi) * batch.reg_scale
+    safe = np.where(norms > 0.0, norms, 1.0)
+    g_c += (weight / safe)[:, None] * centres  # zero rows stay zero
+    return grad
 
 
 def loss_gradients(space: BallSpace, ich: Ich, disjoint, stats: HierarchyStats,
@@ -324,8 +377,12 @@ def loss_gradients(space: BallSpace, ich: Ich, disjoint, stats: HierarchyStats,
 
     Returns (grad_centres, grad_radii) aligned with space.concepts.
     """
-    ax = _axiom_index(space.concepts, ich, disjoint, stats, config)
-    return _gradients(space.centres, space.radii, ax, config)
+    table = _axiom_table(space, ich, disjoint, stats, config)
+    n_axioms = len(table.rows.a)
+    (batch,) = _batches(table, np.arange(n_axioms), max(n_axioms, 1))
+    grad = _gradients(space.centres, space.radii, table, batch, config)
+    n_flat = space.centres.size
+    return grad[:n_flat].reshape(space.centres.shape), grad[n_flat:]
 
 
 # ---------------------------------------------------------------------------
@@ -348,34 +405,45 @@ def init_space(concepts, stats: HierarchyStats, config: EmbedConfig) -> BallSpac
 
 
 class Optimizer:
-    """In-place updates of parameter arrays: "adam" (betas 0.9/0.999), or
-    "sgd" stepping by lr / (1 + decay * t) after t earlier steps."""
+    """In-place updates of one contiguous parameter vector: "adam" (betas
+    0.9/0.999), or "sgd" stepping by lr / (1 + decay * t) after t earlier
+    steps. A step writes into two scratch vectors made once, so it allocates
+    nothing."""
 
-    def __init__(self, kind: str, params, lr: float, decay: float = 0.0):
+    def __init__(self, kind: str, params: np.ndarray, lr: float,
+                 decay: float = 0.0):
         self.kind = kind
-        self.params = list(params)
+        self.params = params
         self.lr = lr
         self.decay = decay
         self.t = 0
-        self.m = [np.zeros_like(p) for p in self.params]
-        self.v = [np.zeros_like(p) for p in self.params]
+        self.m = np.zeros_like(params)
+        self.v = np.zeros_like(params)
+        self._step = np.empty_like(params)
+        self._scale = np.empty_like(params)
 
-    def step(self, grads):
+    def step(self, grad: np.ndarray):
+        step, scale = self._step, self._scale
         if self.kind == "sgd":
-            lr = self.lr / (1.0 + self.decay * self.t)
-            for p, g in zip(self.params, grads):
-                p -= lr * g
+            np.multiply(grad, self.lr / (1.0 + self.decay * self.t), out=step)
+            self.params -= step
             self.t += 1
             return
         self.t += 1
-        for p, g, m, v in zip(self.params, grads, self.m, self.v):
-            m *= 0.9
-            m += 0.1 * g
-            v *= 0.999
-            v += 0.001 * g * g
-            m_hat = m / (1.0 - 0.9 ** self.t)
-            v_hat = v / (1.0 - 0.999 ** self.t)
-            p -= self.lr * m_hat / (np.sqrt(v_hat) + 1e-8)
+        m, v = self.m, self.v
+        m *= 0.9
+        m += np.multiply(grad, 0.1, out=step)
+        v *= 0.999
+        np.multiply(grad, 0.001, out=step)
+        v += np.multiply(step, grad, out=step)
+        # lr * m_hat / (sqrt(v_hat) + 1e-8), in that order
+        np.divide(m, 1.0 - 0.9 ** self.t, out=step)
+        step *= self.lr
+        np.divide(v, 1.0 - 0.999 ** self.t, out=scale)
+        np.sqrt(scale, out=scale)
+        scale += 1e-8
+        step /= scale
+        self.params -= step
 
 
 def _check_finite(breakdown: LossBreakdown):
@@ -390,39 +458,29 @@ def train_embeddings(ontology: Ontology, ich: Ich, stats: HierarchyStats,
 
     Batches mix subsumption and disjointness axioms, reshuffled each epoch;
     per-concept penalty gradients are scaled by the batch fraction so one
-    epoch applies them with total weight one. Radii are clamped to the
-    configured minimum after every step. Returns (BallSpace, TrainHistory).
+    epoch applies them with total weight one. Centres and radii are views
+    into one parameter vector, and radii are clamped to the configured
+    minimum after every step. Returns (BallSpace, TrainHistory).
     """
     space = init_space(ontology.concepts, stats, config)
-    ax = _axiom_index(space.concepts, ich, ontology.disjointness, stats, config)
-    centres = np.array(space.centres)
-    radii = np.array(space.radii)
+    table = _axiom_table(space, ich, ontology.disjointness, stats, config)
+    params = np.concatenate([space.centres.ravel(), space.radii])
+    centres = params[:space.centres.size].reshape(space.centres.shape)
+    radii = params[space.centres.size:]
 
-    n_sub = len(ax.sub_child)
-    n_dis = len(ax.dis_a)
-    n_axioms = n_sub + n_dis
+    n_axioms = len(table.rows.a)
     rng = np.random.default_rng(config.seed)
     history = TrainHistory()
 
-    optimizer = Optimizer(config.optimizer, [centres, radii],
-                          config.learning_rate, config.lr_decay)
+    optimizer = Optimizer(config.optimizer, params, config.learning_rate,
+                          config.lr_decay)
 
     for _ in range(config.epochs):
-        if n_axioms:
-            perm = rng.permutation(n_axioms)
-            batches = [perm[i:i + config.batch_size]
-                       for i in range(0, n_axioms, config.batch_size)]
-        else:
-            batches = [np.zeros(0, dtype=int)]
-        for batch in batches:
-            sub_rows = batch[batch < n_sub]
-            dis_rows = batch[batch >= n_sub] - n_sub
-            scale = (len(batch) / n_axioms) if n_axioms else 1.0
-            g_c, g_r = _gradients(
-                centres, radii, ax, config, sub_rows, dis_rows, reg_scale=scale)
-            optimizer.step([g_c, g_r])
+        order = rng.permutation(n_axioms) if n_axioms else np.zeros(0, dtype=int)
+        for batch in _batches(table, order, config.batch_size):
+            optimizer.step(_gradients(centres, radii, table, batch, config))
             np.maximum(radii, config.radius_clamp_min, out=radii)
-        breakdown = _breakdown(centres, radii, ax, config)
+        breakdown = _breakdown(centres, radii, table, config)
         _check_finite(breakdown)
         history.epochs.append(breakdown)
         if callback is not None:

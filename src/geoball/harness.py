@@ -24,8 +24,8 @@ from .embedding import BallSpace
 from .evaluation import direct_parents
 from .negatives import NegativeSets
 from .ontology import Ich, Ontology, _topological_order, ontology_from_dict
-from .projector import Mlp, ProjectorConfig, ancestor_report, classify, \
-    finetune_fewshot, mlp_forward
+from .projector import (Mlp, ProjectorConfig, ancestor_report, classify_batch,
+                        finetune_fewshot, mlp_forward)
 
 # full-scale results from the original evaluation, recorded in reports as
 # non-reproducible reference points for the desk-scale figures
@@ -390,24 +390,26 @@ def evaluate_episodes(space: BallSpace, base_mlp: Mlp, episodes,
     are tallied when the closure is supplied."""
     per_episode = []
     wrong = semantic_wrong = 0
+    parents_of: dict[str, frozenset[str]] = {}
     for episode in episodes:
         query = episode.query
         tuned = finetune_fewshot(base_mlp, episode.support, space, negatives,
                                  projector_config)
         candidates = [(name, space.ball(name)) for name in episode.classes]
         outputs = mlp_forward(query.features, tuned)
-        correct = 0
-        for h, truth in zip(outputs, query.labels):
-            prediction = classify(h, candidates)
-            if prediction.label == truth:
-                correct += 1
-                continue
-            wrong += 1
-            if ich is not None:
-                parents = direct_parents(ich, [truth])
-                report = ancestor_report(h, space, ich)
-                semantic_wrong += any(p in report for p in parents)
-        per_episode.append(correct / len(query.labels))
+        picks, _, _ = classify_batch(outputs, candidates)
+        truths = np.array(query.labels)
+        missed = np.flatnonzero(np.array(episode.classes)[picks] != truths)
+        per_episode.append((len(truths) - len(missed)) / len(truths))
+        wrong += len(missed)
+        if ich is None:
+            continue
+        for i in missed:
+            truth = truths[i]
+            if truth not in parents_of:
+                parents_of[truth] = direct_parents(ich, [truth])
+            report = ancestor_report(outputs[i], space, ich)
+            semantic_wrong += any(p in report for p in parents_of[truth])
     semantic = (semantic_wrong / wrong) if (ich is not None and wrong) else (
         0.0 if ich is not None else None)
     return _aggregate(per_episode, semantic)
@@ -420,12 +422,17 @@ def nearest_centroid_accuracy(episodes) -> EvalReport:
         support, query = episode.support, episode.query
         idx = support.class_indices()
         names = episode.classes
-        centroids = np.stack([support.features[idx[name]].mean(axis=0)
-                              for name in names])
-        correct = 0
-        for row, truth in zip(query.features, query.labels):
-            d = np.linalg.norm(centroids - row, axis=1)
-            correct += names[int(d.argmin())] == truth
+        # the (queries x classes) distances, one class column at a time
+        # through one scratch block the size of the queries
+        diff = np.empty_like(query.features)
+        squared = np.empty((len(diff), len(names)))
+        for j, name in enumerate(names):
+            np.subtract(query.features, support.features[idx[name]].mean(axis=0),
+                        out=diff)
+            diff *= diff
+            np.add.reduce(diff, axis=1, out=squared[:, j])
+        picks = np.sqrt(squared).argmin(axis=1)
+        correct = int((np.array(names)[picks] == np.array(query.labels)).sum())
         per_episode.append(correct / len(query.labels))
     return _aggregate(per_episode, None)
 
@@ -435,7 +442,6 @@ def dataset_accuracy(space: BallSpace, mlp: Mlp, dataset: FeatureDataset,
     """Fraction of examples classified into their own label's ball."""
     names = tuple(candidates) if candidates is not None else dataset.class_names()
     balls = [(name, space.ball(name)) for name in names]
-    outputs = mlp_forward(dataset.features, mlp)
-    correct = sum(classify(h, balls).label == truth
-                  for h, truth in zip(outputs, dataset.labels))
+    picks, _, _ = classify_batch(mlp_forward(dataset.features, mlp), balls)
+    correct = int((np.array(names)[picks] == np.array(dataset.labels)).sum())
     return correct / len(dataset.labels)

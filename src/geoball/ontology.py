@@ -113,8 +113,18 @@ def _reflexive_ancestors(ontology: Ontology) -> dict[str, set[str]]:
     return anc
 
 
+def _undeclared_in_subclass(child: str, parent: str, name: str) -> Diagnostic:
+    return Diagnostic(
+        "unknown-identifier",
+        f"subclass axiom ({child!r}, {parent!r}) references undeclared {name!r}",
+        (name,))
+
+
 def _topological_order(concepts, parents) -> list[str]:
     """Order with every parent before its children.
+
+    A told parent that is not among ``concepts`` is refused with the
+    "unknown-identifier" diagnostic ``validate`` gives for it.
 
     Concepts left over sit on or below a cycle, and each has a left-over
     parent, so walking up through left-over parents from the first one must
@@ -125,6 +135,9 @@ def _topological_order(concepts, parents) -> list[str]:
     children: dict[str, list[str]] = {c: [] for c in concepts}
     for c in concepts:
         for p in parents.get(c, ()):
+            if p not in children:
+                diag = _undeclared_in_subclass(c, p, p)
+                raise OntologyError(diag.message, [diag])
             children[p].append(c)
     ready = deque(c for c in concepts if out_deg[c] == 0)
     order = []
@@ -166,10 +179,7 @@ def validate(ontology: Ontology) -> list[Diagnostic]:
     for child, parent in ontology.told_subsumptions:
         for name in (child, parent):
             if name not in known:
-                diags.append(Diagnostic(
-                    "unknown-identifier",
-                    f"subclass axiom ({child!r}, {parent!r}) references undeclared {name!r}",
-                    (name,)))
+                diags.append(_undeclared_in_subclass(child, parent, name))
     for a, b in ontology.disjointness:
         for name in (a, b):
             if name not in known:

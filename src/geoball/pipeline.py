@@ -235,7 +235,8 @@ def run_pipeline(config: PipelineConfig, verbose: bool = False) -> list[Path]:
             f"examples in {gen.dim}d")
 
         stage = "train-projector"
-        mlp, losses = train_base(base, space, negatives, config.projector)
+        mlp, losses = train_base(base, space, negatives, config.projector,
+                                  history=verbose)
         if verbose:
             print_losses(losses, "projector ")
         _write_json(out / "mlp.json", mlp.to_dict())

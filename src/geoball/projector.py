@@ -10,9 +10,11 @@ signed boundary distance U = ||c_P - h|| - r_P.
 
 The ranking loss has one array implementation, ``_ranking_loss_grad``. Each
 training run packs its targets once (class balls plus negative pools padded
-to the widest pool), and every optimiser step and base learning's per-epoch
-loss history go through that one function. The scalar ``ranking_loss`` is the
-readable definition that tests compare the array form against.
+to the widest pool), and every optimiser step and base learning's loss
+report go through that one function. The scalar ``ranking_loss`` is the
+readable definition that tests compare the array form against. A training
+run keeps the weights and biases as views into one flat parameter vector,
+and their gradients as views into one flat gradient vector.
 """
 
 from __future__ import annotations
@@ -306,19 +308,40 @@ def _ranking_loss_grad(h, rows, targets: _Targets, mu, nu):
     return loss, grad
 
 
-def _loss_and_grads(x, rows, weights, biases, targets, mu, nu):
-    """Mean ranking loss over a batch plus parameter gradients."""
+def _layer_views(flat, sizes):
+    """Views of ``flat`` shaped like the weights, then the biases, of an MLP
+    with layer ``sizes``."""
+    shapes = [*((d_out, d_in) for d_in, d_out in zip(sizes, sizes[1:])),
+              *((d_out,) for d_out in sizes[1:])]
+    views, start = [], 0
+    for shape in shapes:
+        stop = start + math.prod(shape)
+        views.append(flat[start:stop].reshape(shape))
+        start = stop
+    layers = len(sizes) - 1
+    return views[:layers], views[layers:]
+
+
+def _flat_parameters(mlp: Mlp):
+    """A contiguous copy of the weights then the biases, with views of it."""
+    flat = np.concatenate([p.ravel() for p in (*mlp.weights, *mlp.biases)])
+    return flat, *_layer_views(flat, mlp.sizes)
+
+
+def _backprop(x, rows, weights, biases, targets, mu, nu, grads_w, grads_b):
+    """Per-example ranking loss over a batch; writes the gradients of its mean
+    into ``grads_w`` and ``grads_b``."""
     acts, zs = _forward_pass(x, weights, biases)
     loss, delta = _ranking_loss_grad(acts[-1], rows, targets, mu, nu)
     m = len(x)
-    grads_w = [None] * len(weights)
-    grads_b = [None] * len(weights)
     for layer in reversed(range(len(weights))):
-        grads_w[layer] = delta.T @ acts[layer] / m
-        grads_b[layer] = delta.sum(axis=0) / m
+        np.matmul(delta.T, acts[layer], out=grads_w[layer])
+        grads_w[layer] /= m
+        np.add.reduce(delta, axis=0, out=grads_b[layer])
+        grads_b[layer] /= m
         if layer > 0:
             delta = (delta @ weights[layer]) * (zs[layer - 1] > 0.0)
-    return float(loss.sum()) / m, grads_w, grads_b
+    return loss
 
 
 def _epoch_loss(x, rows, weights, biases, targets, mu, nu, block):
@@ -335,7 +358,10 @@ def _epoch_loss(x, rows, weights, biases, targets, mu, nu, block):
 def _batch_loss_grads(x, labels, weights, biases, balls, negative_balls, mu, nu):
     """Mean ranking loss over the batch plus parameter gradients."""
     rows, targets = _pack_targets(labels, balls, negative_balls)
-    return _loss_and_grads(x, rows, weights, biases, targets, mu, nu)
+    grads_w = [np.empty_like(w) for w in weights]
+    grads_b = [np.empty_like(b) for b in biases]
+    loss = _backprop(x, rows, weights, biases, targets, mu, nu, grads_w, grads_b)
+    return float(loss.sum()) / len(x), grads_w, grads_b
 
 
 def _mean_loss(x, labels, weights, biases, balls, negative_balls, mu, nu):
@@ -359,22 +385,25 @@ def _resolve_targets(labels, space: BallSpace, negatives: NegativeSets,
     return _pack_targets(labels, balls, negative_balls)
 
 
-def _run_training(x, rows, weights, biases, targets, config, epochs: int,
+def _run_training(x, rows, flat, sizes, targets, config, epochs: int,
                   seed: int, history: bool = False) -> list[float]:
-    """Train ``weights`` and ``biases`` in place. With ``history``, return the
-    mean loss after each epoch; only base learning reports it."""
+    """Train ``flat``, the weights then biases of an MLP with layer ``sizes``,
+    in place. Backprop writes each batch's gradients into views of one flat
+    gradient vector, and the optimiser steps the whole vector at once. With
+    ``history``, return the mean loss after each epoch."""
+    weights, biases = _layer_views(flat, sizes)
+    grad = np.empty_like(flat)
+    grads_w, grads_b = _layer_views(grad, sizes)
     rng = np.random.default_rng(seed)
     losses: list[float] = []
-    optimizer = Optimizer(config.optimizer, weights + biases,
-                          config.learning_rate)
+    optimizer = Optimizer(config.optimizer, flat, config.learning_rate)
     for _ in range(epochs):
         order = rng.permutation(len(x))
         for start in range(0, len(x), config.batch_size):
             batch = order[start:start + config.batch_size]
-            _, grads_w, grads_b = _loss_and_grads(
-                x[batch], rows[batch], weights, biases, targets,
-                config.mu, config.nu)
-            optimizer.step(grads_w + grads_b)
+            _backprop(x[batch], rows[batch], weights, biases, targets,
+                      config.mu, config.nu, grads_w, grads_b)
+            optimizer.step(grad)
         if history:
             losses.append(_epoch_loss(x, rows, weights, biases, targets,
                                       config.mu, config.nu, config.batch_size))
@@ -382,11 +411,13 @@ def _run_training(x, rows, weights, biases, targets, config, epochs: int,
 
 
 def train_base(features, space: BallSpace, negatives: NegativeSets,
-               config: ProjectorConfig):
+               config: ProjectorConfig, history: bool = False):
     """Base learning: fit a fresh MLP on the base-class feature set.
 
-    Returns (Mlp, per-epoch mean loss history). The MLP records its training
-    labels so few-shot fine-tuning can reject overlapping class sets.
+    Returns (Mlp, losses). ``losses`` holds the mean loss over the base set
+    after every epoch with ``history``, else after the last epoch only; it is
+    empty without epochs. The MLP records its training labels so few-shot
+    fine-tuning can reject overlapping class sets.
     """
     labels = list(features.labels)
     rows, targets = _resolve_targets(labels, space, negatives)
@@ -396,14 +427,16 @@ def train_base(features, space: BallSpace, negatives: NegativeSets,
         mean, basis = _fit_reduction(x, config.reduce_dim)
         x = (x - mean) @ basis
     sizes = (x.shape[1], *config.hidden_sizes, space.dim)
-    mlp = init_mlp(sizes, seed=config.seed)
-    weights, biases = mlp.parameter_copies()
-    history = _run_training(x, rows, weights, biases, targets, config,
-                            config.epochs_bl, config.seed, history=True)
+    flat, weights, biases = _flat_parameters(init_mlp(sizes, seed=config.seed))
+    losses = _run_training(x, rows, flat, sizes, targets, config,
+                           config.epochs_bl, config.seed, history)
+    if config.epochs_bl and not history:
+        losses = [_epoch_loss(x, rows, weights, biases, targets, config.mu,
+                              config.nu, config.batch_size)]
     trained = Mlp(sizes, tuple(weights), tuple(biases),
                   trained_labels=frozenset(labels),
                   input_mean=mean, input_basis=basis)
-    return trained, history
+    return trained, losses
 
 
 def finetune_fewshot(mlp: Mlp, support, space: BallSpace,
@@ -421,39 +454,50 @@ def finetune_fewshot(mlp: Mlp, support, space: BallSpace,
             f"support classes overlap base classes: {sorted(overlap)}")
     rows, targets = _resolve_targets(
         support_labels, space, negatives, restrict_to=set(support_labels))
-    weights, biases = mlp.parameter_copies()
+    flat, weights, biases = _flat_parameters(mlp)
     x = mlp.reduce(np.asarray(support.features, dtype=float))
-    _run_training(x, rows, weights, biases, targets, config, config.epochs_fsl,
+    _run_training(x, rows, flat, mlp.sizes, targets, config, config.epochs_fsl,
                   config.seed + 1)
     return Mlp(mlp.sizes, tuple(weights), tuple(biases),
                trained_labels=mlp.trained_labels | frozenset(support_labels),
                input_mean=mlp.input_mean, input_basis=mlp.input_basis)
 
 
-def classify(h, candidates) -> Prediction:
-    """Pick the candidate ball containing h most deeply, else the nearest centre.
+def classify_batch(points, candidates):
+    """Classify each row of ``points``, shape (m, dim), against the
+    candidate balls.
 
-    U = ||c - h|| - r per candidate; any U <= 0 means h is inside that ball
-    and the smallest U wins, otherwise the smallest centre distance wins.
-    Ties keep the earliest candidate. A non-finite h is rejected, since no
-    distance to it can rank the candidates.
+    Returns (picks, u, inside): the index of the chosen candidate per row,
+    the (rows x candidates) matrix of U = ||c - h|| - r, and whether each row
+    lies inside any ball (some U <= 0). Such a row picks the smallest U, any
+    other the nearest centre; ties keep the earliest candidate. Non-finite
+    points are rejected, since no distance to them can rank the candidates.
     """
     candidates = list(candidates)
     if not candidates:
         raise ValueError("empty candidate list")
-    h = np.asarray(h, dtype=float)
-    if not np.isfinite(h).all():
+    points = np.asarray(points, dtype=float)
+    if not np.isfinite(points).all():
         raise ValueError("non-finite point h")
-    distances = np.array([float(np.linalg.norm(h - ball.centre))
-                          for _, ball in candidates])
-    u_values = distances - np.array([ball.radius for _, ball in candidates])
-    best_u = int(u_values.argmin())
-    if u_values[best_u] <= 0.0:
-        label = candidates[best_u][0]
-        return Prediction(label, float(u_values[best_u]), True)
-    best_d = int(distances.argmin())
-    label = candidates[best_d][0]
-    return Prediction(label, float(u_values[best_d]), False)
+    centres = np.array([ball.centre for _, ball in candidates], dtype=float)
+    radii = np.array([ball.radius for _, ball in candidates], dtype=float)
+    diff = points[:, None, :] - centres
+    # vecdot is the dot product np.linalg.norm takes of one vector
+    distances = np.sqrt(np.vecdot(diff, diff))
+    u = distances - radii
+    best_u = u.argmin(axis=1)
+    inside = u[np.arange(len(u)), best_u] <= 0.0
+    return np.where(inside, best_u, distances.argmin(axis=1)), u, inside
+
+
+def classify(h, candidates) -> Prediction:
+    """Classify one point h by ``classify_batch``'s rule: the chosen label,
+    its U, and whether h lies inside any candidate ball."""
+    candidates = list(candidates)
+    picks, u, inside = classify_batch(np.asarray(h, dtype=float)[None, :],
+                                      candidates)
+    pick = int(picks[0])
+    return Prediction(candidates[pick][0], float(u[0, pick]), bool(inside[0]))
 
 
 def ancestor_report(h, space: BallSpace, ich) -> list[str]:

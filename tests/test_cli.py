@@ -229,9 +229,9 @@ def test_stage_seed_precedence(world, tmp_path, monkeypatch, stage, doc,
     seen = []
     real = getattr(geoball.cli, STAGES[stage])
 
-    def recording(*args):
+    def recording(*args, **kwargs):
         seen.append(args[-1].seed)
-        return real(*args)
+        return real(*args, **kwargs)
 
     monkeypatch.setattr(geoball.cli, STAGES[stage], recording)
     argv = flag

@@ -2,6 +2,7 @@
 
 import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from geoball.embedding import (
     total_loss,
     train_embeddings,
 )
+from geoball.harness import synthetic_ontology
 from geoball.ontology import compute_ich, compute_stats, ontology_from_dict
 
 
@@ -540,3 +542,172 @@ def test_train_callback_streams_epochs(poodle):
     train_embeddings(onto, ich, stats, config,
                      callback=lambda epoch, bd: seen.append((epoch, bd.total)))
     assert [e for e, _ in seen] == [1, 2, 3]
+
+
+# ---------------------------------------------------------------------------
+# bitwise oracles for the training step: literal copies of the per-batch
+# np.add.at gradient step, the per-array optimiser and the training loop that
+# the packed axiom table and the flat parameter vector replaced
+
+
+def oracle_axiom_index(concepts, ich, disjoint, stats, config):
+    index = {c: i for i, c in enumerate(concepts)}
+    sub_pairs = sorted(ich.pairs)
+    return SimpleNamespace(
+        sub_child=np.array([index[p] for p, _ in sub_pairs], dtype=int),
+        sub_parent=np.array([index[q] for _, q in sub_pairs], dtype=int),
+        dis_a=np.array([index[a] for a, _ in disjoint], dtype=int),
+        dis_b=np.array([index[b] for _, b in disjoint], dtype=int),
+        floors=np.array([config.psi * math.sqrt(stats.total_levels - stats.level[c])
+                         for c in concepts]),
+        occurrences=np.array([stats.occurrences[c] for c in concepts], dtype=float))
+
+
+def oracle_pair_distances(centres, idx_a, idx_b):
+    if len(idx_a) == 0:
+        return np.zeros(0)
+    return np.linalg.norm(centres[idx_a] - centres[idx_b], axis=1)
+
+
+def oracle_breakdown(centres, radii, ax, config):
+    d_sub = oracle_pair_distances(centres, ax.sub_child, ax.sub_parent)
+    sub = np.maximum(
+        0.0, d_sub + radii[ax.sub_child] - radii[ax.sub_parent] - config.gamma)
+    d_dis = oracle_pair_distances(centres, ax.dis_a, ax.dis_b)
+    dis = np.maximum(
+        0.0, -d_dis + radii[ax.dis_a] + radii[ax.dis_b] + config.gamma_disjoint)
+    floor = np.maximum(0.0, ax.floors - radii)
+    norms = np.linalg.norm(centres, axis=1)
+    cn = ax.occurrences * np.abs(norms - config.phi)
+    return (float(sub.sum()), float(dis.sum()), float(floor.sum()),
+            float(cn.sum()))
+
+
+def oracle_unit_rows(diff, dist):
+    safe = np.where(dist > 0.0, dist, 1.0)
+    u = diff / safe[:, None]
+    u[dist == 0.0] = 0.0
+    return u
+
+
+def oracle_gradients(centres, radii, ax, config, sub_rows, dis_rows, reg_scale):
+    g_c = np.zeros_like(centres)
+    g_r = np.zeros_like(radii)
+    sc, sp = ax.sub_child[sub_rows], ax.sub_parent[sub_rows]
+    if len(sc):
+        diff = centres[sc] - centres[sp]
+        dist = np.linalg.norm(diff, axis=1)
+        active = dist + radii[sc] - radii[sp] - config.gamma > 0.0
+        if active.any():
+            u = oracle_unit_rows(diff[active], dist[active])
+            np.add.at(g_c, sc[active], u)
+            np.add.at(g_c, sp[active], -u)
+            np.add.at(g_r, sc[active], 1.0)
+            np.add.at(g_r, sp[active], -1.0)
+    da, db = ax.dis_a[dis_rows], ax.dis_b[dis_rows]
+    if len(da):
+        diff = centres[da] - centres[db]
+        dist = np.linalg.norm(diff, axis=1)
+        active = -dist + radii[da] + radii[db] + config.gamma_disjoint > 0.0
+        if active.any():
+            u = oracle_unit_rows(diff[active], dist[active])
+            np.add.at(g_c, da[active], -u)
+            np.add.at(g_c, db[active], u)
+            np.add.at(g_r, da[active], 1.0)
+            np.add.at(g_r, db[active], 1.0)
+    g_r[ax.floors - radii > 0.0] -= reg_scale
+    norms = np.linalg.norm(centres, axis=1)
+    weight = ax.occurrences * np.sign(norms - config.phi) * reg_scale
+    safe = np.where(norms > 0.0, norms, 1.0)
+    g_c += (weight / safe)[:, None] * centres
+    return g_c, g_r
+
+
+class OracleOptimizer:
+    """The per-array optimiser, with its temporaries."""
+
+    def __init__(self, kind, params, lr, decay=0.0):
+        self.kind, self.params, self.lr, self.decay = kind, list(params), lr, decay
+        self.t = 0
+        self.m = [np.zeros_like(p) for p in self.params]
+        self.v = [np.zeros_like(p) for p in self.params]
+
+    def step(self, grads):
+        if self.kind == "sgd":
+            lr = self.lr / (1.0 + self.decay * self.t)
+            for p, g in zip(self.params, grads):
+                p -= lr * g
+            self.t += 1
+            return
+        self.t += 1
+        for p, g, m, v in zip(self.params, grads, self.m, self.v):
+            m *= 0.9
+            m += 0.1 * g
+            v *= 0.999
+            v += 0.001 * g * g
+            m_hat = m / (1.0 - 0.9 ** self.t)
+            v_hat = v / (1.0 - 0.999 ** self.t)
+            p -= self.lr * m_hat / (np.sqrt(v_hat) + 1e-8)
+
+
+def oracle_train(onto, ich, stats, config):
+    space = init_space(onto.concepts, stats, config)
+    ax = oracle_axiom_index(space.concepts, ich, onto.disjointness, stats, config)
+    centres, radii = np.array(space.centres), np.array(space.radii)
+    n_sub, n_axioms = len(ax.sub_child), len(ax.sub_child) + len(ax.dis_a)
+    rng = np.random.default_rng(config.seed)
+    optimizer = OracleOptimizer(config.optimizer, [centres, radii],
+                                config.learning_rate, config.lr_decay)
+    history = []
+    for _ in range(config.epochs):
+        perm = rng.permutation(n_axioms)
+        for i in range(0, n_axioms, config.batch_size):
+            batch = perm[i:i + config.batch_size]
+            g_c, g_r = oracle_gradients(
+                centres, radii, ax, config, batch[batch < n_sub],
+                batch[batch >= n_sub] - n_sub, len(batch) / n_axioms)
+            optimizer.step([g_c, g_r])
+            np.maximum(radii, config.radius_clamp_min, out=radii)
+        history.append(oracle_breakdown(centres, radii, ax, config))
+    return centres, radii, history
+
+
+@pytest.fixture(scope="module")
+def siblings():
+    """Nine leaves under three parents: many disjointness axioms share
+    concepts with subsumption axioms in one batch."""
+    onto = synthetic_ontology((3, 3))
+    ich = compute_ich(onto)
+    return onto, ich, compute_stats(onto, ich)
+
+
+@pytest.mark.parametrize("optimizer", ["sgd", "adam"])
+@pytest.mark.parametrize("batch_size", [3, 64])
+@pytest.mark.parametrize("fixture", ["poodle", "siblings"])
+def test_training_matches_per_batch_oracle_bitwise(request, fixture, optimizer,
+                                                   batch_size):
+    onto, ich, stats = request.getfixturevalue(fixture)
+    config = EmbedConfig(dim=6, gamma=-0.05, disjoint_gamma=0.05, psi=0.2,
+                         learning_rate=0.05, lr_decay=0.01, epochs=50,
+                         batch_size=batch_size, seed=4, optimizer=optimizer)
+    space, history = train_embeddings(onto, ich, stats, config)
+    centres, radii, expected = oracle_train(onto, ich, stats, config)
+    assert space.centres.tobytes() == centres.tobytes()
+    assert space.radii.tobytes() == radii.tobytes()
+    assert [(e.subsumption, e.disjointness, e.radius_floor, e.center_norm)
+            for e in history.epochs] == expected
+
+
+def test_loss_gradients_match_per_batch_oracle_bitwise(poodle):
+    onto, ich, stats = poodle
+    rng = np.random.default_rng(11)
+    config = EmbedConfig(dim=4, gamma=-0.05, disjoint_gamma=0.05)
+    ax = oracle_axiom_index(onto.concepts, ich, onto.disjointness, stats, config)
+    every_sub, every_dis = np.arange(len(ax.sub_child)), np.arange(len(ax.dis_a))
+    for _ in range(20):
+        space = random_space(rng, onto.concepts, 4)
+        g_c, g_r = loss_gradients(space, ich, onto.disjointness, stats, config)
+        o_c, o_r = oracle_gradients(space.centres, space.radii, ax, config,
+                                    every_sub, every_dis, 1.0)
+        assert g_c.tobytes() == o_c.tobytes()
+        assert g_r.tobytes() == o_r.tobytes()

@@ -26,7 +26,8 @@ from geoball.harness import (
     write_features_npz,
 )
 from geoball.negatives import build_negative_sets
-from geoball.ontology import Ontology, OntologyError, compute_ich, compute_stats
+from geoball.ontology import (Ontology, OntologyError, compute_ich,
+                              compute_stats, validate)
 from geoball.projector import ProjectorConfig, train_base
 from geoball.pipeline import DESK_PROJECTOR
 
@@ -160,6 +161,21 @@ def test_generator_names_the_cycle_like_every_entry_point():
         gen(onto)
     assert str(err.value) == str(expected.value)
     assert err.value.diagnostics == expected.value.diagnostics
+
+
+@pytest.mark.parametrize("entry_point", [
+    compute_ich,
+    lambda onto: compute_stats(onto, None),
+    gen,
+])
+def test_unknown_told_parent_is_named_like_validate(entry_point):
+    onto = Ontology(("a", "b"), (("a", "z"),), (), ("a", "b"))
+    (expected,) = validate(onto)
+    with pytest.raises(OntologyError) as err:
+        entry_point(onto)
+    assert str(err.value) == expected.message
+    assert str(err.value) == "subclass axiom ('a', 'z') references undeclared 'z'"
+    assert err.value.diagnostics == (expected,)
 
 
 # ---------------------------------------------------------------------------
@@ -504,6 +520,50 @@ def test_evaluation_matches_brute_force_oracle(small_world):
             hits += pick == truth
         expected.append(hits / len(ep.query.labels))
     assert report.per_episode == tuple(expected)
+
+
+def test_batched_evaluation_matches_per_query_oracles(small_world):
+    # oracles: the per-query loops, with the closure's direct parents looked
+    # up for every wrong query and the baseline's distances taken row by row
+    from geoball.evaluation import direct_parents
+    from geoball.projector import (ancestor_report, classify,
+                                   finetune_fewshot, mlp_forward)
+
+    onto, ich, space, negatives = small_world
+    base, novel = small_datasets(onto, noise=3.0)
+    mlp, _ = train_base(base, space, negatives, SMALL_PROJECTOR)
+    episodes = sample_episodes(novel, w=4, s=2, q=4, n_episodes=6, seed=5)
+    report = evaluate_episodes(space, mlp, episodes, SMALL_PROJECTOR,
+                               negatives, ich=ich)
+    baseline = nearest_centroid_accuracy(episodes)
+
+    expected, expected_baseline = [], []
+    wrong = semantic = 0
+    for ep in episodes:
+        tuned = finetune_fewshot(mlp, ep.support, space, negatives,
+                                 SMALL_PROJECTOR)
+        candidates = [(name, space.ball(name)) for name in ep.classes]
+        hits = 0
+        for h, truth in zip(mlp_forward(ep.query.features, tuned),
+                            ep.query.labels):
+            if classify(h, candidates).label == truth:
+                hits += 1
+                continue
+            wrong += 1
+            inside = ancestor_report(h, space, ich)
+            semantic += any(p in inside for p in direct_parents(ich, [truth]))
+        expected.append(hits / len(ep.query.labels))
+        idx = ep.support.class_indices()
+        centroids = np.stack([ep.support.features[idx[name]].mean(axis=0)
+                              for name in ep.classes])
+        hits = sum(ep.classes[int(np.linalg.norm(centroids - row, axis=1).argmin())]
+                   == truth
+                   for row, truth in zip(ep.query.features, ep.query.labels))
+        expected_baseline.append(hits / len(ep.query.labels))
+    assert wrong > 0
+    assert report.per_episode == tuple(expected)
+    assert report.semantic_error_fraction == semantic / wrong
+    assert baseline.per_episode == tuple(expected_baseline)
 
 
 def test_evaluation_rejects_support_from_base_classes(small_world):

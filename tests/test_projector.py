@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -25,7 +26,9 @@ from geoball.projector import (
     train_base,
 )
 from geoball.projector import (_batch_loss_grads, _fit_reduction,
-                               _forward_pass, _mean_loss)
+                               _forward_pass, _mean_loss, _ranking_loss_grad,
+                               _resolve_targets)
+from test_embedding import OracleOptimizer
 
 
 # ---------------------------------------------------------------------------
@@ -261,7 +264,8 @@ def test_parameter_gradients_match_finite_differences():
 
 
 def test_train_base_converges_on_separable_set(world):
-    mlp, history = train_base(world.base, world.space, world.negatives, BASE_CONFIG)
+    mlp, history = train_base(world.base, world.space, world.negatives,
+                              BASE_CONFIG, history=True)
     assert history[-1] < 1e-2
     assert history[-1] < history[0]
     assert mlp.trained_labels == frozenset(world.base.labels)
@@ -365,12 +369,76 @@ def test_only_base_learning_computes_a_loss_history(world, monkeypatch):
 
     monkeypatch.setattr(geoball.projector, "_epoch_loss", counting)
     mlp, history = train_base(world.base, world.space, world.negatives,
-                              BASE_CONFIG)
+                              BASE_CONFIG, history=True)
     assert len(calls) == len(history) == BASE_CONFIG.epochs_bl
+    calls.clear()
+    again, final = train_base(world.base, world.space, world.negatives,
+                              BASE_CONFIG)
+    assert len(calls) == 1
+    assert final == history[-1:]
+    assert json.dumps(again.to_dict()) == json.dumps(mlp.to_dict())
     calls.clear()
     finetune_fewshot(mlp, world.support, world.space, world.negatives,
                      BASE_CONFIG)
     assert calls == []
+
+
+# literal copies of the per-array backprop and training loop that the flat
+# parameter vector replaced, kept as bitwise oracles
+
+
+def oracle_loss_and_grads(x, rows, weights, biases, targets, mu, nu):
+    acts, zs = _forward_pass(x, weights, biases)
+    loss, delta = _ranking_loss_grad(acts[-1], rows, targets, mu, nu)
+    m = len(x)
+    grads_w = [None] * len(weights)
+    grads_b = [None] * len(weights)
+    for layer in reversed(range(len(weights))):
+        grads_w[layer] = delta.T @ acts[layer] / m
+        grads_b[layer] = delta.sum(axis=0) / m
+        if layer > 0:
+            delta = (delta @ weights[layer]) * (zs[layer - 1] > 0.0)
+    return float(loss.sum()) / m, grads_w, grads_b
+
+
+def oracle_run_training(x, rows, weights, biases, targets, config, epochs, seed):
+    rng = np.random.default_rng(seed)
+    optimizer = OracleOptimizer(config.optimizer, weights + biases,
+                                config.learning_rate)
+    for _ in range(epochs):
+        order = rng.permutation(len(x))
+        for start in range(0, len(x), config.batch_size):
+            batch = order[start:start + config.batch_size]
+            _, grads_w, grads_b = oracle_loss_and_grads(
+                x[batch], rows[batch], weights, biases, targets,
+                config.mu, config.nu)
+            optimizer.step(grads_w + grads_b)
+
+
+@pytest.mark.parametrize("optimizer", ["sgd", "adam"])
+def test_training_matches_per_array_oracle_bitwise(world, optimizer):
+    config = replace(BASE_CONFIG, epochs_bl=30, epochs_fsl=30,
+                     optimizer=optimizer, learning_rate=0.01)
+    mlp, _ = train_base(world.base, world.space, world.negatives, config)
+    labels = list(world.base.labels)
+    rows, targets = _resolve_targets(labels, world.space, world.negatives)
+    sizes = (world.base.dim, *config.hidden_sizes, world.space.dim)
+    weights, biases = init_mlp(sizes, seed=config.seed).parameter_copies()
+    oracle_run_training(world.base.features, rows, weights, biases, targets,
+                        config, config.epochs_bl, config.seed)
+    assert [p.tobytes() for p in mlp.weights + mlp.biases] == [
+        p.tobytes() for p in weights + biases]
+
+    tuned = finetune_fewshot(mlp, world.support, world.space, world.negatives,
+                             config)
+    support = list(world.support.labels)
+    rows, targets = _resolve_targets(support, world.space, world.negatives,
+                                     restrict_to=set(support))
+    weights, biases = mlp.parameter_copies()
+    oracle_run_training(world.support.features, rows, weights, biases,
+                        targets, config, config.epochs_fsl, config.seed + 1)
+    assert [p.tobytes() for p in tuned.weights + tuned.biases] == [
+        p.tobytes() for p in weights + biases]
 
 
 def test_finetune_rejects_overlapping_classes(world):

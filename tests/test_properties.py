@@ -1,7 +1,8 @@
 """Property tests: every artifact format round-trips exactly, the array
-ranking loss agrees with its scalar definition, classification does not
-depend on candidate order beyond its documented tie rule, and every entry
-point names the same cycle witness."""
+ranking loss and the packed ball hinges agree with their scalar definitions,
+classification does not depend on candidate order beyond its documented tie
+rule and batches follow the per-point rule, and every entry point names the
+same cycle witness."""
 
 import json
 import sys
@@ -12,15 +13,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from geoball.embedding import Ball, BallSpace
+from geoball.embedding import (Ball, BallSpace, EmbedConfig,
+                               disjointness_hinge, subsumption_hinge,
+                               total_loss)
 from geoball.harness import (FeatureDataset, read_features_csv,
-                             read_features_npz, write_features_csv,
-                             write_features_npz)
+                             read_features_npz, synthetic_ontology,
+                             write_features_csv, write_features_npz)
 from geoball.negatives import NegativeSets
 from geoball.ontology import (Ich, Ontology, OntologyError, compute_ich,
                               compute_stats, ingest_hypernym_edges, validate)
 from geoball.projector import (Mlp, _pack_targets, _ranking_loss_grad,
-                               classify, ranking_loss)
+                               classify, classify_batch, ranking_loss)
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
 POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
@@ -285,3 +288,71 @@ def test_cycle_witness_is_one_closed_walk_everywhere(case):
         with pytest.raises(OntologyError) as err:
             entry()
         assert str(err.value) == message
+
+
+@st.composite
+def hinge_cases(draw):
+    """A balanced ontology with sibling disjointness, a random space over it
+    (some centres coincide) and random margins."""
+    onto = synthetic_ontology(draw(st.lists(st.integers(1, 3), min_size=1,
+                                            max_size=3)))
+    dim = draw(st.integers(2, 4))
+    pool = draw(st.lists(arrays(float, dim, elements=COORDS), min_size=1,
+                         max_size=len(onto.concepts)))
+    centres = np.array([draw(st.sampled_from(pool)) for _ in onto.concepts])
+    radii = draw(arrays(float, len(onto.concepts),
+                        elements=st.floats(0.05, 5.0)))
+    config = EmbedConfig(dim=dim, gamma=draw(st.floats(-1.0, 1.0)),
+                         disjoint_gamma=draw(st.floats(-1.0, 1.0)))
+    return onto, BallSpace(dim, onto.concepts, centres, radii), config
+
+
+@given(hinge_cases())
+def test_packed_hinges_match_scalar_definitions(case):
+    onto, space, config = case
+    ich = compute_ich(onto)
+    breakdown = total_loss(space, ich, onto.disjointness,
+                           compute_stats(onto, ich), config)
+    c, r = space.centre_of, space.radius_of
+    subsumption = sum(subsumption_hinge(c(p), c(q), r(p), r(q), config.gamma)
+                      for p, q in sorted(ich.pairs))
+    disjointness = sum(disjointness_hinge(c(a), c(b), r(a), r(b),
+                                          config.gamma_disjoint)
+                       for a, b in onto.disjointness)
+    assert breakdown.subsumption == pytest.approx(subsumption, rel=1e-12,
+                                                  abs=1e-12)
+    assert breakdown.disjointness == pytest.approx(disjointness, rel=1e-12,
+                                                   abs=1e-12)
+
+
+@st.composite
+def classify_batches(draw):
+    """Candidates from a small pool of balls (so U and distance ties occur)
+    and a batch of points, some on a candidate centre."""
+    dim = draw(st.integers(1, 4))
+    pool = draw(st.lists(st.builds(Ball, arrays(float, dim, elements=COORDS),
+                                   st.floats(0.1, 5.0)),
+                         min_size=1, max_size=4))
+    balls = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=6))
+    points = draw(st.lists(
+        st.one_of(arrays(float, dim, elements=COORDS),
+                  st.sampled_from([ball.centre for ball in pool])),
+        min_size=1, max_size=8))
+    return np.array(points), [(f"c{i}", ball) for i, ball in enumerate(balls)]
+
+
+@given(classify_batches())
+def test_classify_batch_matches_the_per_point_rule(case):
+    points, candidates = case
+    picks, u, inside = classify_batch(points, candidates)
+    for i, h in enumerate(points):
+        # the per-point rule, one candidate at a time
+        distances = np.array([float(np.linalg.norm(h - ball.centre))
+                              for _, ball in candidates])
+        u_row = distances - np.array([ball.radius for _, ball in candidates])
+        best_u = int(u_row.argmin())
+        expected = best_u if u_row[best_u] <= 0.0 else int(distances.argmin())
+        assert u[i].tobytes() == u_row.tobytes()
+        assert (picks[i], inside[i]) == (expected, u_row[best_u] <= 0.0)
+        assert classify(h, candidates) == (candidates[expected][0],
+                                           u_row[expected], bool(inside[i]))
