@@ -216,17 +216,10 @@ class _Rows(NamedTuple):
 
 class _AxiomTable(NamedTuple):
     """The axioms of a space, packed once per run: subsumption rows (sorted
-    closure pairs), then disjointness rows, plus the per-concept penalties.
-
-    Gradients live in one flat (centres, radii) vector. For each row's a end
-    and then its b end, ``ends_index`` holds the flat positions of that
-    concept's centre entries and radius, and ``ends_factor`` the factors that
-    turn the row's unit vector and activity into gradient entries there."""
+    closure pairs), then disjointness rows, plus the per-concept penalties."""
 
     rows: _Rows
     n_sub: int
-    ends_index: np.ndarray  # (rows, 2, dim + 1)
-    ends_factor: np.ndarray  # (rows, 2, dim + 1)
     floors: np.ndarray  # per-concept psi*sqrt(n_h - level)
     occurrences: np.ndarray
 
@@ -249,22 +242,12 @@ def _axiom_table(space: BallSpace, ich: Ich, disjoint, stats: HierarchyStats,
         sign=np.where(is_sub, 1.0, -1.0),
         r_b_weight=np.where(is_sub, -1.0, 1.0),
         offset=np.where(is_sub, -config.gamma, config.gamma_disjoint))
-    dim = space.dim
-    ends = np.stack([rows.a, rows.b], axis=1)[..., None]  # (rows, 2, 1)
-    ends_index = np.concatenate(
-        [ends * dim + np.arange(dim), space.centres.size + ends], axis=2)
-    centre_factor = np.stack([rows.sign, -rows.sign], axis=1)[..., None]
-    radius_factor = np.stack([np.ones(len(pairs)), rows.r_b_weight], axis=1)
-    ends_factor = np.concatenate(
-        [np.repeat(centre_factor, dim, axis=2), radius_factor[..., None]],
-        axis=2)
     floors = np.array(
         [config.psi * math.sqrt(stats.total_levels - stats.level[c])
          for c in space.concepts])
     occurrences = np.array([stats.occurrences[c] for c in space.concepts],
                            dtype=float)
-    return _AxiomTable(rows, len(ich.pairs), ends_index, ends_factor, floors,
-                       occurrences)
+    return _AxiomTable(rows, len(ich.pairs), floors, occurrences)
 
 
 def _hinges(centres, radii, rows: _Rows):
@@ -304,41 +287,47 @@ def total_loss(space: BallSpace, ich: Ich, disjoint, stats: HierarchyStats,
 
 
 class _Batch(NamedTuple):
+    """Axiom rows stepped on together: the subsumption rows first, then the
+    disjointness rows, each in shuffled order. ``ends`` holds the concepts
+    the gradient scatters into, in ``_scatter_order``."""
+
     rows: _Rows
-    ends_at: np.ndarray  # (2m,) the batch row of each end
-    ends_index: np.ndarray  # (2m * (dim + 1),)
-    ends_factor: np.ndarray  # (2m, dim + 1)
+    n_sub: int
+    ends: np.ndarray
     reg_scale: float  # batch share of the axioms; 1 when there are none
 
 
-def _batches(table: _AxiomTable, order, batch_size: int) -> list[_Batch]:
-    """Consecutive ``batch_size`` slices of the axiom rows in ``order``.
+def _scatter_order(at_a, at_b, n_sub):
+    """Per-end values of a batch, given per row for its a and its b end, in
+    the order the gradient accumulates them: the a ends of the subsumption
+    rows, their b ends, then the a ends and the b ends of the disjointness
+    rows."""
+    return np.concatenate((at_a[:n_sub], at_b[:n_sub], at_a[n_sub:],
+                           at_b[n_sub:]))
 
-    Inside a batch the subsumption rows come first and the disjointness rows
-    second, each in ``order``; its ends run over the subsumption rows' a ends,
-    their b ends, then the disjointness rows' a ends and b ends. That is the
-    order in which the gradient scatter accumulates into each entry.
-    """
+
+def _batches(table: _AxiomTable, order, batch_size: int) -> list[_Batch]:
+    """Consecutive ``batch_size`` slices of the axiom rows in ``order``."""
     n = len(order)
-    batch = np.arange(n) // batch_size
-    key = batch * 4 + (order >= table.n_sub) * 2
-    row_sort = np.argsort(key, kind="stable")
-    slot = np.empty(n, dtype=np.intp)
-    slot[row_sort] = np.arange(n) % batch_size
-    end_sort = np.argsort(np.concatenate([key, key + 1]), kind="stable")
-    at, end = end_sort % max(n, 1), end_sort // max(n, 1)
-    rows = table.rows.take(order[row_sort])
-    ends_at = slot[at]
-    ends_index = table.ends_index[order[at], end]
-    ends_factor = table.ends_factor[order[at], end]
+    is_sub = order < table.n_sub
+    # a stable sort moves each batch's subsumption rows to its front
+    by_kind = np.argsort(np.arange(n) // batch_size * 2 + ~is_sub,
+                         kind="stable")
+    rows = table.rows.take(order[by_kind])
     out = []
     for start in range(0, max(n, 1), batch_size):
-        stop = min(start + batch_size, n)
-        ends = slice(2 * start, 2 * stop)
-        out.append(_Batch(rows.take(slice(start, stop)), ends_at[ends],
-                          ends_index[ends].ravel(), ends_factor[ends],
-                          (stop - start) / n if n else 1.0))
+        batch = rows.take(slice(start, start + batch_size))
+        n_sub = int(np.count_nonzero(is_sub[start:start + batch_size]))
+        out.append(_Batch(batch, n_sub, _scatter_order(batch.a, batch.b, n_sub),
+                          len(batch.a) / n if n else 1.0))
     return out
+
+
+def _ball_views(flat, shape):
+    """(centres, radii) views of a flat parameter or gradient vector that
+    holds the (concepts, dim) centres row by row, then the radii."""
+    size = shape[0] * shape[1]
+    return flat[:size].reshape(shape), flat[size:]
 
 
 def _gradients(centres, radii, table: _AxiomTable, batch: _Batch,
@@ -347,21 +336,30 @@ def _gradients(centres, radii, table: _AxiomTable, batch: _Batch,
     flat (centres, radii) vector. The per-concept penalty gradients are
     scaled by the batch's share, so an epoch of batches applies them once.
     """
-    diff, dist, hinge = _hinges(centres, radii, batch.rows)
+    rows = batch.rows
+    diff, dist, hinge = _hinges(centres, radii, rows)
     active = hinge > 0.0
-    dim = centres.shape[1]
-    # unit vectors of the active rows, then the activity as the radius
-    # column. Inactive rows, and coincident centres (the subgradient choice),
-    # divide by inf into signed zeros, which add nothing to any sum.
-    unit = np.empty((len(dist), dim + 1))
-    np.divide(diff, np.where(active & (dist > 0.0), dist, np.inf)[:, None],
-              out=unit[:, :dim])
-    unit[:, dim] = active
-    grad = np.bincount(batch.ends_index,
-                       (unit[batch.ends_at] * batch.ends_factor).ravel(),
-                       minlength=centres.size + len(radii))
-    g_c = grad[:centres.size].reshape(centres.shape)
-    g_r = grad[centres.size:]
+    n, dim = centres.shape
+    # Per row, the hinge's gradient at its a ball, (sign * (c_a - c_b) /
+    # ||c_a - c_b||, 1), and at its b ball, (-that centre part, r_b_weight).
+    # Inactive rows, and coincident centres (the subgradient choice), divide
+    # by inf into signed zeros, which add nothing to any sum.
+    on_a = np.empty((len(dist), dim + 1))
+    np.divide(diff, np.where(active & (dist > 0.0), rows.sign * dist,
+                             np.inf)[:, None], out=on_a[:, :dim])
+    on_a[:, dim] = active
+    on_b = -on_a
+    on_b[:, dim] = rows.r_b_weight * active
+    # each end's flat positions: its centre entries, then its radius
+    at = np.empty((len(batch.ends), dim + 1), dtype=np.intp)
+    np.add.outer(batch.ends * dim, np.arange(dim), out=at[:, :dim])
+    np.add(batch.ends, centres.size, out=at[:, dim])
+    grad = np.bincount(at.ravel(),
+                       _scatter_order(on_a, on_b, batch.n_sub).ravel(),
+                       minlength=centres.size + n)
+    # float: np.bincount of no ends gives integer zeros
+    grad = grad.astype(float, copy=False)
+    g_c, g_r = _ball_views(grad, centres.shape)
 
     g_r[table.floors - radii > 0.0] -= batch.reg_scale
     norms = _centre_norms(centres)
@@ -381,8 +379,7 @@ def loss_gradients(space: BallSpace, ich: Ich, disjoint, stats: HierarchyStats,
     n_axioms = len(table.rows.a)
     (batch,) = _batches(table, np.arange(n_axioms), max(n_axioms, 1))
     grad = _gradients(space.centres, space.radii, table, batch, config)
-    n_flat = space.centres.size
-    return grad[:n_flat].reshape(space.centres.shape), grad[n_flat:]
+    return _ball_views(grad, space.centres.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -407,8 +404,8 @@ def init_space(concepts, stats: HierarchyStats, config: EmbedConfig) -> BallSpac
 class Optimizer:
     """In-place updates of one contiguous parameter vector: "adam" (betas
     0.9/0.999), or "sgd" stepping by lr / (1 + decay * t) after t earlier
-    steps. A step writes into two scratch vectors made once, so it allocates
-    nothing."""
+    steps. A step writes into scratch vectors made once (one for sgd, two
+    for adam), so it allocates nothing; only adam keeps moment vectors."""
 
     def __init__(self, kind: str, params: np.ndarray, lr: float,
                  decay: float = 0.0):
@@ -417,20 +414,21 @@ class Optimizer:
         self.lr = lr
         self.decay = decay
         self.t = 0
-        self.m = np.zeros_like(params)
-        self.v = np.zeros_like(params)
         self._step = np.empty_like(params)
-        self._scale = np.empty_like(params)
+        if kind == "adam":
+            self.m = np.zeros_like(params)
+            self.v = np.zeros_like(params)
+            self._scale = np.empty_like(params)
 
     def step(self, grad: np.ndarray):
-        step, scale = self._step, self._scale
+        step = self._step
         if self.kind == "sgd":
             np.multiply(grad, self.lr / (1.0 + self.decay * self.t), out=step)
             self.params -= step
             self.t += 1
             return
         self.t += 1
-        m, v = self.m, self.v
+        m, v, scale = self.m, self.v, self._scale
         m *= 0.9
         m += np.multiply(grad, 0.1, out=step)
         v *= 0.999
@@ -465,8 +463,7 @@ def train_embeddings(ontology: Ontology, ich: Ich, stats: HierarchyStats,
     space = init_space(ontology.concepts, stats, config)
     table = _axiom_table(space, ich, ontology.disjointness, stats, config)
     params = np.concatenate([space.centres.ravel(), space.radii])
-    centres = params[:space.centres.size].reshape(space.centres.shape)
-    radii = params[space.centres.size:]
+    centres, radii = _ball_views(params, space.centres.shape)
 
     n_axioms = len(table.rows.a)
     rng = np.random.default_rng(config.seed)

@@ -122,7 +122,16 @@ def features_csv_text(dataset: FeatureDataset) -> str:
     return "".join(_csv_lines(dataset))
 
 
+def _row_bound(path) -> int:
+    """An upper bound on the rows of a CSV file: all but the last end in a
+    newline."""
+    with open(path, "rb") as raw:
+        return 1 + sum(block.count(b"\n")
+                       for block in iter(lambda: raw.read(1 << 20), b""))
+
+
 def read_features_csv(path, split: str = "base") -> FeatureDataset:
+    max_rows = _row_bound(path)
     with open(path, newline="") as fh:
         first = fh.readline()
         if not first:
@@ -136,12 +145,15 @@ def read_features_csv(path, split: str = "base") -> FeatureDataset:
         row = np.dtype([("label", object), ("f", float, (dim,))])
         # comments=None: a label may start with '#'. A header-only file is a
         # valid empty dataset, so loadtxt's no-data warning is not passed on.
+        # Given max_rows, loadtxt allocates its table once; grown row block
+        # by row block instead, its copies left the read's peak memory to
+        # the layout of the heap.
         with warnings.catch_warnings():
             warnings.filterwarnings("ignore", "loadtxt: input contained no data",
                                     UserWarning)
             try:
                 table = np.loadtxt(fh, dtype=row, delimiter=",", quotechar='"',
-                                   comments=None, ndmin=1)
+                                   comments=None, ndmin=1, max_rows=max_rows)
             except ValueError as exc:
                 raise ValueError(f"feature CSV {path}: {exc}") from exc
     features = table["f"]
@@ -422,17 +434,12 @@ def nearest_centroid_accuracy(episodes) -> EvalReport:
         support, query = episode.support, episode.query
         idx = support.class_indices()
         names = episode.classes
-        # the (queries x classes) distances, one class column at a time
-        # through one scratch block the size of the queries
-        diff = np.empty_like(query.features)
-        squared = np.empty((len(diff), len(names)))
-        for j, name in enumerate(names):
-            np.subtract(query.features, support.features[idx[name]].mean(axis=0),
-                        out=diff)
-            diff *= diff
-            np.add.reduce(diff, axis=1, out=squared[:, j])
-        picks = np.sqrt(squared).argmin(axis=1)
-        correct = int((np.array(names)[picks] == np.array(query.labels)).sum())
+        centroids = np.stack([support.features[idx[name]].mean(axis=0)
+                              for name in names])
+        correct = 0
+        for row, truth in zip(query.features, query.labels):
+            d = np.linalg.norm(centroids - row, axis=1)
+            correct += names[int(d.argmin())] == truth
         per_episode.append(correct / len(query.labels))
     return _aggregate(per_episode, None)
 

@@ -463,6 +463,10 @@ def finetune_fewshot(mlp: Mlp, support, space: BallSpace,
                input_mean=mlp.input_mean, input_basis=mlp.input_basis)
 
 
+# centre differences held at once by classify_batch, in floats
+_CLASSIFY_BLOCK = 1 << 16
+
+
 def classify_batch(points, candidates):
     """Classify each row of ``points``, shape (m, dim), against the
     candidate balls.
@@ -481,9 +485,12 @@ def classify_batch(points, candidates):
         raise ValueError("non-finite point h")
     centres = np.array([ball.centre for _, ball in candidates], dtype=float)
     radii = np.array([ball.radius for _, ball in candidates], dtype=float)
-    diff = points[:, None, :] - centres
-    # vecdot is the dot product np.linalg.norm takes of one vector
-    distances = np.sqrt(np.vecdot(diff, diff))
+    distances = np.empty((len(points), len(candidates)))
+    block = max(1, _CLASSIFY_BLOCK // centres.size)
+    for start in range(0, len(points), block):
+        diff = points[start:start + block, None, :] - centres
+        # vecdot is the dot product np.linalg.norm takes of one vector
+        distances[start:start + block] = np.sqrt(np.vecdot(diff, diff))
     u = distances - radii
     best_u = u.argmin(axis=1)
     inside = u[np.arange(len(u)), best_u] <= 0.0

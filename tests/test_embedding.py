@@ -362,6 +362,26 @@ def test_total_loss_single_concept_only_penalties():
     assert breakdown.center_norm == 0.0
 
 
+@pytest.mark.parametrize("optimizer", ["sgd", "adam"])
+def test_train_without_axioms_keeps_the_initial_balls(optimizer):
+    # each epoch takes one step on the penalties alone; with every concept a
+    # root that no axiom mentions, those gradients are float zeros
+    onto = ontology_from_dict({"concepts": ["a", "b"], "subclass": [],
+                               "disjoint": [], "leaves": ["a", "b"]})
+    ich = compute_ich(onto)
+    stats = compute_stats(onto, ich)
+    config = EmbedConfig(dim=3, epochs=3, optimizer=optimizer,
+                         init_radius_slack=0.5)
+    space, history = train_embeddings(onto, ich, stats, config)
+    start = init_space(onto.concepts, stats, config)
+    assert space.centres.tobytes() == start.centres.tobytes()
+    assert space.radii.tobytes() == start.radii.tobytes()
+    assert len(history.epochs) == 3
+    g_c, g_r = loss_gradients(space, ich, onto.disjointness, stats, config)
+    assert g_c.dtype == g_r.dtype == np.float64
+    assert not g_c.any() and not g_r.any()
+
+
 def test_total_loss_missing_ball_raises(poodle):
     onto, ich, stats = poodle
     rng = np.random.default_rng(3)

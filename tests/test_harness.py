@@ -238,6 +238,20 @@ def test_csv_header_only_is_an_empty_dataset(tmp_path):
     assert back.split == "novel"
 
 
+@pytest.mark.parametrize("text, labels", [
+    ("label,f_1\na,1.0\nb,2.0", ("a", "b")),  # no newline after the last row
+    ("label,f_1\r\na,1.0\r\nb,2.0\r\n", ("a", "b")),
+    ('label,f_1\n"a\nz",1.0\nb,2.0\n', ("a\nz", "b")),
+])
+def test_csv_reads_every_row_whatever_its_line_ends(tmp_path, text, labels):
+    # the reader bounds the rows by the newlines in the file
+    path = tmp_path / "ends.csv"
+    path.write_bytes(text.encode())
+    back = read_features_csv(path)
+    assert back.labels == labels
+    assert back.features[:, 0].tolist() == [1.0, 2.0]
+
+
 @pytest.mark.parametrize("body", ["x,1.0,2.0\ny,1.0\n", "x,1.0,2.0,3.0\n",
                                   "x,1.0,abc\n", "x,1_0,2.0\n"])
 def test_csv_bad_row_error_names_the_file(tmp_path, body):

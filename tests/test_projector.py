@@ -19,6 +19,7 @@ from geoball.projector import (
     ProjectorConfig,
     ancestor_report,
     classify,
+    classify_batch,
     finetune_fewshot,
     init_mlp,
     mlp_forward,
@@ -486,6 +487,20 @@ def test_classify_tie_keeps_candidate_order():
     same = Ball(np.array([0.3, 0.0]), 0.5)
     pred = classify(h, [("first", same), ("second", same)])
     assert pred.label == "first"
+
+
+@pytest.mark.parametrize("block", [1, 3 * 7 * 5])
+def test_classify_batch_row_blocks_give_the_same_bits(monkeypatch, block):
+    # one row, or three, of centre differences at a time
+    rng = np.random.default_rng(5)
+    points = rng.normal(size=(50, 5))
+    candidates = [(f"c{i}", Ball(rng.normal(size=5), rng.uniform(0.5, 2.0)))
+                  for i in range(7)]
+    whole = classify_batch(points, candidates)
+    monkeypatch.setattr(geoball.projector, "_CLASSIFY_BLOCK", block)
+    blocked = classify_batch(points, candidates)
+    for got, want in zip(blocked, whole):
+        assert got.tobytes() == want.tobytes()
 
 
 def test_classify_empty_candidates():
