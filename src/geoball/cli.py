@@ -43,11 +43,11 @@ def _load(path, cls):
         return cls.from_dict(json.load(fh))
 
 
-def _read_features(path, split: str):
+def _read_features(path):
     """A ``.npz`` feature file as the pipeline writes it, any other as CSV."""
     if Path(path).suffix == ".npz":
-        return read_features_npz(path, split)
-    return read_features_csv(path, split)
+        return read_features_npz(path)
+    return read_features_csv(path)
 
 
 def _float_list(text: str) -> tuple[float, ...]:
@@ -86,7 +86,7 @@ def cmd_embed(args) -> int:
                           DESK_EMBED, args.seed)
     space, history = train_embeddings(ontology, ich, stats, config)
     if args.verbose:
-        print_losses(history.totals())
+        print_losses([e.total for e in history])
     scores = score_space(space, ich, ontology.leaves)
     print(f"f1_all {scores.f1_all:.4f}  f1_leaf {scores.f1_leaf:.4f}  "
           f"s_d_fraction {scores.s_d_fraction:.4f}")
@@ -130,7 +130,7 @@ def cmd_negatives(args) -> int:
 def cmd_train_projector(args) -> int:
     space = _load(args.space, BallSpace)
     negatives = _load(args.negatives, NegativeSets)
-    features = _read_features(args.features, "base")
+    features = _read_features(args.features)
     config = stage_config(_load_config_sections(args.config), "projector",
                           DESK_PROJECTOR, args.seed)
     mlp, losses = train_base(features, space, negatives, config,
@@ -145,7 +145,7 @@ def cmd_train_projector(args) -> int:
 def cmd_infer(args) -> int:
     space = _load(args.space, BallSpace)
     mlp = _load(args.mlp, Mlp)
-    features = _read_features(args.features, "base")
+    features = _read_features(args.features)
     if args.candidates:
         names = tuple(args.candidates.split(","))
     else:
@@ -174,7 +174,7 @@ def cmd_infer(args) -> int:
 def cmd_episodes(args) -> int:
     space = _load(args.space, BallSpace)
     mlp = _load(args.mlp, Mlp)
-    novel = _read_features(args.novel, "novel")
+    novel = _read_features(args.novel)
     negatives = _load(args.negatives, NegativeSets)
     sections = _load_config_sections(args.config)
     config = stage_config(sections, "projector", DESK_PROJECTOR, args.seed)
@@ -201,7 +201,7 @@ def cmd_viz(args) -> int:
                 else tuple(space.concepts))
     points = labels = None
     if args.points:
-        dataset = _read_features(args.points, "base")
+        dataset = _read_features(args.points)
         labels = dataset.labels
         if args.mlp:
             points = mlp_forward(dataset.features, _load(args.mlp, Mlp))

@@ -10,7 +10,7 @@ hinge kinks and at coincident centres.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -142,16 +142,6 @@ class LossBreakdown:
             "radius_floor": self.radius_floor,
             "center_norm": self.center_norm,
         }
-
-
-@dataclass
-class TrainHistory:
-    """Per-epoch loss breakdowns."""
-
-    epochs: list[LossBreakdown] = field(default_factory=list)
-
-    def totals(self) -> list[float]:
-        return [e.total for e in self.epochs]
 
 
 # ---------------------------------------------------------------------------
@@ -451,14 +441,15 @@ def _check_finite(breakdown: LossBreakdown):
 
 
 def train_embeddings(ontology: Ontology, ich: Ich, stats: HierarchyStats,
-                     config: EmbedConfig, callback=None):
+                     config: EmbedConfig):
     """Mini-batch gradient descent over the axioms.
 
     Batches mix subsumption and disjointness axioms, reshuffled each epoch;
     per-concept penalty gradients are scaled by the batch fraction so one
     epoch applies them with total weight one. Centres and radii are views
     into one parameter vector, and radii are clamped to the configured
-    minimum after every step. Returns (BallSpace, TrainHistory).
+    minimum after every step. Returns the BallSpace and the list of
+    per-epoch LossBreakdowns.
     """
     space = init_space(ontology.concepts, stats, config)
     table = _axiom_table(space, ich, ontology.disjointness, stats, config)
@@ -467,7 +458,7 @@ def train_embeddings(ontology: Ontology, ich: Ich, stats: HierarchyStats,
 
     n_axioms = len(table.rows.a)
     rng = np.random.default_rng(config.seed)
-    history = TrainHistory()
+    history: list[LossBreakdown] = []
 
     optimizer = Optimizer(config.optimizer, params, config.learning_rate,
                           config.lr_decay)
@@ -479,9 +470,7 @@ def train_embeddings(ontology: Ontology, ich: Ich, stats: HierarchyStats,
             np.maximum(radii, config.radius_clamp_min, out=radii)
         breakdown = _breakdown(centres, radii, table, config)
         _check_finite(breakdown)
-        history.epochs.append(breakdown)
-        if callback is not None:
-            callback(len(history.epochs), breakdown)
+        history.append(breakdown)
 
     trained = BallSpace(config.dim, space.concepts, centres, radii)
     return trained, history

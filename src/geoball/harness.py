@@ -50,11 +50,8 @@ class FeatureDataset:
     dim: int
     labels: tuple[str, ...]
     features: np.ndarray  # (n_examples, dim)
-    split: str = "base"
 
     def __post_init__(self):
-        if self.split not in ("base", "novel"):
-            raise ValueError(f"unknown split {self.split!r}")
         if self.dim < 1:
             raise ValueError(f"feature dim must be >= 1, got {self.dim}")
         if self.features.shape != (len(self.labels), self.dim):
@@ -70,14 +67,10 @@ class FeatureDataset:
             out.setdefault(label, []).append(i)
         return {label: np.array(idx) for label, idx in sorted(out.items())}
 
-    def subset(self, indices, split: str | None = None) -> "FeatureDataset":
+    def subset(self, indices) -> "FeatureDataset":
         indices = np.asarray(indices, dtype=int)
-        return FeatureDataset(
-            self.dim,
-            tuple(self.labels[i] for i in indices),
-            self.features[indices],
-            split or self.split,
-        )
+        return FeatureDataset(self.dim, tuple(self.labels[i] for i in indices),
+                              self.features[indices])
 
 
 @contextlib.contextmanager
@@ -117,11 +110,6 @@ def write_features_csv(dataset: FeatureDataset, path) -> None:
         fh.writelines(_csv_lines(dataset))
 
 
-def features_csv_text(dataset: FeatureDataset) -> str:
-    """The bytes ``write_features_csv`` writes, as one string."""
-    return "".join(_csv_lines(dataset))
-
-
 def _row_bound(path) -> int:
     """An upper bound on the rows of a CSV file: all but the last end in a
     newline."""
@@ -130,7 +118,7 @@ def _row_bound(path) -> int:
                        for block in iter(lambda: raw.read(1 << 20), b""))
 
 
-def read_features_csv(path, split: str = "base") -> FeatureDataset:
+def read_features_csv(path) -> FeatureDataset:
     max_rows = _row_bound(path)
     with open(path, newline="") as fh:
         first = fh.readline()
@@ -159,7 +147,7 @@ def read_features_csv(path, split: str = "base") -> FeatureDataset:
     features = table["f"]
     if not np.isfinite(features).all():
         raise ValueError(f"feature CSV {path} holds non-finite values")
-    return FeatureDataset(dim, tuple(table["label"].tolist()), features, split)
+    return FeatureDataset(dim, tuple(table["label"].tolist()), features)
 
 
 def write_features_npz(dataset: FeatureDataset, path) -> None:
@@ -175,7 +163,7 @@ def write_features_npz(dataset: FeatureDataset, path) -> None:
                  features=np.asarray(dataset.features, dtype=np.float64))
 
 
-def read_features_npz(path, split: str = "base") -> FeatureDataset:
+def read_features_npz(path) -> FeatureDataset:
     """The dataset ``write_features_npz`` wrote, loaded without unpickling;
     anything else is a ValueError that names the file."""
     # np.load leaves a path it opened open when the zip is bad; a handle
@@ -203,8 +191,7 @@ def read_features_npz(path, split: str = "base") -> FeatureDataset:
                          f"{len(features)} rows")
     if not np.isfinite(features).all():
         raise ValueError(f"feature NPZ {path} holds non-finite values")
-    return FeatureDataset(features.shape[1], tuple(labels.tolist()), features,
-                          split)
+    return FeatureDataset(features.shape[1], tuple(labels.tolist()), features)
 
 
 def synthetic_ontology(fanouts) -> Ontology:
@@ -267,11 +254,11 @@ def _hierarchy_anchors(ontology: Ontology, dim: int, rng, anchor_scale: float,
 
 def generate_synthetic_features(ontology: Ontology, dim: int, per_class: int,
                                 noise_sigma: float, seed: int,
-                                base_leaves=None, novel_leaves=None,
                                 anchor_scale: float = 3.0,
                                 step_scale: float = 1.0,
                                 intrinsic_dim: int | None = None):
-    """Seeded (base, novel) feature datasets aligned with the hierarchy.
+    """Seeded feature datasets for the (base, novel) halves of
+    ``split_leaves``, aligned with the hierarchy.
 
     Anchors follow the told hierarchy (child anchor = mean of parent anchors
     plus a step), so siblings end up closer than unrelated classes;
@@ -283,18 +270,6 @@ def generate_synthetic_features(ontology: Ontology, dim: int, per_class: int,
     leaves = sorted(ontology.leaves)
     if len(leaves) < 2:
         raise ValueError("need at least 2 leaves")
-    if base_leaves is None and novel_leaves is None:
-        base_leaves, novel_leaves = split_leaves(ontology)
-    elif base_leaves is None:
-        base_leaves = tuple(l for l in leaves if l not in set(novel_leaves))
-    elif novel_leaves is None:
-        novel_leaves = tuple(l for l in leaves if l not in set(base_leaves))
-    base_set, novel_set = set(base_leaves), set(novel_leaves)
-    if base_set & novel_set:
-        raise ValueError("base and novel leaf sets overlap")
-    unknown = (base_set | novel_set) - set(leaves)
-    if unknown:
-        raise ValueError(f"not ontology leaves: {sorted(unknown)}")
 
     rng = np.random.default_rng(seed)
     if intrinsic_dim is None:
@@ -314,12 +289,13 @@ def generate_synthetic_features(ontology: Ontology, dim: int, per_class: int,
     all_labels = np.array(labels)
     all_rows = np.vstack(rows)
 
-    def pick(names, split):
-        mask = np.isin(all_labels, sorted(names))
+    def pick(names):
+        mask = np.isin(all_labels, names)
         return FeatureDataset(dim, tuple(all_labels[mask]),
-                              np.array(all_rows[mask]), split)
+                              np.array(all_rows[mask]))
 
-    return pick(base_set, "base"), pick(novel_set, "novel")
+    base, novel = split_leaves(ontology)
+    return pick(base), pick(novel)
 
 
 @dataclass(frozen=True)
@@ -335,11 +311,11 @@ class Episode:
 
     @property
     def support(self) -> FeatureDataset:
-        return self.novel.subset(self.support_rows, "novel")
+        return self.novel.subset(self.support_rows)
 
     @property
     def query(self) -> FeatureDataset:
-        return self.novel.subset(self.query_rows, "novel")
+        return self.novel.subset(self.query_rows)
 
 
 def sample_episode(novel: FeatureDataset, w: int, s: int, q: int,

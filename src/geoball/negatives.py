@@ -125,37 +125,17 @@ def kmeans(points, k: int, seed: int = 0) -> KmeansResult:
 
 @dataclass(frozen=True)
 class NegativeSets:
-    """Leaf partition plus the per-class hard-negative sets derived from it."""
+    """Per-class hard-negative sets: each leaf's cluster mates, or its
+    nearest other leaf when it clusters alone."""
 
-    clusters: tuple[tuple[str, ...], ...]
     negatives: dict[str, tuple[str, ...]]
-
-    def cluster_of(self, name: str) -> tuple[str, ...]:
-        for members in self.clusters:
-            if name in members:
-                return members
-        raise KeyError(name)
 
     def to_dict(self) -> dict:
         return {name: list(neg) for name, neg in sorted(self.negatives.items())}
 
     @classmethod
     def from_dict(cls, obj: dict) -> "NegativeSets":
-        negatives = {name: tuple(neg) for name, neg in obj.items()}
-        # reconstruct clusters from mutual membership; fallback negatives are
-        # one-directional and stay out of the partition
-        names = sorted(negatives)
-        clusters, seen = [], set()
-        for name in names:
-            if name in seen:
-                continue
-            members = {name}
-            for other in negatives[name]:
-                if name in negatives.get(other, ()):
-                    members.add(other)
-            clusters.append(tuple(sorted(members)))
-            seen |= members
-        return cls(tuple(clusters), negatives)
+        return cls({name: tuple(neg) for name, neg in obj.items()})
 
 
 def default_k(n_leaves: int) -> int:
@@ -191,4 +171,4 @@ def build_negative_sets(space: BallSpace, leaves, k: int | None = None,
                 nearest = leaves[int(dist[leaves.index(leaf)].argmin())]
                 rest = (nearest,)
             negatives[leaf] = rest
-    return NegativeSets(clusters, negatives)
+    return NegativeSets(negatives)

@@ -160,7 +160,6 @@ class PipelineError(RuntimeError):
     def __init__(self, stage: str, cause: Exception):
         super().__init__(f"stage {stage!r} failed: {cause}")
         self.stage = stage
-        self.cause = cause
 
 
 def _write_json(path, obj: dict) -> None:
@@ -213,7 +212,7 @@ def run_pipeline(config: PipelineConfig, verbose: bool = False) -> list[Path]:
         stage = "embed"
         space, history = train_embeddings(ontology, ich, stats, config.embed)
         if verbose:
-            print_losses(history.totals(), "embed ")
+            print_losses([e.total for e in history], "embed ")
         scores = score_space(space, ich, ontology.leaves)
         _write_json(out / "space.json", space.to_dict())
 

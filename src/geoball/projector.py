@@ -82,9 +82,6 @@ class Mlp:
             return self.input_basis.shape[0]
         return self.sizes[0]
 
-    def parameter_copies(self):
-        return [np.array(w) for w in self.weights], [np.array(b) for b in self.biases]
-
     def reduce(self, x: np.ndarray) -> np.ndarray:
         if self.input_basis is None:
             return x
@@ -353,20 +350,6 @@ def _epoch_loss(x, rows, weights, biases, targets, mu, nu, block):
                                      rows[start:start + block], targets, mu, nu)
         total += float(loss.sum())
     return total / len(x)
-
-
-def _batch_loss_grads(x, labels, weights, biases, balls, negative_balls, mu, nu):
-    """Mean ranking loss over the batch plus parameter gradients."""
-    rows, targets = _pack_targets(labels, balls, negative_balls)
-    grads_w = [np.empty_like(w) for w in weights]
-    grads_b = [np.empty_like(b) for b in biases]
-    loss = _backprop(x, rows, weights, biases, targets, mu, nu, grads_w, grads_b)
-    return float(loss.sum()) / len(x), grads_w, grads_b
-
-
-def _mean_loss(x, labels, weights, biases, balls, negative_balls, mu, nu):
-    rows, targets = _pack_targets(labels, balls, negative_balls)
-    return _epoch_loss(x, rows, weights, biases, targets, mu, nu, len(x))
 
 
 def _resolve_targets(labels, space: BallSpace, negatives: NegativeSets,

@@ -25,12 +25,12 @@ from geoball.ontology import Ich, HierarchyStats, compute_ich, compute_stats, on
 from geoball.pipeline import (ARTIFACT_NAMES, DESK_EMBED, DESK_PROJECTOR,
                               PipelineConfig, run_pipeline)
 from geoball.projector import classify, train_base
-from geoball.projector import _batch_loss_grads
 
 from test_embedding import (assert_close_rel, finite_difference,
                             kink_distance, random_space)
 from test_pipeline import small_config
-from test_projector import is_kink_free, random_gradient_case
+from test_projector import (is_kink_free, loss_and_gradients,
+                            random_gradient_case)
 
 
 def announce(capsys, name, ok, detail):
@@ -163,15 +163,12 @@ def test_gradient_fidelity(capsys):
         case = random_gradient_case(seed)
         if not is_kink_free(*case):
             continue
-        x, labels, weights, biases, balls, negative_balls = case
-        _, grads_w, grads_b = _batch_loss_grads(
-            x, labels, weights, biases, balls, negative_balls, 1.0, 1.0)
+        _, grads_w, grads_b = loss_and_gradients(*case)
+        weights, biases = case[2], case[3]
         h = 1e-5
 
         def mean_loss():
-            from geoball.projector import _mean_loss
-            return _mean_loss(x, labels, weights, biases, balls,
-                              negative_balls, 1.0, 1.0)
+            return loss_and_gradients(*case)[0]
 
         for target, grad in zip(list(weights) + list(biases),
                                 list(grads_w) + list(grads_b)):
@@ -308,13 +305,13 @@ def per_class_split(dataset, train_per_class):
         train_idx.extend(idx[:train_per_class])
         held_idx.extend(idx[train_per_class:])
 
-    def subset(rows, split):
+    def subset(rows):
         rows = np.array(rows)
         return FeatureDataset(dataset.dim,
                               tuple(np.array(dataset.labels)[rows]),
-                              dataset.features[rows], split)
+                              dataset.features[rows])
 
-    return subset(train_idx, "base"), subset(held_idx, "base")
+    return subset(train_idx), subset(held_idx)
 
 
 def test_generalization_direction(desk, capsys):

@@ -1,6 +1,7 @@
 """Tests for the geoball command line."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -171,6 +172,42 @@ def test_pipeline_subcommand_seed_override(config_path, tmp_path):
                  "--seed", "11"]) == 0
     second = (tmp_path / "run" / "space.json").read_bytes()
     assert first != second
+
+
+def loss_lines(text, prefix=""):
+    """The epoch numbers and loss values of ``--verbose`` lines with
+    ``prefix``."""
+    return [(int(epoch), float(loss)) for epoch, loss in re.findall(
+        rf"^{prefix}epoch (\d+): loss (\S+)$", text, re.M)]
+
+
+def test_verbose_prints_one_loss_line_per_epoch(config_path, poodle_path,
+                                                tmp_path, capsys):
+    config = small_config(tmp_path)
+    embed_epochs = config["embed"]["epochs"]
+    base_epochs = config["projector"]["epochs_bl"]
+    any_loss = re.compile(r"epoch \d+: loss")
+
+    assert main(["pipeline", "--config", str(config_path)]) == 0
+    assert not any_loss.search(capsys.readouterr().out)
+    assert main(["pipeline", "--config", str(config_path), "--verbose"]) == 0
+    out = capsys.readouterr().out
+    embed = loss_lines(out, "embed ")
+    assert [epoch for epoch, _ in embed] == list(range(1, embed_epochs + 1))
+    projector = loss_lines(out, "projector ")
+    assert [epoch for epoch, _ in projector] == list(range(1, base_epochs + 1))
+    report = json.loads((tmp_path / "run" / "report.json").read_text())
+    assert projector[-1][1] == pytest.approx(report["projector_final_loss"],
+                                             abs=5e-7)
+
+    space = str(tmp_path / "space.json")
+    embed_argv = ["embed", str(poodle_path), "--out", space,
+                  "--config", str(config_path)]
+    assert main(embed_argv) == 0
+    assert not any_loss.search(capsys.readouterr().out)
+    assert main([*embed_argv, "--verbose"]) == 0
+    # the embed subcommand trains the pipeline's embedding, epoch for epoch
+    assert loss_lines(capsys.readouterr().out) == embed
 
 
 def test_pipeline_seed_flag_matches_config_global_seed(tmp_path):

@@ -376,7 +376,7 @@ def test_train_without_axioms_keeps_the_initial_balls(optimizer):
     start = init_space(onto.concepts, stats, config)
     assert space.centres.tobytes() == start.centres.tobytes()
     assert space.radii.tobytes() == start.radii.tobytes()
-    assert len(history.epochs) == 3
+    assert len(history) == 3
     g_c, g_r = loss_gradients(space, ich, onto.disjointness, stats, config)
     assert g_c.dtype == g_r.dtype == np.float64
     assert not g_c.any() and not g_r.any()
@@ -480,12 +480,12 @@ def test_train_poodle_reaches_containment(poodle):
     config = EmbedConfig(dim=10, gamma=-0.05, psi=0.1, phi=1.0,
                          learning_rate=0.05, epochs=300, batch_size=64, seed=0)
     space, history = train_embeddings(onto, ich, stats, config)
-    final = history.epochs[-1]
+    final = history[-1]
     assert final.subsumption + final.disjointness < 1e-3
     for p, q in sorted(ich.pairs):
         d = float(np.linalg.norm(space.centre_of(p) - space.centre_of(q)))
         assert d <= space.radius_of(q) - space.radius_of(p)
-    assert len(history.epochs) == 300
+    assert len(history) == 300
     assert np.all(space.radii >= config.radius_clamp_min)
 
 
@@ -495,7 +495,7 @@ def test_train_zero_hinge_implies_strict_geometry(poodle):
     config = EmbedConfig(dim=10, gamma=-0.05, disjoint_gamma=0.05,
                          learning_rate=0.05, epochs=400, batch_size=64, seed=2)
     space, history = train_embeddings(onto, ich, stats, config)
-    final = history.epochs[-1]
+    final = history[-1]
     assert final.subsumption == 0.0
     assert final.disjointness == 0.0
     for p, q in sorted(ich.pairs):
@@ -514,7 +514,7 @@ def test_train_zero_epochs_returns_init(poodle):
     init = init_space(onto.concepts, stats, config)
     assert np.array_equal(space.centres, init.centres)
     assert np.array_equal(space.radii, init.radii)
-    assert history.epochs == []
+    assert history == []
 
 
 def test_train_loss_non_increasing_with_decay(poodle):
@@ -522,7 +522,7 @@ def test_train_loss_non_increasing_with_decay(poodle):
     config = EmbedConfig(dim=10, gamma=-0.05, learning_rate=0.01, lr_decay=0.5,
                          epochs=200, batch_size=64, seed=0)
     _, history = train_embeddings(onto, ich, stats, config)
-    totals = history.totals()
+    totals = [e.total for e in history]
     for earlier, later in zip(totals, totals[1:]):
         assert later <= earlier + 1e-6
 
@@ -534,7 +534,7 @@ def test_train_deterministic(poodle):
     s1, h1 = train_embeddings(onto, ich, stats, config)
     s2, h2 = train_embeddings(onto, ich, stats, config)
     assert json.dumps(s1.to_dict(), sort_keys=True) == json.dumps(s2.to_dict(), sort_keys=True)
-    assert h1.totals() == h2.totals()
+    assert h1 == h2
 
 
 def test_train_adam_runs_and_converges(poodle):
@@ -542,7 +542,7 @@ def test_train_adam_runs_and_converges(poodle):
     config = EmbedConfig(dim=10, gamma=-0.05, learning_rate=0.01,
                          epochs=400, batch_size=64, seed=0, optimizer="adam")
     space, history = train_embeddings(onto, ich, stats, config)
-    final = history.epochs[-1]
+    final = history[-1]
     assert final.subsumption + final.disjointness < 1e-2
     assert np.all(space.radii >= config.radius_clamp_min)
 
@@ -553,15 +553,6 @@ def test_train_non_finite_aborts_with_term_name(poodle):
     with pytest.raises(RuntimeError, match="non-finite"):
         with np.errstate(all="ignore"):
             train_embeddings(onto, ich, stats, config)
-
-
-def test_train_callback_streams_epochs(poodle):
-    onto, ich, stats = poodle
-    seen = []
-    config = EmbedConfig(dim=6, epochs=3, seed=1)
-    train_embeddings(onto, ich, stats, config,
-                     callback=lambda epoch, bd: seen.append((epoch, bd.total)))
-    assert [e for e, _ in seen] == [1, 2, 3]
 
 
 # ---------------------------------------------------------------------------
@@ -715,7 +706,7 @@ def test_training_matches_per_batch_oracle_bitwise(request, fixture, optimizer,
     assert space.centres.tobytes() == centres.tobytes()
     assert space.radii.tobytes() == radii.tobytes()
     assert [(e.subsumption, e.disjointness, e.radius_floor, e.center_norm)
-            for e in history.epochs] == expected
+            for e in history] == expected
 
 
 def test_loss_gradients_match_per_batch_oracle_bitwise(poodle):

@@ -12,7 +12,6 @@ import pytest
 from geoball.embedding import EmbedConfig, train_embeddings
 from geoball.harness import (
     FeatureDataset,
-    features_csv_text,
     generate_synthetic_features,
     nearest_centroid_accuracy,
     read_features_csv,
@@ -86,8 +85,9 @@ def test_same_seed_byte_identical():
     onto = synthetic_ontology((2, 3))
     a_base, a_novel = gen(onto, seed=11)
     b_base, b_novel = gen(onto, seed=11)
-    assert features_csv_text(a_base) == features_csv_text(b_base)
-    assert features_csv_text(a_novel) == features_csv_text(b_novel)
+    for a, b in ((a_base, b_base), (a_novel, b_novel)):
+        assert a.labels == b.labels
+        assert a.features.tobytes() == b.features.tobytes()
     c_base, _ = gen(onto, seed=12)
     assert not np.array_equal(a_base.features, c_base.features)
 
@@ -138,17 +138,8 @@ def test_generator_split_handling():
     d_base, d_novel = split_leaves(onto)
     assert base.class_names() == d_base
     assert novel.class_names() == d_novel
-    assert base.split == "base" and novel.split == "novel"
     for ds in (base, novel):
         assert all(len(idx) == 4 for idx in ds.class_indices().values())
-
-    custom_b, custom_n = gen(onto, base_leaves=("root_0_0",))
-    assert custom_b.class_names() == ("root_0_0",)
-    assert len(custom_n.class_names()) == 3
-    with pytest.raises(ValueError):
-        gen(onto, base_leaves=("root_0_0",), novel_leaves=("root_0_0",))
-    with pytest.raises(ValueError):
-        gen(onto, base_leaves=("root_0",))  # inner concept, not a leaf
 
 
 def test_generator_names_the_cycle_like_every_entry_point():
@@ -187,7 +178,7 @@ def test_csv_roundtrip_is_exact(tmp_path):
     base, _ = gen(onto, noise_sigma=1.7, seed=5)
     path = tmp_path / "base.csv"
     write_features_csv(base, path)
-    back = read_features_csv(path, split="base")
+    back = read_features_csv(path)
     assert back.labels == base.labels
     assert np.array_equal(back.features, base.features)
     assert back.dim == base.dim
@@ -210,7 +201,6 @@ def test_csv_format_is_pinned(tmp_path):
     with the '#x' row read as data, not as a comment."""
     rows = [np.roll(GOLDEN_VALUES, i) for i in range(len(GOLDEN_LABELS))]
     dataset = FeatureDataset(5, GOLDEN_LABELS, np.array(rows))
-    assert features_csv_text(dataset) == GOLDEN_CSV
     path = tmp_path / "golden.csv"
     write_features_csv(dataset, path)
     assert path.read_bytes() == GOLDEN_CSV.encode()
@@ -232,10 +222,9 @@ def test_csv_header_only_is_an_empty_dataset(tmp_path):
     path.write_text("label,f_1,f_2,f_3\n")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        back = read_features_csv(path, split="novel")
+        back = read_features_csv(path)
     assert back.features.shape == (0, 3)
     assert back.labels == ()
-    assert back.split == "novel"
 
 
 @pytest.mark.parametrize("text, labels", [
@@ -308,10 +297,9 @@ def test_npz_roundtrip_is_exact_and_repeatable(tmp_path):
     write_features_npz(dataset, first)
     write_features_npz(dataset, second)
     assert sha256(first) == sha256(second)
-    back = read_features_npz(first, split="novel")
+    back = read_features_npz(first)
     assert back.labels == GOLDEN_LABELS
     assert back.features.tobytes() == dataset.features.tobytes()
-    assert back.split == "novel"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["a.npz", "b.npz"]
 
 
@@ -389,7 +377,7 @@ def unique_novel(n_classes=4, per_class=6, dim=3):
         for i in range(per_class):
             labels.append(f"leaf{c}")
             rows.append(np.full(dim, float(c * per_class + i)))
-    return FeatureDataset(dim, tuple(labels), np.array(rows), "novel")
+    return FeatureDataset(dim, tuple(labels), np.array(rows))
 
 
 def test_episode_uses_all_classes_when_w_is_total():

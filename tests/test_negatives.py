@@ -1,6 +1,7 @@
 """Tests for k-means clustering and hard-negative set construction."""
 
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -143,14 +144,14 @@ def test_two_leaves_single_cluster():
     sets = build_negative_sets(space, ("a", "b"), k=1, seed=0)
     assert sets.negatives["a"] == ("b",)
     assert sets.negatives["b"] == ("a",)
-    assert sets.clusters == (("a", "b"),)
 
 
 def test_singleton_cluster_falls_back_to_nearest():
     space = make_space(("a", "b", "c"),
                        [[0.0, 0.0], [0.5, 0.0], [10.0, 0.0]])
     sets = build_negative_sets(space, ("a", "b", "c"), k=2, seed=0)
-    assert sets.cluster_of("c") == ("c",)
+    labels = kmeans(space.centres, 2, seed=0).labels
+    assert (labels == labels[2]).sum() == 1  # "c" clusters alone
     assert sets.negatives["c"] == ("b",)
     assert sets.negatives["a"] == ("b",)
     assert sets.negatives["b"] == ("a",)
@@ -166,11 +167,20 @@ def test_poodle_negatives():
     sets = build_negative_sets(space, leaves, k=2, seed=0)
     assert sets.negatives["poodle"] == ("retriever",)
     assert sets.negatives["retriever"] == ("poodle",)
-    assert sets.cluster_of("street_sign") == ("street_sign",)
 
     leaf_points = np.array([space.centre_of(c) for c in sorted(leaves)])
     result = kmeans(leaf_points, 2, seed=0)
+    assert result.labels.tolist().count(result.labels[2]) == 1  # street_sign
     assert result.sse == pytest.approx(oracle_optimum(leaf_points, 2), rel=1e-9)
+
+
+def kmeans_clusters(space, names, k, seed):
+    """The leaf partition ``build_negative_sets`` draws its negatives from."""
+    names = sorted(names)
+    labels = kmeans(space.centres[[space.index[n] for n in names]], k,
+                    seed=seed).labels
+    return [tuple(n for n, label in zip(names, labels) if label == j)
+            for j in range(k)]
 
 
 def test_negatives_symmetric_within_clusters():
@@ -178,7 +188,9 @@ def test_negatives_symmetric_within_clusters():
     names = tuple(f"c{i}" for i in range(9))
     space = make_space(names, rng.normal(size=(9, 4)))
     sets = build_negative_sets(space, names, k=3, seed=2)
-    for members in sets.clusters:
+    clusters = kmeans_clusters(space, names, 3, seed=2)
+    assert any(len(members) > 1 for members in clusters)
+    for members in clusters:
         if len(members) < 2:
             continue
         for p in members:
@@ -190,10 +202,18 @@ def test_partition_covers_leaves_exactly_once():
     names = tuple(f"leaf{i}" for i in range(7))
     space = make_space(names, rng.normal(size=(7, 3)))
     sets = build_negative_sets(space, names, k=3, seed=0)
-    flattened = sorted(itertools.chain.from_iterable(sets.clusters))
+    clusters = kmeans_clusters(space, names, 3, seed=0)
+    assert all(clusters)
+    flattened = sorted(itertools.chain.from_iterable(clusters))
     assert flattened == sorted(names)
-    for name in names:
-        assert name not in sets.negatives[name]
+    assert sorted(sets.negatives) == sorted(names)
+    for members in clusters:
+        for name in members:
+            assert name not in sets.negatives[name]
+            if len(members) > 1:
+                assert set(sets.negatives[name]) == set(members) - {name}
+            else:
+                assert len(sets.negatives[name]) == 1
 
 
 def test_default_k_square_root_rule():
@@ -210,16 +230,25 @@ def test_default_k_used_when_unset():
     names = tuple(f"x{i}" for i in range(16))
     space = make_space(names, rng.normal(size=(16, 2)) * 4.0)
     sets = build_negative_sets(space, names, seed=1)
-    assert len(sets.clusters) == 4
+    assert default_k(16) == 4
+    assert sets == build_negative_sets(space, names, k=4, seed=1)
+    assert sets != build_negative_sets(space, names, k=3, seed=1)
 
 
 def test_negative_sets_roundtrip():
     space = make_space(("a", "b", "c", "d"),
                        [[0.0, 0.0], [0.3, 0.0], [5.0, 0.0], [5.3, 0.0]])
     sets = build_negative_sets(space, ("a", "b", "c", "d"), k=2, seed=0)
-    again = NegativeSets.from_dict(sets.to_dict())
-    assert again.negatives == sets.negatives
-    assert again.clusters == sets.clusters
+    assert NegativeSets.from_dict(sets.to_dict()) == sets
+
+
+def test_negative_sets_reload_equals_build_with_one_way_fallbacks():
+    # every leaf clusters alone, so each negative is a nearest-leaf fallback;
+    # "a" and "b" pick each other while "c" picks "b"
+    space = make_space(("a", "b", "c"), [[0.0, 0.0], [1.0, 0.0], [10.0, 0.0]])
+    sets = build_negative_sets(space, ("a", "b", "c"), k=3, seed=0)
+    assert sets.negatives == {"a": ("b",), "b": ("a",), "c": ("b",)}
+    assert NegativeSets.from_dict(json.loads(json.dumps(sets.to_dict()))) == sets
 
 
 def test_build_requires_ball_per_leaf():

@@ -26,8 +26,8 @@ from geoball.projector import (
     ranking_loss,
     train_base,
 )
-from geoball.projector import (_batch_loss_grads, _fit_reduction,
-                               _forward_pass, _mean_loss, _ranking_loss_grad,
+from geoball.projector import (_backprop, _epoch_loss, _fit_reduction,
+                               _forward_pass, _pack_targets, _ranking_loss_grad,
                                _resolve_targets)
 from test_embedding import OracleOptimizer
 
@@ -202,13 +202,25 @@ def random_gradient_case(seed):
     rng = np.random.default_rng(seed)
     sizes = (5, 8, 3)
     mlp = init_mlp(sizes, seed=seed)
-    weights, biases = mlp.parameter_copies()
+    weights = [np.array(w) for w in mlp.weights]
+    biases = [np.array(b) for b in mlp.biases]
     x = rng.normal(size=(4, 5))
     labels = ["p", "p", "q", "q"]
     balls = {"p": Ball(rng.normal(size=3), float(rng.uniform(0.3, 1.0))),
              "q": Ball(rng.normal(size=3), float(rng.uniform(0.3, 1.0)))}
     negative_balls = {"p": [balls["q"]], "q": [balls["p"]]}
     return x, labels, weights, biases, balls, negative_balls
+
+
+def loss_and_gradients(x, labels, weights, biases, balls, negative_balls):
+    """Mean ranking loss (mu = nu = 1) of a gradient case and its parameter
+    gradients, from the trainer's own kernels."""
+    rows, targets = _pack_targets(labels, balls, negative_balls)
+    grads_w = [np.empty_like(w) for w in weights]
+    grads_b = [np.empty_like(b) for b in biases]
+    _backprop(x, rows, weights, biases, targets, 1.0, 1.0, grads_w, grads_b)
+    loss = _epoch_loss(x, rows, weights, biases, targets, 1.0, 1.0, len(x))
+    return loss, grads_w, grads_b
 
 
 def is_kink_free(x, labels, weights, biases, balls, negative_balls, margin=1e-3):
@@ -236,9 +248,8 @@ def test_parameter_gradients_match_finite_differences():
         case = random_gradient_case(seed)
         if not is_kink_free(*case):
             continue
-        x, labels, weights, biases, balls, negative_balls = case
-        _, grads_w, grads_b = _batch_loss_grads(
-            x, labels, weights, biases, balls, negative_balls, 1.0, 1.0)
+        _, grads_w, grads_b = loss_and_gradients(*case)
+        weights, biases = case[2], case[3]
 
         h_step = 1e-5
         for target, grad in zip(list(weights) + list(biases),
@@ -247,11 +258,9 @@ def test_parameter_gradients_match_finite_differences():
             for idx in range(0, flat.size, max(1, flat.size // 7)):
                 orig = flat[idx]
                 flat[idx] = orig + h_step
-                up = _mean_loss(x, labels, weights, biases, balls,
-                                negative_balls, 1.0, 1.0)
+                up, _, _ = loss_and_gradients(*case)
                 flat[idx] = orig - h_step
-                down = _mean_loss(x, labels, weights, biases, balls,
-                                  negative_balls, 1.0, 1.0)
+                down, _, _ = loss_and_gradients(*case)
                 flat[idx] = orig
                 fd = (up - down) / (2 * h_step)
                 analytic = grad.ravel()[idx]
@@ -341,15 +350,14 @@ def test_finetune_with_every_pool_empty_trains_positive_term(world):
     # to the support set leaves each pool empty
     mlp, _ = train_base(world.base, world.space, world.negatives, BASE_CONFIG)
     base_names = tuple(sorted(set(world.base.labels)))
-    negatives = NegativeSets(
-        clusters=(), negatives={name: base_names for name in world.names[6:]})
+    negatives = NegativeSets({name: base_names for name in world.names[6:]})
     first = finetune_fewshot(mlp, world.support, world.space, negatives,
                              BASE_CONFIG)
     second = finetune_fewshot(mlp, world.support, world.space, negatives,
                               BASE_CONFIG)
     assert json.dumps(first.to_dict()) == json.dumps(second.to_dict())
     no_pools = finetune_fewshot(mlp, world.support, world.space,
-                                NegativeSets(clusters=(), negatives={}),
+                                NegativeSets({}),
                                 BASE_CONFIG)
     assert json.dumps(no_pools.to_dict()) == json.dumps(first.to_dict())
     assert not all(np.array_equal(a, b)
@@ -424,7 +432,9 @@ def test_training_matches_per_array_oracle_bitwise(world, optimizer):
     labels = list(world.base.labels)
     rows, targets = _resolve_targets(labels, world.space, world.negatives)
     sizes = (world.base.dim, *config.hidden_sizes, world.space.dim)
-    weights, biases = init_mlp(sizes, seed=config.seed).parameter_copies()
+    init = init_mlp(sizes, seed=config.seed)
+    weights = [np.array(w) for w in init.weights]
+    biases = [np.array(b) for b in init.biases]
     oracle_run_training(world.base.features, rows, weights, biases, targets,
                         config, config.epochs_bl, config.seed)
     assert [p.tobytes() for p in mlp.weights + mlp.biases] == [
@@ -435,7 +445,8 @@ def test_training_matches_per_array_oracle_bitwise(world, optimizer):
     support = list(world.support.labels)
     rows, targets = _resolve_targets(support, world.space, world.negatives,
                                      restrict_to=set(support))
-    weights, biases = mlp.parameter_copies()
+    weights = [np.array(w) for w in mlp.weights]
+    biases = [np.array(b) for b in mlp.biases]
     oracle_run_training(world.support.features, rows, weights, biases,
                         targets, config, config.epochs_fsl, config.seed + 1)
     assert [p.tobytes() for p in tuned.weights + tuned.biases] == [
