@@ -250,16 +250,20 @@ def _hinges(centres, radii, rows: _Rows):
     return diff, dist, hinge
 
 
-def _centre_norms(centres):
-    return np.sqrt(np.add.reduce(centres * centres, axis=1))
+def _centre_norms(centres, scratch):
+    """Row lengths of ``centres``, squaring into ``scratch``, an array of
+    their shape that the caller owns."""
+    return np.sqrt(np.add.reduce(np.multiply(centres, centres, out=scratch),
+                                 axis=1))
 
 
-def _breakdown(centres, radii, table: _AxiomTable,
-               config: EmbedConfig) -> LossBreakdown:
+def _breakdown(centres, radii, table: _AxiomTable, config: EmbedConfig,
+               scratch) -> LossBreakdown:
     _, _, hinge = _hinges(centres, radii, table.rows)
     axiom = np.maximum(0.0, hinge)
     floor = np.maximum(0.0, table.floors - radii)
-    cn = table.occurrences * np.abs(_centre_norms(centres) - config.phi)
+    cn = table.occurrences * np.abs(_centre_norms(centres, scratch)
+                                    - config.phi)
     return LossBreakdown(
         subsumption=float(axiom[:table.n_sub].sum()),
         disjointness=float(axiom[table.n_sub:].sum()),
@@ -273,7 +277,8 @@ def total_loss(space: BallSpace, ich: Ich, disjoint, stats: HierarchyStats,
     """Full objective: subsumption and disjointness hinges over the axioms plus
     radius-floor and centre-norm penalties over every concept."""
     table = _axiom_table(space, ich, disjoint, stats, config)
-    return _breakdown(space.centres, space.radii, table, config)
+    return _breakdown(space.centres, space.radii, table, config,
+                      np.empty_like(space.centres))
 
 
 class _Batch(NamedTuple):
@@ -321,10 +326,11 @@ def _ball_views(flat, shape):
 
 
 def _gradients(centres, radii, table: _AxiomTable, batch: _Batch,
-               config: EmbedConfig) -> np.ndarray:
+               config: EmbedConfig, scratch) -> np.ndarray:
     """Analytic gradient of the objective over one batch of axiom rows, as one
     flat (centres, radii) vector. The per-concept penalty gradients are
     scaled by the batch's share, so an epoch of batches applies them once.
+    ``scratch``, an array of the centres' shape, holds their intermediates.
     """
     rows = batch.rows
     diff, dist, hinge = _hinges(centres, radii, rows)
@@ -352,10 +358,11 @@ def _gradients(centres, radii, table: _AxiomTable, batch: _Batch,
     g_c, g_r = _ball_views(grad, centres.shape)
 
     g_r[table.floors - radii > 0.0] -= batch.reg_scale
-    norms = _centre_norms(centres)
+    norms = _centre_norms(centres, scratch)
     weight = table.occurrences * np.sign(norms - config.phi) * batch.reg_scale
     safe = np.where(norms > 0.0, norms, 1.0)
-    g_c += (weight / safe)[:, None] * centres  # zero rows stay zero
+    # zero rows stay zero
+    g_c += np.multiply((weight / safe)[:, None], centres, out=scratch)
     return grad
 
 
@@ -368,7 +375,8 @@ def loss_gradients(space: BallSpace, ich: Ich, disjoint, stats: HierarchyStats,
     table = _axiom_table(space, ich, disjoint, stats, config)
     n_axioms = len(table.rows.a)
     (batch,) = _batches(table, np.arange(n_axioms), max(n_axioms, 1))
-    grad = _gradients(space.centres, space.radii, table, batch, config)
+    grad = _gradients(space.centres, space.radii, table, batch, config,
+                      np.empty_like(space.centres))
     return _ball_views(grad, space.centres.shape)
 
 
@@ -455,6 +463,7 @@ def train_embeddings(ontology: Ontology, ich: Ich, stats: HierarchyStats,
     table = _axiom_table(space, ich, ontology.disjointness, stats, config)
     params = np.concatenate([space.centres.ravel(), space.radii])
     centres, radii = _ball_views(params, space.centres.shape)
+    scratch = np.empty_like(centres)  # per-concept intermediates of each step
 
     n_axioms = len(table.rows.a)
     rng = np.random.default_rng(config.seed)
@@ -466,9 +475,10 @@ def train_embeddings(ontology: Ontology, ich: Ich, stats: HierarchyStats,
     for _ in range(config.epochs):
         order = rng.permutation(n_axioms) if n_axioms else np.zeros(0, dtype=int)
         for batch in _batches(table, order, config.batch_size):
-            optimizer.step(_gradients(centres, radii, table, batch, config))
+            optimizer.step(_gradients(centres, radii, table, batch, config,
+                                      scratch))
             np.maximum(radii, config.radius_clamp_min, out=radii)
-        breakdown = _breakdown(centres, radii, table, config)
+        breakdown = _breakdown(centres, radii, table, config, scratch)
         _check_finite(breakdown)
         history.append(breakdown)
 

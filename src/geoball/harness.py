@@ -266,6 +266,9 @@ def generate_synthetic_features(ontology: Ontology, dim: int, per_class: int,
     intrinsic_dim set, anchors live on a low-dimensional subspace of the
     feature space (noise stays full-dimensional), mimicking extractor
     features that occupy a thin manifold of their ambient space.
+
+    Each split's matrix is allocated once and every leaf's rows are written
+    into their slice of it, so the outputs are the largest thing held.
     """
     leaves = sorted(ontology.leaves)
     if len(leaves) < 2:
@@ -281,21 +284,20 @@ def generate_synthetic_features(ontology: Ontology, dim: int, per_class: int,
         thin = _hierarchy_anchors(ontology, intrinsic_dim, rng, anchor_scale,
                                   step_scale)
         anchors = {name: lift @ a for name, a in thin.items()}
-    labels, rows = [], []
+    splits = split_leaves(ontology)
+    matrices = [np.empty((len(names) * per_class, dim)) for names in splits]
+    rows_of = {leaf: matrix[i * per_class:(i + 1) * per_class]
+               for names, matrix in zip(splits, matrices)
+               for i, leaf in enumerate(names)}
+    if len(rows_of) != len(leaves):
+        raise ValueError("leaves must be distinct")
     for leaf in leaves:
-        noise = rng.normal(size=(per_class, dim)) * noise_sigma
-        labels.extend([leaf] * per_class)
-        rows.append(anchors[leaf] + noise)
-    all_labels = np.array(labels)
-    all_rows = np.vstack(rows)
-
-    def pick(names):
-        mask = np.isin(all_labels, names)
-        return FeatureDataset(dim, tuple(all_labels[mask]),
-                              np.array(all_rows[mask]))
-
-    base, novel = split_leaves(ontology)
-    return pick(base), pick(novel)
+        noise = rng.normal(size=(per_class, dim))
+        noise *= noise_sigma
+        np.add(anchors[leaf], noise, out=rows_of[leaf])
+    return tuple(FeatureDataset(dim, tuple(leaf for leaf in names
+                                           for _ in range(per_class)), matrix)
+                 for names, matrix in zip(splits, matrices))
 
 
 @dataclass(frozen=True)

@@ -210,7 +210,11 @@ def _fit_reduction(x: np.ndarray, k: int):
     mean = x.mean(axis=0)
     xc = x - mean
     row_side = n < d
-    eigvals, eigvecs = np.linalg.eigh(xc @ xc.T if row_side else xc.T @ xc)
+    gram = xc @ xc.T if row_side else xc.T @ xc
+    # the centred copy is dropped before eigh, the Gram matrix after it
+    del xc
+    eigvals, eigvecs = np.linalg.eigh(gram)
+    del gram
     eigvals, eigvecs = eigvals[::-1][:k], eigvecs[:, ::-1][:, :k]
     if row_side:
         tolerance = np.finfo(float).eps * d * eigvals[0]
@@ -218,7 +222,8 @@ def _fit_reduction(x: np.ndarray, k: int):
         if rank < k:
             raise ValueError(
                 f"feature matrix has numerical rank {rank} < reduce_dim {k}")
-        basis = (xc.T @ eigvecs) / np.sqrt(eigvals)
+        # centred again: the same operations, so the same bits
+        basis = ((x - mean).T @ eigvecs) / np.sqrt(eigvals)
     else:
         basis = eigvecs.copy()
     for j in range(k):

@@ -12,6 +12,7 @@ import pytest
 from geoball.embedding import EmbedConfig, train_embeddings
 from geoball.harness import (
     FeatureDataset,
+    _hierarchy_anchors,
     generate_synthetic_features,
     nearest_centroid_accuracy,
     read_features_csv,
@@ -140,6 +141,81 @@ def test_generator_split_handling():
     assert novel.class_names() == d_novel
     for ds in (base, novel):
         assert all(len(idx) == 4 for idx in ds.class_indices().values())
+
+
+def stacked_generator(ontology, dim, per_class, noise_sigma, seed,
+                      anchor_scale=3.0, step_scale=1.0, intrinsic_dim=None):
+    """Oracle: the generator in its first form, which stacks every leaf's
+    rows and then masks each split out of the stack."""
+    leaves = sorted(ontology.leaves)
+    rng = np.random.default_rng(seed)
+    if intrinsic_dim is None:
+        anchors = _hierarchy_anchors(ontology, dim, rng, anchor_scale, step_scale)
+    else:
+        lift, _ = np.linalg.qr(rng.normal(size=(dim, intrinsic_dim)))
+        thin = _hierarchy_anchors(ontology, intrinsic_dim, rng, anchor_scale,
+                                  step_scale)
+        anchors = {name: lift @ a for name, a in thin.items()}
+    labels, rows = [], []
+    for leaf in leaves:
+        noise = rng.normal(size=(per_class, dim)) * noise_sigma
+        labels.extend([leaf] * per_class)
+        rows.append(anchors[leaf] + noise)
+    all_labels = np.array(labels)
+    all_rows = np.vstack(rows)
+
+    def pick(names):
+        mask = np.isin(all_labels, names)
+        return FeatureDataset(dim, tuple(all_labels[mask]),
+                              np.array(all_rows[mask]))
+
+    base, novel = split_leaves(ontology)
+    return pick(base), pick(novel)
+
+
+@pytest.mark.parametrize("seed", [0, 5, 31])
+@pytest.mark.parametrize("intrinsic_dim", [12, None])
+@pytest.mark.parametrize("per_class", [1, 6])
+def test_generator_matches_stacked_oracle_bitwise(seed, intrinsic_dim,
+                                                  per_class):
+    onto = synthetic_ontology((3, 2, 2))
+    args = dict(dim=24, per_class=per_class, noise_sigma=1.85, seed=seed,
+                step_scale=1.5, intrinsic_dim=intrinsic_dim)
+    got = generate_synthetic_features(onto, **args)
+    expected = stacked_generator(onto, **args)
+    for ds, oracle in zip(got, expected, strict=True):
+        assert ds.labels == oracle.labels
+        assert ds.features.shape == oracle.features.shape
+        assert ds.features.tobytes() == oracle.features.tobytes()
+
+
+def test_generator_holds_its_outputs_about_once():
+    onto = synthetic_ontology((4, 4))
+    tracemalloc.start()
+    try:
+        base, novel = gen(onto, dim=128, per_class=40)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    outputs = base.features.nbytes + novel.features.nbytes
+    # one leaf's noise block, the anchors and the labels come on top; a
+    # stacked copy of every row would take the peak past 2x
+    assert peak < 1.5 * outputs
+
+
+def test_every_reader_gives_str_labels(tmp_path):
+    base, _ = gen(synthetic_ontology((2, 2)))
+    write_features_csv(base, tmp_path / "f.csv")
+    write_features_npz(base, tmp_path / "f.npz")
+    for ds in (base, read_features_csv(tmp_path / "f.csv"),
+               read_features_npz(tmp_path / "f.npz")):
+        assert ds.labels and all(type(label) is str for label in ds.labels)
+
+
+def test_generator_refuses_repeated_leaves():
+    onto = Ontology(("a", "b"), (), (), ("a", "b", "a"))
+    with pytest.raises(ValueError, match="leaves must be distinct"):
+        gen(onto)
 
 
 def test_generator_names_the_cycle_like_every_entry_point():

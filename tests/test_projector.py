@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -653,6 +654,22 @@ def test_fit_reduction_matches_svd(shape):
     for j in range(4):
         assert np.allclose(np.abs(basis[:, j] @ vt[j]), 1.0, atol=1e-10)
     assert np.allclose(basis.T @ basis, np.eye(4), atol=1e-12)
+
+
+@pytest.mark.parametrize("shape", [(240, 320), (320, 240)])
+def test_fit_reduction_drops_the_centred_copy_before_eigh(shape):
+    x = np.random.default_rng(2).normal(size=shape)
+    centred = x.nbytes
+    gram = min(shape) ** 2 * x.itemsize
+    tracemalloc.start()
+    try:
+        _fit_reduction(x, 4)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the centred copy and the Gram matrix, or the Gram matrix and eigh's
+    # eigenvectors; all three at once would reach centred + 2 * gram
+    assert peak < centred + 1.5 * gram
 
 
 def test_fit_reduction_rejects_rank_deficient_wide_data():
