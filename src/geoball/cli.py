@@ -84,7 +84,8 @@ def cmd_embed(args) -> int:
     stats = compute_stats(ontology, ich)
     config = stage_config(_load_config_sections(args.config), "embed",
                           DESK_EMBED, args.seed)
-    space, history = train_embeddings(ontology, ich, stats, config)
+    space, history = train_embeddings(ontology, ich, stats, config,
+                                      history=args.verbose)
     if args.verbose:
         print_losses([e.total for e in history])
     scores = score_space(space, ich, ontology.leaves)

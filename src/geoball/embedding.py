@@ -449,15 +449,18 @@ def _check_finite(breakdown: LossBreakdown):
 
 
 def train_embeddings(ontology: Ontology, ich: Ich, stats: HierarchyStats,
-                     config: EmbedConfig):
+                     config: EmbedConfig, history: bool = False):
     """Mini-batch gradient descent over the axioms.
 
     Batches mix subsumption and disjointness axioms, reshuffled each epoch;
     per-concept penalty gradients are scaled by the batch fraction so one
     epoch applies them with total weight one. Centres and radii are views
     into one parameter vector, and radii are clamped to the configured
-    minimum after every step. Returns the BallSpace and the list of
-    per-epoch LossBreakdowns.
+    minimum after every step. Returns the BallSpace and a list of
+    LossBreakdowns: one per epoch with ``history``, else only the last
+    epoch's (none without epochs). A non-finite parameter stays non-finite
+    through every later step, so checking the last breakdown still stops a
+    diverged run.
     """
     space = init_space(ontology.concepts, stats, config)
     table = _axiom_table(space, ich, ontology.disjointness, stats, config)
@@ -467,20 +470,21 @@ def train_embeddings(ontology: Ontology, ich: Ich, stats: HierarchyStats,
 
     n_axioms = len(table.rows.a)
     rng = np.random.default_rng(config.seed)
-    history: list[LossBreakdown] = []
+    losses: list[LossBreakdown] = []
 
     optimizer = Optimizer(config.optimizer, params, config.learning_rate,
                           config.lr_decay)
 
-    for _ in range(config.epochs):
+    for epoch in range(config.epochs):
         order = rng.permutation(n_axioms) if n_axioms else np.zeros(0, dtype=int)
         for batch in _batches(table, order, config.batch_size):
             optimizer.step(_gradients(centres, radii, table, batch, config,
                                       scratch))
             np.maximum(radii, config.radius_clamp_min, out=radii)
-        breakdown = _breakdown(centres, radii, table, config, scratch)
-        _check_finite(breakdown)
-        history.append(breakdown)
+        if history or epoch == config.epochs - 1:
+            breakdown = _breakdown(centres, radii, table, config, scratch)
+            _check_finite(breakdown)
+            losses.append(breakdown)
 
     trained = BallSpace(config.dim, space.concepts, centres, radii)
-    return trained, history
+    return trained, losses

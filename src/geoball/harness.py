@@ -150,17 +150,32 @@ def read_features_csv(path) -> FeatureDataset:
     return FeatureDataset(dim, tuple(table["label"].tolist()), features)
 
 
+def _write_npy_member(archive: zipfile.ZipFile, name: str, array) -> None:
+    """``array`` as the ``.npy`` member ``np.savez`` writes, with the data
+    streamed from the array's own buffer instead of a copy of it (only an
+    array that is neither C- nor Fortran-contiguous is copied first)."""
+    header = np.lib.format.header_data_from_array_1_0(array)
+    data = array.T if header["fortran_order"] else array
+    with archive.open(name, "w", force_zip64=True) as entry:
+        np.lib.format.write_array_header_1_0(entry, header)
+        entry.write(memoryview(np.ascontiguousarray(data)))
+
+
 def write_features_npz(dataset: FeatureDataset, path) -> None:
-    """Uncompressed ``np.savez`` of ``labels`` (a str_ array) and
-    ``features`` (float64): exact like the CSV, at a fraction of its size and
-    time. A str_ array drops trailing NULs, so such a label is refused."""
+    """The uncompressed ``np.savez`` archive of ``labels`` (a str_ array) and
+    ``features`` (float64), byte for byte, written without copying the
+    features: exact like the CSV, at a fraction of its size and time. A str_
+    array drops trailing NULs, so such a label is refused."""
     for label in dataset.labels:
         if label.endswith("\x00"):
             raise ValueError(f"feature NPZ {path}: label {label!r} ends in NUL, "
                              "which a str_ array would drop")
-    with atomic_open(path, "wb") as fh:
-        np.savez(fh, labels=np.array(dataset.labels, dtype=str),
-                 features=np.asarray(dataset.features, dtype=np.float64))
+    with atomic_open(path, "wb") as fh, zipfile.ZipFile(
+            fh, "w", zipfile.ZIP_STORED, allowZip64=True) as archive:
+        _write_npy_member(archive, "labels.npy",
+                          np.array(dataset.labels, dtype=str))
+        _write_npy_member(archive, "features.npy",
+                          np.asarray(dataset.features, dtype=np.float64))
 
 
 def read_features_npz(path) -> FeatureDataset:

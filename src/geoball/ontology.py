@@ -82,8 +82,15 @@ class Ich:
 
     pairs: frozenset[tuple[str, str]]
 
+    @cached_property
+    def _ancestors(self) -> dict[str, frozenset[str]]:
+        anc: dict[str, set[str]] = {}
+        for p, q in self.pairs:
+            anc.setdefault(p, set()).add(q)
+        return {c: frozenset(qs) for c, qs in anc.items()}
+
     def ancestors_of(self, concept: str) -> set[str]:
-        return {q for p, q in self.pairs if p == concept}
+        return set(self._ancestors.get(concept, ()))
 
     def to_dict(self) -> dict:
         return {"pairs": [list(p) for p in sorted(self.pairs)]}

@@ -23,6 +23,7 @@ from .harness import (
     evaluate_episodes,
     generate_synthetic_features,
     nearest_centroid_accuracy,
+    read_features_npz,
     sample_episodes,
     write_features_npz,
 )
@@ -192,6 +193,21 @@ def episodes_report(space, mlp, novel, negatives, projector: ProjectorConfig,
     }
 
 
+def _write_features(ontology, config: PipelineConfig, out: Path):
+    """Generate both feature splits and write each to its ``.npz`` artifact;
+    returns only their row counts, so that no split outlives this call and
+    later stages read theirs back from the bytes on disk."""
+    gen = config.generator
+    base, novel = generate_synthetic_features(
+        ontology, dim=gen.dim, per_class=gen.per_class,
+        noise_sigma=gen.noise_sigma, seed=config.seed,
+        anchor_scale=gen.anchor_scale, step_scale=gen.step_scale,
+        intrinsic_dim=gen.intrinsic_dim)
+    write_features_npz(base, out / "features_base.npz")
+    write_features_npz(novel, out / "features_novel.npz")
+    return len(base.labels), len(novel.labels)
+
+
 def run_pipeline(config: PipelineConfig, verbose: bool = False) -> list[Path]:
     """Execute all stages; returns the artifact paths in creation order."""
     out = Path(config.out_dir)
@@ -210,7 +226,8 @@ def run_pipeline(config: PipelineConfig, verbose: bool = False) -> list[Path]:
             f"{len(ontology.leaves)} leaves")
 
         stage = "embed"
-        space, history = train_embeddings(ontology, ich, stats, config.embed)
+        space, history = train_embeddings(ontology, ich, stats, config.embed,
+                                          history=verbose)
         if verbose:
             print_losses([e.total for e in history], "embed ")
         scores = score_space(space, ich, ontology.leaves)
@@ -222,27 +239,22 @@ def run_pipeline(config: PipelineConfig, verbose: bool = False) -> list[Path]:
         _write_json(out / "negatives.json", negatives.to_dict())
 
         stage = "features"
-        gen = config.generator
-        base, novel = generate_synthetic_features(
-            ontology, dim=gen.dim, per_class=gen.per_class,
-            noise_sigma=gen.noise_sigma, seed=config.seed,
-            anchor_scale=gen.anchor_scale, step_scale=gen.step_scale,
-            intrinsic_dim=gen.intrinsic_dim)
-        write_features_npz(base, out / "features_base.npz")
-        write_features_npz(novel, out / "features_novel.npz")
-        log(f"features: {len(base.labels)} base / {len(novel.labels)} novel "
-            f"examples in {gen.dim}d")
+        n_base, n_novel = _write_features(ontology, config, out)
+        log(f"features: {n_base} base / {n_novel} novel examples in "
+            f"{config.generator.dim}d")
 
         stage = "train-projector"
-        mlp, losses = train_base(base, space, negatives, config.projector,
+        mlp, losses = train_base(read_features_npz(out / "features_base.npz"),
+                                  space, negatives, config.projector,
                                   history=verbose)
         if verbose:
             print_losses(losses, "projector ")
         _write_json(out / "mlp.json", mlp.to_dict())
 
         stage = "episodes"
-        summary = episodes_report(space, mlp, novel, negatives,
-                                  config.projector, config.episodes,
+        summary = episodes_report(space, mlp,
+                                  read_features_npz(out / "features_novel.npz"),
+                                  negatives, config.projector, config.episodes,
                                   config.seed, ich=ich)
         summary["embedding_scores"] = scores.to_dict()
         summary["projector_final_loss"] = losses[-1] if losses else None

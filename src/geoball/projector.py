@@ -501,7 +501,8 @@ def ancestor_report(h, space: BallSpace, ich) -> list[str]:
     Depth is ordered by closure ancestor count (leaves have the most), with
     name as the deterministic tiebreak.
     """
-    h = np.asarray(h, dtype=float)
-    inside = [c for i, c in enumerate(space.concepts)
-              if float(np.linalg.norm(h - space.centres[i])) <= space.radii[i]]
-    return sorted(inside, key=lambda c: (-len(ich.ancestors_of(c)), c))
+    diff = np.asarray(h, dtype=float) - space.centres
+    # every concept at once, bitwise the per-concept np.linalg.norm
+    inside = np.sqrt(np.vecdot(diff, diff)) <= space.radii
+    return sorted((c for c, hit in zip(space.concepts, inside) if hit),
+                  key=lambda c: (-len(ich.ancestors_of(c)), c))

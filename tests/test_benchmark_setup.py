@@ -1,6 +1,7 @@
 """The benchmark writes its inputs with ``perfbench/workloads.py``. A tiny
-few-shot world built that way must still feed ``geoball episodes``, and a
-tiny desk config must give the same artifacts on every pipeline call."""
+few-shot world built that way must still feed ``geoball episodes``, a tiny
+desk config must give the same artifacts on every pipeline call, and the
+benchmark's own self-test must pass on the program as it stands."""
 
 import hashlib
 import json
@@ -61,3 +62,12 @@ def test_benchmark_desk_runs_repeat_byte_identically(tmp_path):
     assert runs[0] == runs[1]
     report = json.loads((world / "report.json").read_text())
     assert report["episodes"]["accuracy"] > 0.5
+
+
+def test_benchmark_selftest_passes():
+    # every metric printed under both trace modes, the tiny runs' checks
+    # passing and a failing check counted against the success rate
+    proc = subprocess.run(
+        [sys.executable, str(REPO / "perfbench" / "selftest.py")],
+        cwd=REPO, capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stdout + proc.stderr

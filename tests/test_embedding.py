@@ -372,7 +372,7 @@ def test_train_without_axioms_keeps_the_initial_balls(optimizer):
     stats = compute_stats(onto, ich)
     config = EmbedConfig(dim=3, epochs=3, optimizer=optimizer,
                          init_radius_slack=0.5)
-    space, history = train_embeddings(onto, ich, stats, config)
+    space, history = train_embeddings(onto, ich, stats, config, history=True)
     start = init_space(onto.concepts, stats, config)
     assert space.centres.tobytes() == start.centres.tobytes()
     assert space.radii.tobytes() == start.radii.tobytes()
@@ -479,7 +479,7 @@ def test_train_poodle_reaches_containment(poodle):
     onto, ich, stats = poodle
     config = EmbedConfig(dim=10, gamma=-0.05, psi=0.1, phi=1.0,
                          learning_rate=0.05, epochs=300, batch_size=64, seed=0)
-    space, history = train_embeddings(onto, ich, stats, config)
+    space, history = train_embeddings(onto, ich, stats, config, history=True)
     final = history[-1]
     assert final.subsumption + final.disjointness < 1e-3
     for p, q in sorted(ich.pairs):
@@ -521,7 +521,7 @@ def test_train_loss_non_increasing_with_decay(poodle):
     onto, ich, stats = poodle
     config = EmbedConfig(dim=10, gamma=-0.05, learning_rate=0.01, lr_decay=0.5,
                          epochs=200, batch_size=64, seed=0)
-    _, history = train_embeddings(onto, ich, stats, config)
+    _, history = train_embeddings(onto, ich, stats, config, history=True)
     totals = [e.total for e in history]
     for earlier, later in zip(totals, totals[1:]):
         assert later <= earlier + 1e-6
@@ -531,10 +531,23 @@ def test_train_deterministic(poodle):
     onto, ich, stats = poodle
     config = EmbedConfig(dim=10, gamma=-0.05, learning_rate=0.05,
                          epochs=100, batch_size=4, seed=3)
-    s1, h1 = train_embeddings(onto, ich, stats, config)
-    s2, h2 = train_embeddings(onto, ich, stats, config)
+    s1, h1 = train_embeddings(onto, ich, stats, config, history=True)
+    s2, h2 = train_embeddings(onto, ich, stats, config, history=True)
     assert json.dumps(s1.to_dict(), sort_keys=True) == json.dumps(s2.to_dict(), sort_keys=True)
     assert h1 == h2
+
+
+@pytest.mark.parametrize("optimizer", ["sgd", "adam"])
+def test_train_without_history_returns_the_last_breakdown(poodle, optimizer):
+    onto, ich, stats = poodle
+    config = EmbedConfig(dim=6, gamma=-0.05, learning_rate=0.05, epochs=40,
+                         batch_size=4, seed=5, optimizer=optimizer)
+    s1, h1 = train_embeddings(onto, ich, stats, config, history=True)
+    s2, h2 = train_embeddings(onto, ich, stats, config)
+    assert s2.centres.tobytes() == s1.centres.tobytes()
+    assert s2.radii.tobytes() == s1.radii.tobytes()
+    assert len(h1) == 40
+    assert h2 == [h1[-1]]
 
 
 def test_train_adam_runs_and_converges(poodle):
@@ -701,7 +714,7 @@ def test_training_matches_per_batch_oracle_bitwise(request, fixture, optimizer,
     config = EmbedConfig(dim=6, gamma=-0.05, disjoint_gamma=0.05, psi=0.2,
                          learning_rate=0.05, lr_decay=0.01, epochs=50,
                          batch_size=batch_size, seed=4, optimizer=optimizer)
-    space, history = train_embeddings(onto, ich, stats, config)
+    space, history = train_embeddings(onto, ich, stats, config, history=True)
     centres, radii, expected = oracle_train(onto, ich, stats, config)
     assert space.centres.tobytes() == centres.tobytes()
     assert space.radii.tobytes() == radii.tobytes()

@@ -389,6 +389,21 @@ def test_npz_zero_rows_roundtrip(tmp_path):
     assert back.features.shape == (0, 3)
 
 
+def test_npz_writer_streams_the_features_without_a_copy(tmp_path):
+    # np.savez wrote each array through a tobytes copy, 8 MB here
+    dataset = FeatureDataset(1024, ("x",) * 1024, np.ones((1024, 1024)))
+    tracemalloc.start()
+    try:
+        start, _ = tracemalloc.get_traced_memory()
+        write_features_npz(dataset, tmp_path / "big.npz")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - start < 1 << 20
+    assert read_features_npz(tmp_path / "big.npz").features.tobytes() == (
+        dataset.features.tobytes())
+
+
 def test_npz_writer_refuses_trailing_nul_label(tmp_path):
     path = tmp_path / "nul.npz"
     dataset = FeatureDataset(1, ("ok", "bad\x00"), np.zeros((2, 1)))

@@ -164,6 +164,20 @@ def test_ich_matches_oracle_on_random_dags():
         assert compute_ich(onto).pairs == frozenset(reachability_oracle(names, edges))
 
 
+def test_ich_ancestors_match_the_pair_scan_and_stay_uncorrupted():
+    rng = np.random.default_rng(8)
+    for _ in range(10):
+        names, edges = random_dag(rng, int(rng.integers(2, 30)))
+        ich = compute_ich(Ontology(tuple(names), tuple(edges), (), ()))
+        for concept in names:
+            expected = {q for p, q in ich.pairs if p == concept}
+            got = ich.ancestors_of(concept)
+            assert got == expected
+            got.add("intruder")  # the caller's copy, not the cached map
+            assert ich.ancestors_of(concept) == expected
+        assert ich.ancestors_of("not-a-concept") == set()
+
+
 def test_ich_superset_of_told_and_idempotent(poodle_ontology):
     ich = compute_ich(poodle_ontology)
     assert set(poodle_ontology.told_subsumptions) <= ich.pairs

@@ -2,9 +2,11 @@
 
 import json
 import os
+import weakref
 
 import pytest
 
+import geoball.pipeline
 from geoball.pipeline import (
     ARTIFACT_NAMES,
     DEFAULT_SEED,
@@ -172,3 +174,28 @@ def test_interrupted_write_keeps_old_artifact(tmp_path, monkeypatch):
     assert (out / "features_base.npz").read_bytes() == before["features_base.npz"]
     assert (out / "space.json").read_bytes() != before["space.json"]
     assert sorted(p.name for p in out.iterdir()) == sorted(ARTIFACT_NAMES)
+
+
+def test_generated_splits_are_freed_before_base_learning(tmp_path, monkeypatch):
+    # base learning and the episodes read their split back from its .npz
+    # artifact, so neither generated matrix is held past the features stage
+    generated = []
+    real_generate = geoball.pipeline.generate_synthetic_features
+    real_train = geoball.pipeline.train_base
+
+    def recording_generate(*args, **kwargs):
+        splits = real_generate(*args, **kwargs)
+        generated.extend(weakref.ref(split.features) for split in splits)
+        return splits
+
+    alive = []
+
+    def recording_train(*args, **kwargs):
+        alive.extend(ref() is not None for ref in generated)
+        return real_train(*args, **kwargs)
+
+    monkeypatch.setattr(geoball.pipeline, "generate_synthetic_features",
+                        recording_generate)
+    monkeypatch.setattr(geoball.pipeline, "train_base", recording_train)
+    run_pipeline(PipelineConfig.from_dict(small_config(tmp_path)))
+    assert alive == [False, False]

@@ -602,6 +602,27 @@ def test_ancestor_report_misprojected_point(poodle_ich):
     assert report == ["dog", "animal", "entity"]
 
 
+def test_ancestor_report_matches_the_per_concept_norm_loop(poodle_ich):
+    # points on and near every ball's sphere, where a distance one ulp off
+    # would flip containment
+    rng = np.random.default_rng(13)
+    for _ in range(20):
+        dim = int(rng.integers(2, 8))
+        space = BallSpace(dim, nested_poodle_space().concepts,
+                          rng.normal(size=(6, dim)), rng.uniform(0.1, 2.0, 6))
+        for i in range(6):
+            unit = rng.normal(size=dim)
+            unit /= np.linalg.norm(unit)
+            for scale in (1.0 - 1e-12, 1.0, 1.0 + 1e-12, rng.uniform(0, 3)):
+                h = space.centres[i] + scale * space.radii[i] * unit
+                inside = [c for j, c in enumerate(space.concepts)
+                          if float(np.linalg.norm(h - space.centres[j]))
+                          <= space.radii[j]]
+                expected = sorted(inside, key=lambda c: (
+                    -len({q for p, q in poodle_ich.pairs if p == c}), c))
+                assert ancestor_report(h, space, poodle_ich) == expected
+
+
 def test_prediction_inside_iff_nonpositive_u():
     assert Prediction("x", -0.2, True).inside
     rng = np.random.default_rng(12)

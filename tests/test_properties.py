@@ -4,12 +4,13 @@ classification does not depend on candidate order beyond its documented tie
 rule and batches follow the per-point rule, and every entry point names the
 same cycle witness."""
 
+import io
 import json
 import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -131,15 +132,44 @@ def npz_datasets(draw):
     return FeatureDataset(dim, tuple(labels), features)
 
 
+def savez_bytes(dataset):
+    """The archive the streaming writer must reproduce: the two-line
+    ``np.savez`` writer it replaced."""
+    buffer = io.BytesIO()
+    np.savez(buffer, labels=np.array(dataset.labels, dtype=str),
+             features=np.asarray(dataset.features, dtype=np.float64))
+    return buffer.getvalue()
+
+
 @settings(max_examples=50)
 @given(npz_datasets())
+@example(FeatureDataset(2, (), np.zeros((0, 2))))
+@example(FeatureDataset(2, ("a", "b", "c"),
+                        np.asfortranarray(np.arange(6.0).reshape(3, 2))))
 def test_feature_npz_roundtrip_is_exact(tmp_path_factory, dataset):
     path = tmp_path_factory.mktemp("npz") / "features.npz"
     write_features_npz(dataset, path)
+    assert path.read_bytes() == savez_bytes(dataset)
     back = read_features_npz(path)
     assert back.labels == dataset.labels
     assert back.features.shape == dataset.features.shape
     assert back.features.tobytes() == dataset.features.tobytes()
+
+
+def test_feature_npz_of_a_csv_read_matches_savez(tmp_path):
+    # the CSV reader's features are a strided field of its row table,
+    # neither C- nor Fortran-contiguous
+    csv_path = tmp_path / "features.csv"
+    write_features_csv(FeatureDataset(
+        3, ("a", "b,c"), np.arange(6.0).reshape(2, 3) - 2.5), csv_path)
+    dataset = read_features_csv(csv_path)
+    flags = dataset.features.flags
+    assert not flags.c_contiguous and not flags.f_contiguous
+    path = tmp_path / "features.npz"
+    write_features_npz(dataset, path)
+    assert path.read_bytes() == savez_bytes(dataset)
+    assert read_features_npz(path).features.tobytes() == (
+        np.ascontiguousarray(dataset.features).tobytes())
 
 
 COORDS = st.floats(-10.0, 10.0)
