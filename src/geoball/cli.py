@@ -12,30 +12,20 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
-from .embedding import BallSpace, train_embeddings
+from .embedding import BallSpace, EmbedConfig, train_embeddings
 from .evaluation import GridSpec, grid_search, score_space
 from .harness import atomic_open, read_features_csv, read_features_npz
 from .negatives import NegativeSets, build_negative_sets
 from .ontology import OntologyError, compute_ich, compute_stats, load_ontology
-from .pipeline import (DESK_EMBED, DESK_PROJECTOR, EpisodeConfig,
-                       PipelineConfig, PipelineError, episodes_report,
-                       global_seed, print_losses, run_pipeline, stage_config,
-                       _write_json)
-from .projector import (Mlp, ancestor_report, classify_batch, mlp_forward,
-                        train_base)
+from .pipeline import (EpisodeConfig, PipelineConfig, PipelineError,
+                       episodes_report, global_seed, load_config_sections,
+                       print_losses, run_pipeline, stage_config, _write_json)
+from .projector import (Mlp, ProjectorConfig, ancestor_report, classify_batch,
+                        mlp_forward, train_base)
 from .viz import render_balls_2d
-
-
-def _load_config_sections(path) -> dict:
-    if path is None:
-        return {}
-    with open(path) as fh:
-        obj = json.load(fh)
-    if not isinstance(obj, dict):
-        raise ValueError("config file must hold a JSON object")
-    return obj
 
 
 def _load(path, cls):
@@ -82,8 +72,8 @@ def cmd_embed(args) -> int:
     ontology = load_ontology(args.ontology)
     ich = compute_ich(ontology)
     stats = compute_stats(ontology, ich)
-    config = stage_config(_load_config_sections(args.config), "embed",
-                          DESK_EMBED, args.seed)
+    config = stage_config(load_config_sections(args.config), "embed",
+                          EmbedConfig, args.seed)
     space, history = train_embeddings(ontology, ich, stats, config,
                                       history=args.verbose)
     if args.verbose:
@@ -99,8 +89,8 @@ def cmd_tune(args) -> int:
     ontology = load_ontology(args.ontology)
     ich = compute_ich(ontology)
     stats = compute_stats(ontology, ich)
-    base = stage_config(_load_config_sections(args.config), "embed",
-                        DESK_EMBED, args.seed)
+    base = stage_config(load_config_sections(args.config), "embed",
+                        EmbedConfig, args.seed)
     grid = GridSpec(gammas=_float_list(args.gammas),
                     psis=_float_list(args.psis),
                     phis=_float_list(args.phis),
@@ -132,8 +122,8 @@ def cmd_train_projector(args) -> int:
     space = _load(args.space, BallSpace)
     negatives = _load(args.negatives, NegativeSets)
     features = _read_features(args.features)
-    config = stage_config(_load_config_sections(args.config), "projector",
-                          DESK_PROJECTOR, args.seed)
+    config = stage_config(load_config_sections(args.config), "projector",
+                          ProjectorConfig, args.seed)
     mlp, losses = train_base(features, space, negatives, config,
                               history=args.verbose)
     if args.verbose:
@@ -147,6 +137,8 @@ def cmd_infer(args) -> int:
     space = _load(args.space, BallSpace)
     mlp = _load(args.mlp, Mlp)
     features = _read_features(args.features)
+    if not features.labels:
+        raise ValueError(f"feature file {args.features} holds no rows")
     if args.candidates:
         names = tuple(args.candidates.split(","))
     else:
@@ -177,15 +169,17 @@ def cmd_episodes(args) -> int:
     mlp = _load(args.mlp, Mlp)
     novel = _read_features(args.novel)
     negatives = _load(args.negatives, NegativeSets)
-    sections = _load_config_sections(args.config)
-    config = stage_config(sections, "projector", DESK_PROJECTOR, args.seed)
+    sections = load_config_sections(args.config)
+    config = stage_config(sections, "projector", ProjectorConfig, args.seed)
     # episodes are sampled with the global seed, as the pipeline samples them
     seed = global_seed(sections, args.seed)
     ich = None
     if args.ontology:
         ich = compute_ich(load_ontology(args.ontology))
-    protocol = EpisodeConfig(w=args.w, s=args.s, q=args.q,
-                             n_episodes=args.episodes)
+    flags = {"w": args.w, "s": args.s, "q": args.q,
+             "n_episodes": args.episodes}
+    protocol = replace(stage_config(sections, "episodes", EpisodeConfig),
+                       **{k: v for k, v in flags.items() if v is not None})
     summary = episodes_report(space, mlp, novel, negatives, config, protocol,
                               seed, ich=ich)
     report = summary["episodes"]
@@ -264,7 +258,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gammas", default="-0.2,-0.1,-0.05")
     p.add_argument("--psis", default="0.1,0.3")
     p.add_argument("--phis", default="1.0,2.0")
-    p.add_argument("--s-d-threshold", type=float, default=0.95)
+    p.add_argument("--s-d-threshold", type=float,
+                   default=GridSpec.s_d_threshold)
     p.add_argument("--space-out", help="also write the winning space here")
 
     p = add("negatives", cmd_negatives, "build hard-negative sets")
@@ -298,12 +293,14 @@ def build_parser() -> argparse.ArgumentParser:
                    help="novel-split feature file (.npz or CSV)")
     p.add_argument("--negatives", required=True,
                    help="hard-negative sets JSON (few-shot stage needs them)")
-    p.add_argument("--w", type=int, default=5)
-    p.add_argument("--s", type=int, default=5)
-    p.add_argument("--q", type=int, default=15)
-    p.add_argument("--episodes", type=int, default=100)
+    # protocol flags left out take the config's episodes section
+    p.add_argument("--w", type=int)
+    p.add_argument("--s", type=int)
+    p.add_argument("--q", type=int)
+    p.add_argument("--episodes", type=int)
     p.add_argument("--ontology", help="enables semantic-error accounting")
-    p.add_argument("--config", help="pipeline JSON; the projector section is used")
+    p.add_argument("--config", help="pipeline JSON; the projector and "
+                                    "episodes sections are used")
     p.add_argument("--out")
 
     p = add("viz", cmd_viz, "render selected balls to SVG")

@@ -30,21 +30,22 @@ class EmbedConfig:
     gamma is the signed hinge margin shared by subsumption and disjointness
     terms (negative values force strict containment / allow touching balls).
     psi scales the per-level radius floor, phi is the target centre norm.
+    The defaults are the stock desk run's.
     """
 
-    dim: int = 300
+    dim: int = 16
     gamma: float = -0.1
-    psi: float = 0.1
-    phi: float = 1.0
+    psi: float = 0.3
+    phi: float = 2.0
     learning_rate: float = 0.05
-    epochs: int = 500
+    epochs: int = 1500
     batch_size: int = 64
     seed: int = 0
-    radius_clamp_min: float = 1e-4
+    radius_clamp_min: float = 0.4
     optimizer: str = "sgd"  # "sgd" (inverse-decay step) or "adam"
-    lr_decay: float = 1e-3
-    disjoint_gamma: float | None = None  # split margin; shared gamma when None
-    init_radius_slack: float = 0.0  # extra radius above the level floor at init
+    lr_decay: float = 0.002
+    disjoint_gamma: float | None = 0.05  # split margin; shared gamma when None
+    init_radius_slack: float = 0.1  # extra radius above the level floor at init
 
     def __post_init__(self):
         if self.dim < 2:

@@ -27,6 +27,10 @@ from .ontology import Ich, Ontology, _topological_order, ontology_from_dict
 from .projector import (Mlp, ProjectorConfig, ancestor_report, classify_batch,
                         finetune_fewshot, mlp_forward)
 
+# feature file reads and checks work in blocks of this size, so that their
+# temporaries stay small next to the matrix at any size
+_BLOCK_BYTES = 1 << 16
+
 # full-scale results from the original evaluation, recorded in reports as
 # non-reproducible reference points for the desk-scale figures
 REFERENCE_RESULTS = {
@@ -106,6 +110,9 @@ def _csv_lines(dataset: FeatureDataset):
 
 
 def write_features_csv(dataset: FeatureDataset, path) -> None:
+    """The feature CSV that ``read_features_csv`` reads back exactly. CSV is
+    the import format; the pipeline writes ``.npz``, so outside the tests
+    only the benchmark's fewshot set-up calls this."""
     with atomic_open(path) as fh:
         fh.writelines(_csv_lines(dataset))
 
@@ -116,6 +123,15 @@ def _row_bound(path) -> int:
     with open(path, "rb") as raw:
         return 1 + sum(block.count(b"\n")
                        for block in iter(lambda: raw.read(1 << 20), b""))
+
+
+def _require_finite(features: np.ndarray, what: str) -> None:
+    """Raise unless every value is finite. The test runs over row blocks of
+    at most ``_BLOCK_BYTES`` values, so its bool temporary stays small."""
+    rows = max(1, _BLOCK_BYTES // max(1, features.shape[1]))
+    for start in range(0, len(features), rows):
+        if not np.isfinite(features[start:start + rows]).all():
+            raise ValueError(f"{what} holds non-finite values")
 
 
 def read_features_csv(path) -> FeatureDataset:
@@ -145,8 +161,7 @@ def read_features_csv(path) -> FeatureDataset:
             except ValueError as exc:
                 raise ValueError(f"feature CSV {path}: {exc}") from exc
     features = table["f"]
-    if not np.isfinite(features).all():
-        raise ValueError(f"feature CSV {path} holds non-finite values")
+    _require_finite(features, f"feature CSV {path}")
     return FeatureDataset(dim, tuple(table["label"].tolist()), features)
 
 
@@ -178,21 +193,42 @@ def write_features_npz(dataset: FeatureDataset, path) -> None:
                           np.asarray(dataset.features, dtype=np.float64))
 
 
+def _read_npy_member(archive: zipfile.ZipFile, name: str) -> np.ndarray:
+    """The array of the ``.npy`` member ``name``, read straight into its own
+    buffer in blocks (``np.load`` holds two 256 KiB chunk copies at a time).
+    An object array, which only unpickling could read, is refused."""
+    fmt = np.lib.format
+    with archive.open(name) as entry:
+        version = fmt.read_magic(entry)
+        if version not in ((1, 0), (2, 0)):
+            raise ValueError(f"{name}: unsupported .npy version {version}")
+        read_header = (fmt.read_array_header_1_0 if version == (1, 0)
+                       else fmt.read_array_header_2_0)
+        shape, fortran_order, dtype = read_header(entry)
+        if dtype.hasobject:
+            raise ValueError(f"{name} holds Python objects, which are not "
+                             "unpickled (allow_pickle=False)")
+        array = np.empty(shape[::-1] if fortran_order else shape, dtype)
+        buf = memoryview(array.reshape(-1).view(np.uint8))
+        for start in range(0, len(buf), _BLOCK_BYTES):
+            block = buf[start:start + _BLOCK_BYTES]
+            if entry.readinto(block) != len(block):
+                raise ValueError(f"{name} is truncated")
+    return array.T if fortran_order else array
+
+
 def read_features_npz(path) -> FeatureDataset:
     """The dataset ``write_features_npz`` wrote, loaded without unpickling;
     anything else is a ValueError that names the file."""
-    # np.load leaves a path it opened open when the zip is bad; a handle
-    # opened here is closed on every exit
     try:
-        with open(path, "rb") as fh:
-            npz = np.load(fh, allow_pickle=False)
-            if not isinstance(npz, np.lib.npyio.NpzFile):
-                raise ValueError("not an npz archive")
-            with npz:
-                missing = sorted({"labels", "features"} - set(npz.files))
-                if missing:
-                    raise ValueError(f"missing arrays {missing}")
-                labels, features = npz["labels"], npz["features"]
+        with open(path, "rb") as fh, zipfile.ZipFile(fh) as archive:
+            members = set(archive.namelist())
+            missing = [key for key in ("features", "labels")
+                       if f"{key}.npy" not in members]
+            if missing:
+                raise ValueError(f"missing arrays {missing}")
+            labels = _read_npy_member(archive, "labels.npy")
+            features = _read_npy_member(archive, "features.npy")
     except (EOFError, ValueError, zipfile.BadZipFile) as exc:
         raise ValueError(f"feature NPZ {path}: {exc}") from exc
     if (features.dtype != np.float64 or features.ndim != 2
@@ -204,8 +240,7 @@ def read_features_npz(path) -> FeatureDataset:
         raise ValueError(f"feature NPZ {path} needs one str label per row: "
                          f"{labels.dtype} {labels.shape} for "
                          f"{len(features)} rows")
-    if not np.isfinite(features).all():
-        raise ValueError(f"feature NPZ {path} holds non-finite values")
+    _require_finite(features, f"feature NPZ {path}")
     return FeatureDataset(features.shape[1], tuple(labels.tolist()), features)
 
 
@@ -268,10 +303,9 @@ def _hierarchy_anchors(ontology: Ontology, dim: int, rng, anchor_scale: float,
 
 
 def generate_synthetic_features(ontology: Ontology, dim: int, per_class: int,
-                                noise_sigma: float, seed: int,
-                                anchor_scale: float = 3.0,
-                                step_scale: float = 1.0,
-                                intrinsic_dim: int | None = None):
+                                noise_sigma: float, seed: int, *,
+                                anchor_scale: float, step_scale: float,
+                                intrinsic_dim: int | None):
     """Seeded feature datasets for the (base, novel) halves of
     ``split_leaves``, aligned with the hierarchy.
 

@@ -355,76 +355,3 @@ def compute_stats(ontology: Ontology, ich: Ich) -> HierarchyStats:
         occurrences[a] += 1
         occurrences[b] += 1
     return HierarchyStats(total_levels=total, level=level, occurrences=occurrences)
-
-
-def ingest_hypernym_edges(edges_text: str, leaf_labels, sibling_disjoint: bool = False) -> Ontology:
-    """Build a hierarchy from a child<TAB>parent edge list and a set of leaf labels.
-
-    Keeps, for each leaf, every ancestor chain up to a root, merged across
-    leaves. Lines starting with '#' and blank lines are skipped. With
-    sibling_disjoint, leaves sharing a told parent are declared pairwise
-    disjoint.
-    """
-    parents: dict[str, list[str]] = {}
-    nodes: set[str] = set()
-    for lineno, raw in enumerate(edges_text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        fields = [f.strip() for f in line.split("\t")]
-        if len(fields) != 2 or not all(fields):
-            raise OntologyError(
-                f"line {lineno}: expected 'child<TAB>parent', got {raw!r}")
-        child, parent = fields
-        nodes.add(child)
-        nodes.add(parent)
-        parents.setdefault(child, [])
-        if parent not in parents[child]:
-            parents[child].append(parent)
-
-    _topological_order(sorted(nodes), parents)  # raises on a cycle
-
-    leaf_list = [str(label).strip() for label in leaf_labels]
-    for leaf in leaf_list:
-        if leaf not in nodes:
-            raise OntologyError(f"leaf label {leaf!r} does not appear in the edge list")
-
-    concepts: list[str] = []
-    seen: set[str] = set()
-    edges: list[tuple[str, str]] = []
-    edge_seen: set[tuple[str, str]] = set()
-    for leaf in leaf_list:
-        if leaf not in seen:
-            seen.add(leaf)
-            concepts.append(leaf)
-        queue = deque([leaf])
-        while queue:
-            node = queue.popleft()
-            for parent in parents.get(node, ()):
-                if parent not in seen:
-                    seen.add(parent)
-                    concepts.append(parent)
-                edge = (node, parent)
-                if edge not in edge_seen:
-                    edge_seen.add(edge)
-                    edges.append(edge)
-                    queue.append(parent)
-
-    disjoint: list[tuple[str, str]] = []
-    if sibling_disjoint:
-        leaf_set = set(leaf_list)
-        by_parent: dict[str, list[str]] = {}
-        for child, parent in edges:
-            if child in leaf_set:
-                by_parent.setdefault(parent, []).append(child)
-        pair_seen: set[tuple[str, str]] = set()
-        for parent in sorted(by_parent):
-            group = by_parent[parent]
-            for i in range(len(group)):
-                for j in range(i + 1, len(group)):
-                    pair = _canon_pair(group[i], group[j])
-                    if pair not in pair_seen:
-                        pair_seen.add(pair)
-                        disjoint.append(pair)
-
-    return _build_ontology(concepts, edges, disjoint, leaf_list)

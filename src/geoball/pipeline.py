@@ -12,7 +12,7 @@ that is renamed into place, nothing half-written is left behind.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 from .embedding import EmbedConfig, train_embeddings
@@ -43,21 +43,15 @@ ARTIFACT_NAMES = (
     "report.json",
 )
 
-# the stock desk fixture: a (5, 2, 4) tree, 40 leaves split 20/20, feature
-# noise tuned so the raw nearest-support-centroid baseline lands mid-0.8
-DESK_EMBED = EmbedConfig(
-    dim=16, gamma=-0.1, disjoint_gamma=0.05, psi=0.3, phi=2.0,
-    learning_rate=0.05, lr_decay=0.002, epochs=1500, batch_size=64,
-    seed=DEFAULT_SEED, radius_clamp_min=0.4, init_radius_slack=0.1)
-
-DESK_PROJECTOR = ProjectorConfig(
-    learning_rate=0.003, epochs_bl=400, epochs_fsl=60, batch_size=64,
-    seed=DEFAULT_SEED, optimizer="adam", hidden_sizes=(256,), reduce_dim=12)
-
 
 @dataclass(frozen=True)
 class GeneratorConfig:
-    """Synthetic feature source: ambient size, class volume, noise level."""
+    """Synthetic feature source: ambient size, class volume, noise level.
+
+    The defaults are the stock desk fixture's: on its (5, 2, 4) tree (40
+    leaves split 20/20) the noise puts the raw nearest-support-centroid
+    baseline mid-0.8.
+    """
 
     dim: int = 2304
     per_class: int = 200
@@ -91,24 +85,37 @@ def global_seed(sections: dict, seed: int | None = None) -> int:
     return int(sections.get("seed", DEFAULT_SEED)) if seed is None else seed
 
 
-def stage_config(sections: dict, name: str, base, seed: int | None = None):
-    """Section ``name`` of a pipeline config document over ``base``.
+def load_config_sections(path) -> dict:
+    """The pipeline config document at ``path``; ``{}`` when there is none."""
+    if path is None:
+        return {}
+    with open(path) as fh:
+        obj = json.load(fh)
+    if not isinstance(obj, dict):
+        raise ValueError(f"config file {path} must hold a JSON object")
+    return obj
 
-    Unknown keys fail loudly; the rest override the stock config through the
-    dataclass constructor checks. For configs with a seed, a given ``seed``
+
+def stage_config(sections: dict, name: str, cls, seed: int | None = None):
+    """A ``cls`` built from section ``name`` of a pipeline config document.
+
+    Unknown keys fail loudly; an omitted key takes the dataclass default,
+    through the constructor checks. For configs with a seed, a given ``seed``
     wins, then the section's own seed, then ``global_seed``.
     """
-    raw = dict(sections.get(name, {}))
-    allowed = {f.name for f in fields(base)}
+    raw = sections.get(name, {})
+    if not isinstance(raw, dict):
+        raise ValueError(f"config section {name!r} must be a JSON object")
+    raw = dict(raw)
+    allowed = {f.name for f in fields(cls)}
     unknown = set(raw) - allowed
     if unknown:
-        raise ValueError(
-            f"unknown {type(base).__name__} keys: {sorted(unknown)}")
+        raise ValueError(f"unknown {cls.__name__} keys: {sorted(unknown)}")
     if "seed" in allowed and (seed is not None or "seed" not in raw):
         raw["seed"] = global_seed(sections, seed)
     if "hidden_sizes" in raw:
         raw["hidden_sizes"] = tuple(raw["hidden_sizes"])
-    return replace(base, **raw)
+    return cls(**raw)
 
 
 @dataclass(frozen=True)
@@ -119,16 +126,16 @@ class PipelineConfig:
     ontology_path: str
     out_dir: str
     seed: int = DEFAULT_SEED
-    embed: EmbedConfig = DESK_EMBED
-    projector: ProjectorConfig = DESK_PROJECTOR
+    embed: EmbedConfig = field(default_factory=EmbedConfig)
+    projector: ProjectorConfig = field(default_factory=ProjectorConfig)
     generator: GeneratorConfig = field(default_factory=GeneratorConfig)
     episodes: EpisodeConfig = field(default_factory=EpisodeConfig)
     negatives_k: int | None = None
 
     @classmethod
     def from_dict(cls, obj: dict, seed: int | None = None) -> "PipelineConfig":
-        """Sections override the stock desk configuration field by field; a
-        given ``seed`` replaces the global seed and every section's own."""
+        """Sections override the config defaults field by field; a given
+        ``seed`` replaces the global seed and every section's own."""
         unknown = set(obj) - {f.name for f in fields(cls)}
         if unknown:
             raise ValueError(f"unknown pipeline config keys: {sorted(unknown)}")
@@ -139,17 +146,16 @@ class PipelineConfig:
             ontology_path=str(obj["ontology_path"]),
             out_dir=str(obj["out_dir"]),
             seed=global_seed(obj, seed),
-            embed=stage_config(obj, "embed", DESK_EMBED, seed),
-            projector=stage_config(obj, "projector", DESK_PROJECTOR, seed),
-            generator=stage_config(obj, "generator", GeneratorConfig()),
-            episodes=stage_config(obj, "episodes", EpisodeConfig()),
+            embed=stage_config(obj, "embed", EmbedConfig, seed),
+            projector=stage_config(obj, "projector", ProjectorConfig, seed),
+            generator=stage_config(obj, "generator", GeneratorConfig),
+            episodes=stage_config(obj, "episodes", EpisodeConfig),
             negatives_k=obj.get("negatives_k"),
         )
 
     @classmethod
     def from_json(cls, path, seed: int | None = None) -> "PipelineConfig":
-        with open(path) as fh:
-            return cls.from_dict(json.load(fh), seed)
+        return cls.from_dict(load_config_sections(path), seed)
 
     def to_dict(self) -> dict:
         return asdict(self)

@@ -28,11 +28,6 @@ import numpy as np
 from .embedding import Ball, BallSpace, Optimizer
 from .negatives import NegativeSets
 
-PRESET_HIDDEN = {
-    "desk": (128, 64),
-    "paper": (1024, 512, 512),  # reference stack, input 2048 and output 300
-}
-
 
 @dataclass(frozen=True)
 class Mlp:
@@ -119,19 +114,20 @@ class ProjectorConfig:
 
     reduce_dim, when set, compresses inputs to the top principal directions
     of the base-split features before the first layer. High-dimensional
-    isotropic feature noise otherwise swamps the ranking signal.
+    isotropic feature noise otherwise swamps the ranking signal. The
+    defaults are the stock desk run's.
     """
 
     mu: float = 1.0
     nu: float = 1.0
-    learning_rate: float = 0.01
-    epochs_bl: int = 200
+    learning_rate: float = 0.003
+    epochs_bl: int = 400
     epochs_fsl: int = 60
-    batch_size: int = 32
+    batch_size: int = 64
     seed: int = 0
-    hidden_sizes: tuple[int, ...] = PRESET_HIDDEN["desk"]
-    optimizer: str = "sgd"
-    reduce_dim: int | None = None
+    hidden_sizes: tuple[int, ...] = (256,)
+    optimizer: str = "adam"
+    reduce_dim: int | None = 12
 
     def __post_init__(self):
         if self.mu <= 0 or self.nu <= 0:

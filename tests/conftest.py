@@ -12,14 +12,13 @@ from types import SimpleNamespace
 
 import pytest
 
-from geoball.embedding import train_embeddings
+from geoball.embedding import EmbedConfig, train_embeddings
 from geoball.harness import (generate_synthetic_features, sample_episodes,
                              synthetic_ontology)
 from geoball.negatives import build_negative_sets
 from geoball.ontology import compute_ich, compute_stats, ontology_from_dict
-from geoball.pipeline import (DEFAULT_SEED, DESK_EMBED, DESK_PROJECTOR,
-                              EpisodeConfig, GeneratorConfig)
-from geoball.projector import train_base
+from geoball.pipeline import DEFAULT_SEED, EpisodeConfig, GeneratorConfig
+from geoball.projector import ProjectorConfig, train_base
 
 # 4-level hand fixture: a small dog taxonomy with one far-away sibling
 POODLE_DOC = {
@@ -48,7 +47,7 @@ def desk():
     ontology = synthetic_ontology((5, 2, 4))
     ich = compute_ich(ontology)
     stats = compute_stats(ontology, ich)
-    space, _ = train_embeddings(ontology, ich, stats, DESK_EMBED)
+    space, _ = train_embeddings(ontology, ich, stats, EmbedConfig())
     wall_embed = time.perf_counter() - t0
 
     negatives = build_negative_sets(space, ontology.leaves, seed=DEFAULT_SEED)
@@ -63,7 +62,7 @@ def desk():
                                n_episodes=protocol.n_episodes,
                                seed=DEFAULT_SEED)
     t1 = time.perf_counter()
-    mlp, losses = train_base(base, space, negatives, DESK_PROJECTOR)
+    mlp, losses = train_base(base, space, negatives, ProjectorConfig())
     wall_train = time.perf_counter() - t1
 
     return SimpleNamespace(

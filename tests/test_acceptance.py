@@ -10,7 +10,6 @@ import itertools
 import json
 import math
 import time
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,9 +21,8 @@ from geoball.harness import (REFERENCE_RESULTS, FeatureDataset,
                              nearest_centroid_accuracy, synthetic_ontology)
 from geoball.negatives import kmeans
 from geoball.ontology import Ich, HierarchyStats, compute_ich, compute_stats, ontology_from_dict
-from geoball.pipeline import (ARTIFACT_NAMES, DESK_EMBED, DESK_PROJECTOR,
-                              PipelineConfig, run_pipeline)
-from geoball.projector import classify, train_base
+from geoball.pipeline import ARTIFACT_NAMES, PipelineConfig, run_pipeline
+from geoball.projector import ProjectorConfig, classify, train_base
 
 from test_embedding import (assert_close_rel, finite_difference,
                             kink_distance, random_space)
@@ -97,7 +95,7 @@ def test_embedding_correctness(capsys):
 
     # wider centre-norm target than the desk run: 36 concepts in 16
     # dimensions need the extra shell room to separate every sibling pair
-    config = replace(DESK_EMBED, phi=3.0)
+    config = EmbedConfig(phi=3.0)
     assert config.gamma <= -0.05
 
     t0 = time.perf_counter()
@@ -138,7 +136,8 @@ def random_embedding_case(seed):
         level={c: int(rng.integers(1, 3)) for c in concepts},
         occurrences={c: int(rng.integers(1, 5)) for c in concepts})
     config = EmbedConfig(dim=3, gamma=-0.1, psi=0.3, phi=1.2,
-                         disjoint_gamma=0.07)
+                         disjoint_gamma=0.07, epochs=500, radius_clamp_min=1e-4,
+                         lr_decay=1e-3, init_radius_slack=0.0)
     space = random_space(rng, concepts, 3)
     return space, ich, disjoint, stats, config
 
@@ -270,7 +269,7 @@ def test_kmeans_small_scale_optimality(capsys):
 def test_end_to_end_fewshot(desk, capsys):
     t0 = time.perf_counter()
     report = evaluate_episodes(desk.space, desk.mlp, desk.episodes,
-                               DESK_PROJECTOR, desk.negatives, ich=desk.ich)
+                               ProjectorConfig(), desk.negatives, ich=desk.ich)
     runtime = desk.wall_setup + (time.perf_counter() - t0)
     baseline = nearest_centroid_accuracy(desk.episodes)
     margin = report.accuracy - baseline.accuracy
@@ -316,7 +315,7 @@ def per_class_split(dataset, train_per_class):
 
 def test_generalization_direction(desk, capsys):
     train_set, held_set = per_class_split(desk.base, train_per_class=160)
-    mlp, _ = train_base(train_set, desk.space, desk.negatives, DESK_PROJECTOR)
+    mlp, _ = train_base(train_set, desk.space, desk.negatives, ProjectorConfig())
     train_acc = dataset_accuracy(desk.space, mlp, train_set)
     held_acc = dataset_accuracy(desk.space, mlp, held_set)
     recorded = (REFERENCE_RESULTS["base_learning_train_accuracy"] == 85.32

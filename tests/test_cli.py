@@ -233,20 +233,26 @@ def world(tmp_path_factory):
 
 
 def test_episodes_config_seed_reproduces_pipeline_report(world, tmp_path):
+    """Protocol flags left out take the config's episodes section."""
     run_dir, config = world
     out = tmp_path / "report.json"
-    assert main(["episodes", str(run_dir / "space.json"),
-                 str(run_dir / "mlp.json"),
-                 "--novel", str(run_dir / "features_novel.npz"),
-                 "--negatives", str(run_dir / "negatives.json"),
-                 "--w", "1", "--s", "2", "--q", "2", "--episodes", "3",
-                 "--ontology", str(config.parent / "poodle.json"),
-                 "--config", str(config), "--out", str(out)]) == 0
-    ours = json.loads(out.read_text())
     pipeline = json.loads((run_dir / "report.json").read_text())
-    for key in ("episodes", "baseline_nearest_centroid", "protocol"):
-        assert ours[key] == pipeline[key], key
-    assert ours["protocol"]["seed"] == 3
+    for flags in (["--w", "1", "--s", "2", "--q", "2", "--episodes", "3"],
+                  [], ["--episodes", "2"]):
+        assert main(["episodes", str(run_dir / "space.json"),
+                     str(run_dir / "mlp.json"),
+                     "--novel", str(run_dir / "features_novel.npz"),
+                     "--negatives", str(run_dir / "negatives.json"), *flags,
+                     "--ontology", str(config.parent / "poodle.json"),
+                     "--config", str(config), "--out", str(out)]) == 0
+        ours = json.loads(out.read_text())
+        if flags == ["--episodes", "2"]:
+            assert ours["protocol"] == {**pipeline["protocol"],
+                                        "n_episodes": 2}
+            continue
+        for key in ("episodes", "baseline_nearest_centroid", "protocol"):
+            assert ours[key] == pipeline[key], (key, flags)
+        assert ours["protocol"]["seed"] == 3
 
 
 STAGES = {"embed": "train_embeddings", "projector": "train_base"}
@@ -298,6 +304,44 @@ def test_empty_feature_csv_is_a_clean_error(world, tmp_path, capsys):
                  str(run_dir / "mlp.json"), "--novel", str(empty),
                  "--negatives", str(run_dir / "negatives.json")]) == 1
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_header_only_feature_csv_is_a_clean_infer_error(world, tmp_path,
+                                                       capsys):
+    run_dir, _ = world
+    header_only = tmp_path / "header.csv"
+    header_only.write_text("label,f_1,f_2\n")
+    assert main(["infer", str(run_dir / "space.json"),
+                 str(run_dir / "mlp.json"), str(header_only)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(header_only) in err
+
+
+@pytest.mark.parametrize("doc, argv", [
+    (5, ["pipeline"]),
+    ([], ["pipeline"]),
+    ({"embed": 5}, ["embed", "ONTOLOGY", "--out", "OUT"]),
+    ({"embed": [["dim", 4]]}, ["embed", "ONTOLOGY", "--out", "OUT"]),
+    ({"projector": "adam"}, ["train-projector", "SPACE", "NEGATIVES",
+                             "FEATURES", "--out", "OUT"]),
+    ({"episodes": [1, 2]}, ["episodes", "SPACE", "MLP", "--novel", "FEATURES",
+                            "--negatives", "NEGATIVES"]),
+])
+def test_config_document_that_is_not_an_object_is_a_clean_error(
+        world, tmp_path, capsys, doc, argv):
+    run_dir, config = world
+    paths = {"ONTOLOGY": config.parent / "poodle.json",
+             "OUT": tmp_path / "out.json",
+             "SPACE": run_dir / "space.json", "MLP": run_dir / "mlp.json",
+             "NEGATIVES": run_dir / "negatives.json",
+             "FEATURES": run_dir / "features_base.npz"}
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert main([str(paths.get(arg, arg)) for arg in argv]
+                + ["--config", str(bad)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "a JSON object" in err
+    assert not (tmp_path / "out.json").exists()
 
 
 def test_cli_rejects_non_finite_and_bad_artifacts(world, tmp_path, capsys):

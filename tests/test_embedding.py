@@ -22,6 +22,16 @@ from geoball.embedding import (
 from geoball.harness import synthetic_ontology
 from geoball.ontology import compute_ich, compute_stats, ontology_from_dict
 
+# EmbedConfig values these tests were written against; a test that leaves
+# one of these fields out runs with the value given here
+PINNED_EMBED = dict(dim=300, psi=0.1, phi=1.0, epochs=500,
+                    radius_clamp_min=1e-4, lr_decay=1e-3, disjoint_gamma=None,
+                    init_radius_slack=0.0)
+
+
+def embed_config(**fields) -> EmbedConfig:
+    return EmbedConfig(**{**PINNED_EMBED, **fields})
+
 
 # ---------------------------------------------------------------------------
 # test-local oracles: plain-python transcriptions, no shared code with the
@@ -316,7 +326,7 @@ def test_total_loss_zero_on_perfect_fixture():
     })
     ich = compute_ich(onto)
     stats = compute_stats(onto, ich)
-    config = EmbedConfig(dim=2, gamma=0.0, psi=0.1, phi=1.0)
+    config = embed_config(dim=2, gamma=0.0, psi=0.1, phi=1.0)
     centres = np.array([[1.0, 0.0], [0.8, 0.6], [0.8, -0.6]])
     radii = np.array([2.0, 0.5, 0.5])
     space = BallSpace(2, onto.concepts, centres, radii)
@@ -329,7 +339,7 @@ def test_total_loss_matches_scalar_oracle_on_random_spaces(poodle):
     rng = np.random.default_rng(21)
     for _ in range(10):
         space = random_space(rng, onto.concepts, 5)
-        config = EmbedConfig(dim=5, gamma=float(rng.uniform(-0.2, 0.2)),
+        config = embed_config(dim=5, gamma=float(rng.uniform(-0.2, 0.2)),
                              psi=0.15, phi=1.0)
         got = total_loss(space, ich, onto.disjointness, stats, config)
         want = oracle_total(space, ich, onto.disjointness, stats, config)
@@ -340,7 +350,7 @@ def test_total_loss_split_margin_matches_oracle(poodle):
     onto, ich, stats = poodle
     rng = np.random.default_rng(22)
     space = random_space(rng, onto.concepts, 4)
-    config = EmbedConfig(dim=4, gamma=-0.1, disjoint_gamma=0.2, psi=0.1, phi=1.0)
+    config = embed_config(dim=4, gamma=-0.1, disjoint_gamma=0.2, psi=0.1, phi=1.0)
     got = total_loss(space, ich, onto.disjointness, stats, config)
     want = oracle_total(space, ich, onto.disjointness, stats, config)
     assert got.total == pytest.approx(want, rel=1e-12)
@@ -351,7 +361,7 @@ def test_total_loss_single_concept_only_penalties():
         {"concepts": ["solo"], "subclass": [], "disjoint": [], "leaves": ["solo"]})
     ich = compute_ich(onto)
     stats = compute_stats(onto, ich)
-    config = EmbedConfig(dim=3, psi=0.5, phi=1.0)
+    config = embed_config(dim=3, psi=0.5, phi=1.0)
     space = BallSpace(3, ("solo",), np.array([[2.0, 0.0, 0.0]]), np.array([0.1]))
     breakdown = total_loss(space, ich, onto.disjointness, stats, config)
     assert breakdown.subsumption == 0.0
@@ -370,7 +380,7 @@ def test_train_without_axioms_keeps_the_initial_balls(optimizer):
                                "disjoint": [], "leaves": ["a", "b"]})
     ich = compute_ich(onto)
     stats = compute_stats(onto, ich)
-    config = EmbedConfig(dim=3, epochs=3, optimizer=optimizer,
+    config = embed_config(dim=3, epochs=3, optimizer=optimizer,
                          init_radius_slack=0.5)
     space, history = train_embeddings(onto, ich, stats, config, history=True)
     start = init_space(onto.concepts, stats, config)
@@ -387,7 +397,7 @@ def test_total_loss_missing_ball_raises(poodle):
     rng = np.random.default_rng(3)
     partial = tuple(c for c in onto.concepts if c != "dog")
     space = random_space(rng, partial, 4)
-    config = EmbedConfig(dim=4)
+    config = embed_config(dim=4)
     with pytest.raises(KeyError, match="dog"):
         total_loss(space, ich, onto.disjointness, stats, config)
 
@@ -396,7 +406,7 @@ def test_hinge_terms_translation_invariant(poodle):
     onto, ich, stats = poodle
     rng = np.random.default_rng(33)
     space = random_space(rng, onto.concepts, 6)
-    config = EmbedConfig(dim=6, gamma=-0.1)
+    config = embed_config(dim=6, gamma=-0.1)
     before = total_loss(space, ich, onto.disjointness, stats, config)
     shift = rng.normal(size=6) * 3.0
     moved = BallSpace(6, space.concepts, space.centres + shift, np.array(space.radii))
@@ -418,7 +428,7 @@ def test_gradient_zero_at_perfect_fixture():
     })
     ich = compute_ich(onto)
     stats = compute_stats(onto, ich)
-    config = EmbedConfig(dim=2, gamma=0.0, psi=0.1, phi=1.0)
+    config = embed_config(dim=2, gamma=0.0, psi=0.1, phi=1.0)
     centres = np.array([[1.0, 0.0], [0.8, 0.6], [0.8, -0.6]])
     radii = np.array([2.0, 0.5, 0.5])
     space = BallSpace(2, onto.concepts, centres, radii)
@@ -429,7 +439,7 @@ def test_gradient_zero_at_perfect_fixture():
 
 def test_gradient_active_subsumption_radius_signs():
     onto, ich, stats = nested_pair_setup()
-    config = EmbedConfig(dim=2, gamma=0.0, psi=0.1, phi=1.0)
+    config = embed_config(dim=2, gamma=0.0, psi=0.1, phi=1.0)
     # both centres exactly on the unit sphere, radii above floors, hinge active
     centres = np.array([[1.0, 0.0], [0.0, 1.0]])
     radii = np.array([0.3, 0.5])
@@ -447,7 +457,7 @@ def test_gradients_match_finite_differences(poodle):
     checked = 0
     while checked < 25:
         space = random_space(rng, onto.concepts, 4)
-        config = EmbedConfig(dim=4, gamma=float(rng.uniform(-0.2, 0.2)),
+        config = embed_config(dim=4, gamma=float(rng.uniform(-0.2, 0.2)),
                              psi=float(rng.uniform(0.05, 0.3)), phi=1.0)
         if kink_distance(space, ich, onto.disjointness, stats, config) < 1e-3:
             continue
@@ -464,7 +474,7 @@ def test_gradients_match_finite_differences(poodle):
 
 def test_init_space_deterministic_and_on_sphere(poodle):
     onto, ich, stats = poodle
-    config = EmbedConfig(dim=8, phi=1.5, psi=0.2, seed=5)
+    config = embed_config(dim=8, phi=1.5, psi=0.2, seed=5)
     s1 = init_space(onto.concepts, stats, config)
     s2 = init_space(onto.concepts, stats, config)
     assert json.dumps(s1.to_dict(), sort_keys=True) == json.dumps(s2.to_dict(), sort_keys=True)
@@ -477,7 +487,7 @@ def test_init_space_deterministic_and_on_sphere(poodle):
 
 def test_train_poodle_reaches_containment(poodle):
     onto, ich, stats = poodle
-    config = EmbedConfig(dim=10, gamma=-0.05, psi=0.1, phi=1.0,
+    config = embed_config(dim=10, gamma=-0.05, psi=0.1, phi=1.0,
                          learning_rate=0.05, epochs=300, batch_size=64, seed=0)
     space, history = train_embeddings(onto, ich, stats, config, history=True)
     final = history[-1]
@@ -492,7 +502,7 @@ def test_train_poodle_reaches_containment(poodle):
 def test_train_zero_hinge_implies_strict_geometry(poodle):
     # negative containment margin plus positive separation margin
     onto, ich, stats = poodle
-    config = EmbedConfig(dim=10, gamma=-0.05, disjoint_gamma=0.05,
+    config = embed_config(dim=10, gamma=-0.05, disjoint_gamma=0.05,
                          learning_rate=0.05, epochs=400, batch_size=64, seed=2)
     space, history = train_embeddings(onto, ich, stats, config)
     final = history[-1]
@@ -509,7 +519,7 @@ def test_train_zero_hinge_implies_strict_geometry(poodle):
 
 def test_train_zero_epochs_returns_init(poodle):
     onto, ich, stats = poodle
-    config = EmbedConfig(dim=6, epochs=0, seed=7)
+    config = embed_config(dim=6, epochs=0, seed=7)
     space, history = train_embeddings(onto, ich, stats, config)
     init = init_space(onto.concepts, stats, config)
     assert np.array_equal(space.centres, init.centres)
@@ -519,7 +529,7 @@ def test_train_zero_epochs_returns_init(poodle):
 
 def test_train_loss_non_increasing_with_decay(poodle):
     onto, ich, stats = poodle
-    config = EmbedConfig(dim=10, gamma=-0.05, learning_rate=0.01, lr_decay=0.5,
+    config = embed_config(dim=10, gamma=-0.05, learning_rate=0.01, lr_decay=0.5,
                          epochs=200, batch_size=64, seed=0)
     _, history = train_embeddings(onto, ich, stats, config, history=True)
     totals = [e.total for e in history]
@@ -529,7 +539,7 @@ def test_train_loss_non_increasing_with_decay(poodle):
 
 def test_train_deterministic(poodle):
     onto, ich, stats = poodle
-    config = EmbedConfig(dim=10, gamma=-0.05, learning_rate=0.05,
+    config = embed_config(dim=10, gamma=-0.05, learning_rate=0.05,
                          epochs=100, batch_size=4, seed=3)
     s1, h1 = train_embeddings(onto, ich, stats, config, history=True)
     s2, h2 = train_embeddings(onto, ich, stats, config, history=True)
@@ -540,7 +550,7 @@ def test_train_deterministic(poodle):
 @pytest.mark.parametrize("optimizer", ["sgd", "adam"])
 def test_train_without_history_returns_the_last_breakdown(poodle, optimizer):
     onto, ich, stats = poodle
-    config = EmbedConfig(dim=6, gamma=-0.05, learning_rate=0.05, epochs=40,
+    config = embed_config(dim=6, gamma=-0.05, learning_rate=0.05, epochs=40,
                          batch_size=4, seed=5, optimizer=optimizer)
     s1, h1 = train_embeddings(onto, ich, stats, config, history=True)
     s2, h2 = train_embeddings(onto, ich, stats, config)
@@ -552,7 +562,7 @@ def test_train_without_history_returns_the_last_breakdown(poodle, optimizer):
 
 def test_train_adam_runs_and_converges(poodle):
     onto, ich, stats = poodle
-    config = EmbedConfig(dim=10, gamma=-0.05, learning_rate=0.01,
+    config = embed_config(dim=10, gamma=-0.05, learning_rate=0.01,
                          epochs=400, batch_size=64, seed=0, optimizer="adam")
     space, history = train_embeddings(onto, ich, stats, config)
     final = history[-1]
@@ -562,7 +572,7 @@ def test_train_adam_runs_and_converges(poodle):
 
 def test_train_non_finite_aborts_with_term_name(poodle):
     onto, ich, stats = poodle
-    config = EmbedConfig(dim=4, learning_rate=1e308, epochs=5, seed=0)
+    config = embed_config(dim=4, learning_rate=1e308, epochs=5, seed=0)
     with pytest.raises(RuntimeError, match="non-finite"):
         with np.errstate(all="ignore"):
             train_embeddings(onto, ich, stats, config)
@@ -711,7 +721,7 @@ def siblings():
 def test_training_matches_per_batch_oracle_bitwise(request, fixture, optimizer,
                                                    batch_size):
     onto, ich, stats = request.getfixturevalue(fixture)
-    config = EmbedConfig(dim=6, gamma=-0.05, disjoint_gamma=0.05, psi=0.2,
+    config = embed_config(dim=6, gamma=-0.05, disjoint_gamma=0.05, psi=0.2,
                          learning_rate=0.05, lr_decay=0.01, epochs=50,
                          batch_size=batch_size, seed=4, optimizer=optimizer)
     space, history = train_embeddings(onto, ich, stats, config, history=True)
@@ -725,7 +735,7 @@ def test_training_matches_per_batch_oracle_bitwise(request, fixture, optimizer,
 def test_loss_gradients_match_per_batch_oracle_bitwise(poodle):
     onto, ich, stats = poodle
     rng = np.random.default_rng(11)
-    config = EmbedConfig(dim=4, gamma=-0.05, disjoint_gamma=0.05)
+    config = embed_config(dim=4, gamma=-0.05, disjoint_gamma=0.05)
     ax = oracle_axiom_index(onto.concepts, ich, onto.disjointness, stats, config)
     every_sub, every_dis = np.arange(len(ax.sub_child)), np.arange(len(ax.dis_a))
     for _ in range(20):

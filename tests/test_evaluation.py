@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from geoball.embedding import Ball, BallSpace, EmbedConfig
+from geoball.embedding import Ball, BallSpace
 from geoball.evaluation import (
     GridSpec,
     Scores,
@@ -20,6 +20,8 @@ from geoball.evaluation import (
     score_space,
 )
 from geoball.ontology import compute_ich, compute_stats, ontology_from_dict
+
+from test_embedding import embed_config
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +292,7 @@ def test_grid_spec_validation():
 
 def test_grid_search_singleton_identity(poodle):
     onto, ich, stats = poodle
-    base = EmbedConfig(dim=8, learning_rate=0.05, epochs=150, batch_size=64, seed=0)
+    base = embed_config(dim=8, learning_rate=0.05, epochs=150, batch_size=64, seed=0)
     grid = GridSpec(gammas=(-0.05,), psis=(0.1,), phis=(1.0,))
     result = grid_search(onto, ich, stats, grid, base)
     assert len(result.table) == 1
@@ -302,7 +304,7 @@ def test_grid_search_singleton_identity(poodle):
 
 def test_grid_search_poodle_example(poodle):
     onto, ich, stats = poodle
-    base = EmbedConfig(dim=10, learning_rate=0.05, epochs=300, batch_size=64, seed=0)
+    base = embed_config(dim=10, learning_rate=0.05, epochs=300, batch_size=64, seed=0)
     grid = GridSpec(gammas=(-0.1, 0.0), psis=(0.05, 0.1), phis=(1.0,))
     result = grid_search(onto, ich, stats, grid, base)
     assert len(result.table) == 4
@@ -317,7 +319,7 @@ def test_grid_search_filter_beats_f1(poodle):
     # a point failing the threshold loses even with better f1; force the
     # filter by scoring one real point against one crippled one
     onto, ich, stats = poodle
-    base = EmbedConfig(dim=10, learning_rate=0.05, epochs=200, batch_size=64, seed=0)
+    base = embed_config(dim=10, learning_rate=0.05, epochs=200, batch_size=64, seed=0)
     # psi large enough that leaf floors force overlap: separation collapses
     grid = GridSpec(gammas=(-0.05,), psis=(0.1, 60.0), phis=(1.0,),
                     s_d_threshold=0.95)
@@ -332,7 +334,7 @@ def test_grid_search_filter_beats_f1(poodle):
 
 def test_grid_search_below_threshold_flag(poodle):
     onto, ich, stats = poodle
-    base = EmbedConfig(dim=10, learning_rate=0.05, epochs=50, batch_size=64, seed=0)
+    base = embed_config(dim=10, learning_rate=0.05, epochs=50, batch_size=64, seed=0)
     grid = GridSpec(gammas=(-0.05,), psis=(60.0,), phis=(1.0,))
     result = grid_search(onto, ich, stats, grid, base)
     assert result.below_threshold
@@ -341,7 +343,7 @@ def test_grid_search_below_threshold_flag(poodle):
 
 def test_grid_search_result_serializable(poodle):
     onto, ich, stats = poodle
-    base = EmbedConfig(dim=6, learning_rate=0.05, epochs=60, batch_size=64, seed=0)
+    base = embed_config(dim=6, learning_rate=0.05, epochs=60, batch_size=64, seed=0)
     grid = GridSpec(gammas=(-0.05, 0.0), psis=(0.1,), phis=(1.0,))
     result = grid_search(onto, ich, stats, grid, base)
     parsed = json.loads(json.dumps(result.to_dict()))

@@ -29,7 +29,6 @@ from geoball.negatives import build_negative_sets
 from geoball.ontology import (Ontology, OntologyError, compute_ich,
                               compute_stats, validate)
 from geoball.projector import ProjectorConfig, train_base
-from geoball.pipeline import DESK_PROJECTOR
 
 
 # ---------------------------------------------------------------------------
@@ -68,7 +67,8 @@ def test_split_leaves_alternates_and_partitions():
 
 
 def gen(onto, **kw):
-    args = dict(dim=8, per_class=4, noise_sigma=0.5, seed=0)
+    args = dict(dim=8, per_class=4, noise_sigma=0.5, seed=0, anchor_scale=3.0,
+                step_scale=1.0, intrinsic_dim=None)
     args.update(kw)
     return generate_synthetic_features(onto, **args)
 
@@ -144,7 +144,7 @@ def test_generator_split_handling():
 
 
 def stacked_generator(ontology, dim, per_class, noise_sigma, seed,
-                      anchor_scale=3.0, step_scale=1.0, intrinsic_dim=None):
+                      anchor_scale, step_scale, intrinsic_dim):
     """Oracle: the generator in its first form, which stacks every leaf's
     rows and then masks each split out of the stack."""
     leaves = sorted(ontology.leaves)
@@ -180,7 +180,7 @@ def test_generator_matches_stacked_oracle_bitwise(seed, intrinsic_dim,
                                                   per_class):
     onto = synthetic_ontology((3, 2, 2))
     args = dict(dim=24, per_class=per_class, noise_sigma=1.85, seed=seed,
-                step_scale=1.5, intrinsic_dim=intrinsic_dim)
+                anchor_scale=3.0, step_scale=1.5, intrinsic_dim=intrinsic_dim)
     got = generate_synthetic_features(onto, **args)
     expected = stacked_generator(onto, **args)
     for ds, oracle in zip(got, expected, strict=True):
@@ -412,6 +412,22 @@ def test_npz_writer_refuses_trailing_nul_label(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_npz_read_holds_little_beside_its_matrix(tmp_path):
+    labels = tuple(f"c{i % 20}" for i in range(455))
+    features = np.random.default_rng(0).normal(size=(455, 2304))
+    write_features_npz(FeatureDataset(2304, labels, features),
+                       tmp_path / "f.npz")
+    tracemalloc.start()
+    try:
+        back = read_features_npz(tmp_path / "f.npz")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # members are read and checked in 64 KiB blocks: a whole-matrix bool
+    # mask would add 1.05 MB, np.load's two chunk copies 0.52 MB
+    assert peak - back.features.nbytes < 0.25e6
+
+
 def write_raw_npz(path, **arrays):
     with open(path, "wb") as fh:
         np.savez(fh, **arrays)
@@ -433,6 +449,11 @@ def write_raw_npz(path, **arrays):
      "non-finite"),
     ({"labels": np.array(["x"], dtype=object), "features": np.zeros((1, 2))},
      "allow_pickle=False"),
+    # past the first row block of the finite check
+    ({"labels": np.array(["x"] * 40),
+      "features": np.pad(np.zeros((39, 2048)), ((0, 1), (0, 0)),
+                         constant_values=np.nan)},
+     "non-finite"),
 ])
 def test_npz_refusals_name_the_file(tmp_path, arrays, reason):
     path = tmp_path / "bad.npz"
@@ -542,7 +563,8 @@ SMALL_EMBED = EmbedConfig(dim=8, gamma=-0.1, disjoint_gamma=0.05, psi=0.3,
                           radius_clamp_min=0.3, init_radius_slack=0.1)
 SMALL_PROJECTOR = ProjectorConfig(learning_rate=0.01, epochs_bl=150,
                                   epochs_fsl=60, batch_size=32, seed=0,
-                                  optimizer="adam", hidden_sizes=(32, 16))
+                                  optimizer="adam", hidden_sizes=(32, 16),
+                                  reduce_dim=None)
 
 
 @pytest.fixture(scope="module")
@@ -558,7 +580,8 @@ def small_world():
 def small_datasets(onto, noise):
     return generate_synthetic_features(onto, dim=16, per_class=8,
                                        noise_sigma=noise, seed=0,
-                                       step_scale=2.0)
+                                       anchor_scale=3.0, step_scale=2.0,
+                                       intrinsic_dim=None)
 
 
 def test_zero_noise_evaluates_perfectly(small_world):
@@ -699,7 +722,7 @@ def test_desk_baseline_in_tuned_window(desk):
 
 def test_desk_fixture_accuracy(desk):
     report = evaluate_episodes(desk.space, desk.mlp, desk.episodes,
-                               DESK_PROJECTOR, desk.negatives, ich=desk.ich)
+                               ProjectorConfig(), desk.negatives, ich=desk.ich)
     baseline = nearest_centroid_accuracy(desk.episodes)
     assert report.accuracy >= 0.95
     assert report.accuracy >= baseline.accuracy + 0.03

@@ -10,7 +10,6 @@ from geoball.ontology import (
     OntologyError,
     compute_ich,
     compute_stats,
-    ingest_hypernym_edges,
     parse_ontology,
     validate,
 )
@@ -249,59 +248,3 @@ def test_stats_deterministic_bytes(poodle_doc):
 
     assert run() == run()
 
-
-# ---------------------------------------------------------------------------
-# hypernym ingest
-
-
-EDGES = "poodle\tdog\ndog\tanimal\nanimal\tentity\n"
-
-
-def test_ingest_single_chain():
-    onto = ingest_hypernym_edges(EDGES, ["poodle"])
-    assert set(onto.concepts) == {"poodle", "dog", "animal", "entity"}
-    assert len(onto.told_subsumptions) == 3
-    assert onto.leaves == ("poodle",)
-
-
-def test_ingest_shared_ancestors_appear_once():
-    edges = EDGES + "retriever\tdog\n"
-    onto = ingest_hypernym_edges(edges, ["poodle", "retriever"])
-    assert sorted(onto.concepts) == ["animal", "dog", "entity", "poodle", "retriever"]
-
-
-def test_ingest_comments_and_blank_lines():
-    onto = ingest_hypernym_edges("# header\n\n" + EDGES, ["poodle"])
-    assert len(onto.concepts) == 4
-
-
-def test_ingest_missing_leaf():
-    with pytest.raises(OntologyError, match="hotdog"):
-        ingest_hypernym_edges(EDGES, ["hotdog"])
-
-
-def test_ingest_cycle_in_edges():
-    with pytest.raises(OntologyError, match="cycle"):
-        ingest_hypernym_edges("a\tb\nb\ta\n", ["a"])
-
-
-def test_ingest_sibling_disjointness():
-    edges = EDGES + "retriever\tdog\nstreet_sign\tentity\n"
-    onto = ingest_hypernym_edges(
-        edges, ["poodle", "retriever", "street_sign"], sibling_disjoint=True)
-    assert onto.disjointness == (("poodle", "retriever"),)
-
-
-def test_ingest_hundred_leaves():
-    # miniImageNet-style label file: one hypernym chain per synthetic class
-    lines = []
-    leaves = []
-    for i in range(100):
-        leaf = f"class_{i:03d}"
-        group = f"group_{i % 10}"
-        leaves.append(leaf)
-        lines.append(f"{leaf}\t{group}")
-        lines.append(f"{group}\troot")
-    onto = ingest_hypernym_edges("\n".join(lines), leaves)
-    assert len(onto.leaves) == 100
-    assert len(onto.concepts) == 111

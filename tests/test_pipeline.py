@@ -138,6 +138,15 @@ def test_config_validation(tmp_path):
     with pytest.raises(ValueError, match="unknown"):
         PipelineConfig.from_dict({"ontology_path": "x", "out_dir": "y",
                                   "typo_section": {}})
+    for section in (5, [["dim", 4]], "dim", None):
+        with pytest.raises(ValueError, match="'embed' must be a JSON object"):
+            PipelineConfig.from_dict({"ontology_path": "x", "out_dir": "y",
+                                      "embed": section})
+    for text in ("5", "[]", "null"):
+        path = tmp_path / "config.json"
+        path.write_text(text)
+        with pytest.raises(ValueError, match="must hold a JSON object"):
+            PipelineConfig.from_json(path)
     with pytest.raises(ValueError):
         GeneratorConfig(per_class=0)
     with pytest.raises(ValueError):

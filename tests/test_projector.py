@@ -10,11 +10,10 @@ import numpy as np
 import pytest
 
 import geoball.projector
-from geoball.embedding import Ball, BallSpace
+from geoball.embedding import Ball, BallSpace, EmbedConfig
 from geoball.negatives import NegativeSets, build_negative_sets
 from geoball.ontology import compute_ich, ontology_from_dict
 from geoball.projector import (
-    PRESET_HIDDEN,
     Mlp,
     Prediction,
     ProjectorConfig,
@@ -65,8 +64,19 @@ def world():
                            base=base, support=support)
 
 
-BASE_CONFIG = ProjectorConfig(learning_rate=0.05, epochs_bl=200, epochs_fsl=100,
-                              batch_size=32, seed=0, hidden_sizes=(32, 16))
+# ProjectorConfig values these tests were written against; a test that
+# leaves one of these fields out runs with the value given here
+PINNED_PROJECTOR = dict(learning_rate=0.01, epochs_bl=200, batch_size=32,
+                        hidden_sizes=(128, 64), optimizer="sgd",
+                        reduce_dim=None)
+
+
+def projector_config(**fields) -> ProjectorConfig:
+    return ProjectorConfig(**{**PINNED_PROJECTOR, **fields})
+
+
+BASE_CONFIG = projector_config(learning_rate=0.05, epochs_bl=200, epochs_fsl=100,
+                               batch_size=32, seed=0, hidden_sizes=(32, 16))
 
 
 # ---------------------------------------------------------------------------
@@ -147,9 +157,21 @@ def test_mlp_json_roundtrip_row_major():
     assert all(np.array_equal(x, y) for x, y in zip(again.biases, mlp.biases))
 
 
-def test_preset_hidden_sizes():
-    assert PRESET_HIDDEN["desk"] == (128, 64)
-    assert PRESET_HIDDEN["paper"] == (1024, 512, 512)
+def test_config_defaults_are_the_stock_desk_run():
+    embed = EmbedConfig()
+    assert (embed.dim, embed.gamma, embed.disjoint_gamma) == (16, -0.1, 0.05)
+    assert (embed.psi, embed.phi) == (0.3, 2.0)
+    assert (embed.learning_rate, embed.lr_decay) == (0.05, 0.002)
+    assert (embed.epochs, embed.batch_size, embed.seed) == (1500, 64, 0)
+    assert (embed.radius_clamp_min, embed.init_radius_slack) == (0.4, 0.1)
+    assert embed.optimizer == "sgd"
+    projector = ProjectorConfig()
+    assert (projector.mu, projector.nu, projector.learning_rate) == (
+        1.0, 1.0, 0.003)
+    assert (projector.epochs_bl, projector.epochs_fsl) == (400, 60)
+    assert (projector.batch_size, projector.seed) == (64, 0)
+    assert (projector.optimizer, projector.hidden_sizes) == ("adam", (256,))
+    assert projector.reduce_dim == 12
 
 
 def test_projector_config_validation():
@@ -290,7 +312,7 @@ def test_train_base_converges_on_separable_set(world):
 
 
 def test_train_base_zero_epochs_returns_init(world):
-    config = ProjectorConfig(epochs_bl=0, seed=5, hidden_sizes=(32, 16))
+    config = projector_config(epochs_bl=0, seed=5, hidden_sizes=(32, 16))
     mlp, history = train_base(world.base, world.space, world.negatives, config)
     fresh = init_mlp((world.base.dim, 32, 16, world.space.dim), seed=5)
     assert history == []
@@ -299,8 +321,8 @@ def test_train_base_zero_epochs_returns_init(world):
 
 
 def test_train_base_deterministic(world):
-    config = ProjectorConfig(learning_rate=0.05, epochs_bl=40, batch_size=16,
-                             seed=9, hidden_sizes=(16,))
+    config = projector_config(learning_rate=0.05, epochs_bl=40, batch_size=16,
+                              seed=9, hidden_sizes=(16,))
     a, ha = train_base(world.base, world.space, world.negatives, config)
     b, hb = train_base(world.base, world.space, world.negatives, config)
     assert json.dumps(a.to_dict()) == json.dumps(b.to_dict())
@@ -308,8 +330,8 @@ def test_train_base_deterministic(world):
 
 
 def test_train_base_adam_converges(world):
-    config = ProjectorConfig(learning_rate=0.01, epochs_bl=150, batch_size=32,
-                             seed=0, hidden_sizes=(32, 16), optimizer="adam")
+    config = projector_config(learning_rate=0.01, epochs_bl=150, batch_size=32,
+                              seed=0, hidden_sizes=(32, 16), optimizer="adam")
     _, history = train_base(world.base, world.space, world.negatives, config)
     assert history[-1] < 1e-2
 
@@ -339,7 +361,7 @@ def test_finetune_puts_support_inside_balls(world):
 
 def test_finetune_zero_epochs_keeps_parameters(world):
     mlp, _ = train_base(world.base, world.space, world.negatives, BASE_CONFIG)
-    config = ProjectorConfig(epochs_fsl=0, seed=0, hidden_sizes=(32, 16))
+    config = projector_config(epochs_fsl=0, seed=0, hidden_sizes=(32, 16))
     tuned = finetune_fewshot(mlp, world.support, world.space, world.negatives,
                              config)
     assert all(np.array_equal(a, b) for a, b in zip(tuned.weights, mlp.weights))
@@ -638,9 +660,9 @@ def test_prediction_inside_iff_nonpositive_u():
 # learned input compression
 
 
-REDUCE_CONFIG = ProjectorConfig(learning_rate=0.05, epochs_bl=30, epochs_fsl=20,
-                                batch_size=32, seed=0, hidden_sizes=(32, 16),
-                                reduce_dim=5)
+REDUCE_CONFIG = projector_config(learning_rate=0.05, epochs_bl=30, epochs_fsl=20,
+                                 batch_size=32, seed=0, hidden_sizes=(32, 16),
+                                 reduce_dim=5)
 
 
 def test_reduction_fits_planted_subspace():
@@ -739,7 +761,7 @@ def test_reduced_mlp_json_roundtrip(world):
 
 
 def test_reduce_dim_exceeding_rank_bound(world):
-    cfg = ProjectorConfig(epochs_bl=1, hidden_sizes=(8,), reduce_dim=9)
+    cfg = projector_config(epochs_bl=1, hidden_sizes=(8,), reduce_dim=9)
     with pytest.raises(ValueError):
         train_base(world.base, world.space, world.negatives, cfg)
     with pytest.raises(ValueError):

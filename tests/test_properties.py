@@ -10,19 +10,20 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from geoball.embedding import (Ball, BallSpace, EmbedConfig,
                                disjointness_hinge, subsumption_hinge,
                                total_loss)
+from geoball.evaluation import containment_holds, s_d
 from geoball.harness import (FeatureDataset, read_features_csv,
                              read_features_npz, synthetic_ontology,
                              write_features_csv, write_features_npz)
 from geoball.negatives import NegativeSets
 from geoball.ontology import (Ich, Ontology, OntologyError, compute_ich,
-                              compute_stats, ingest_hypernym_edges, validate)
+                              compute_stats, validate)
 from geoball.projector import (Mlp, _pack_targets, _ranking_loss_grad,
                                classify, classify_batch, ranking_loss)
 
@@ -311,10 +312,8 @@ def test_cycle_witness_is_one_closed_walk_everywhere(case):
     assert len(set(witness)) == len(witness) - 1
     assert set(zip(witness, witness[1:])) <= set(edges)
     assert diags[0].concepts == tuple(witness[:-1])
-    text = "".join(f"{child}\t{parent}\n" for child, parent in edges)
     for entry in (lambda: compute_ich(onto),
-                  lambda: compute_stats(onto, Ich(frozenset())),
-                  lambda: ingest_hypernym_edges(text, [edges[0][0]])):
+                  lambda: compute_stats(onto, Ich(frozenset()))):
         with pytest.raises(OntologyError) as err:
             entry()
         assert str(err.value) == message
@@ -333,7 +332,9 @@ def hinge_cases(draw):
     radii = draw(arrays(float, len(onto.concepts),
                         elements=st.floats(0.05, 5.0)))
     config = EmbedConfig(dim=dim, gamma=draw(st.floats(-1.0, 1.0)),
-                         disjoint_gamma=draw(st.floats(-1.0, 1.0)))
+                         disjoint_gamma=draw(st.floats(-1.0, 1.0)),
+                         psi=0.1, phi=1.0, epochs=500, radius_clamp_min=1e-4,
+                         lr_decay=1e-3, init_radius_slack=0.0)
     return onto, BallSpace(dim, onto.concepts, centres, radii), config
 
 
@@ -353,6 +354,57 @@ def test_packed_hinges_match_scalar_definitions(case):
                                                   abs=1e-12)
     assert breakdown.disjointness == pytest.approx(disjointness, rel=1e-12,
                                                    abs=1e-12)
+
+
+def ulps(x: float, n: int) -> float:
+    """``x`` moved by ``n`` units in the last place."""
+    for _ in range(abs(n)):
+        x = float(np.nextafter(x, np.inf if n > 0 else -np.inf))
+    return x
+
+
+@st.composite
+def hinge_boundaries(draw):
+    """Two balls placed so that a hinge's argument lies within a few ulp of
+    zero, and a margin of at least 2 ulp of max(dist, r_p, r_q).
+
+    At a margin of exactly 0 the implication below is false: the hinge and
+    the predicate sum in different orders, so the last ulp can disagree.
+    The margin absorbs that rounding; the predicates stay exact.
+    """
+    dim = draw(st.integers(1, 3))
+    c_p = draw(arrays(float, dim, elements=COORDS))
+    c_q = draw(arrays(float, dim, elements=COORDS))
+    dist = float(np.linalg.norm(c_p - c_q))
+    # r_p is 10 * frac or dist * frac, and r_q stays below half of top, so
+    # spacing(top) is at least the spacing of max(dist, r_p, r_q)
+    frac = draw(st.floats(0.0, 1.0))
+    top = 4.0 * max(dist, 10.0 * frac)
+    margin = draw(st.floats(2.0, 16.0)) * float(np.spacing(top))
+    return c_p, c_q, dist, frac, margin, draw(st.integers(-4, 4))
+
+
+@given(hinge_boundaries())
+def test_zero_subsumption_hinge_implies_containment(case):
+    c_p, c_q, dist, frac, margin, nudge = case
+    r_p = 10.0 * frac
+    r_q = ulps(dist + r_p + margin, nudge)
+    assert margin >= 2 * np.spacing(max(dist, r_p, r_q))
+    if subsumption_hinge(c_p, c_q, r_p, r_q, -margin) == 0.0:
+        assert containment_holds(Ball(c_p, r_p), Ball(c_q, r_q))
+
+
+@given(hinge_boundaries())
+def test_zero_disjointness_hinge_implies_separation(case):
+    c_p, c_q, dist, frac, margin, nudge = case
+    r_p = dist * frac
+    r_q = ulps(dist - r_p - margin, nudge)
+    assume(r_p > 0.0 and r_q > 0.0)
+    assert margin >= 2 * np.spacing(max(dist, r_p, r_q))
+    if disjointness_hinge(c_p, c_q, r_p, r_q, margin) == 0.0:
+        space = BallSpace(len(c_p), ("p", "q"), np.array([c_p, c_q]),
+                          np.array([r_p, r_q]))
+        assert s_d(space, ("p", "q")) == 1
 
 
 @st.composite
