@@ -170,16 +170,19 @@ def _topological_order(concepts, parents) -> list[str]:
 def validate(ontology: Ontology) -> list[Diagnostic]:
     """Check every hierarchy invariant; an empty list means the ontology is sound.
 
-    Reports unknown identifiers, duplicate concepts, cycles (with a witness),
-    leaves that have children, disjointness pairs in the subsumption closure,
-    and concepts made unsatisfiable by a pair of disjoint ancestors.
+    Reports empty, duplicate and unknown identifiers, self-disjointness,
+    cycles (with a witness), leaves that have children, disjointness pairs in
+    the subsumption closure, and concepts made unsatisfiable by a pair of
+    disjoint ancestors.
     """
     diags: list[Diagnostic] = []
     known = ontology.concept_set
 
     seen = set()
     for c in ontology.concepts:
-        if c in seen:
+        if not c:
+            diags.append(Diagnostic("empty-concept", "empty concept identifier"))
+        elif c in seen:
             diags.append(Diagnostic("duplicate-concept", f"concept {c!r} declared twice", (c,)))
         seen.add(c)
 
@@ -238,58 +241,25 @@ def validate(ontology: Ontology) -> list[Diagnostic]:
 
 
 def _build_ontology(concepts, subclass_pairs, disjoint_pairs, leaves) -> Ontology:
-    """Assemble, deduplicate (warning per duplicate axiom) and validate."""
-    interned: list[str] = []
-    seen = set()
-    for raw in concepts:
-        name = str(raw).strip()
-        if not name:
-            raise OntologyError("empty concept identifier")
-        if name in seen:
-            raise OntologyError(f"duplicate concept identifier {name!r}")
-        seen.add(name)
-        interned.append(name)
-
-    def check_ref(name):
-        if name not in seen:
-            raise OntologyError(f"unknown identifier {name!r} referenced by an axiom")
-
-    sub: list[tuple[str, str]] = []
-    sub_seen = set()
+    """Strip names, drop repeated leaves and axioms (warning for each axiom),
+    canonicalise disjoint pairs, then validate."""
+    sub: dict[tuple[str, str], None] = {}
     for child, parent in subclass_pairs:
-        child, parent = str(child).strip(), str(parent).strip()
-        check_ref(child)
-        check_ref(parent)
-        pair = (child, parent)
-        if pair in sub_seen:
-            logger.warning("duplicate subclass axiom (%s, %s) ignored", child, parent)
-            continue
-        sub_seen.add(pair)
-        sub.append(pair)
+        pair = (str(child).strip(), str(parent).strip())
+        if pair in sub:
+            logger.warning("duplicate subclass axiom (%s, %s) ignored", *pair)
+        sub[pair] = None
 
-    dis: list[tuple[str, str]] = []
-    dis_seen = set()
+    dis: dict[tuple[str, str], None] = {}
     for a, b in disjoint_pairs:
-        a, b = str(a).strip(), str(b).strip()
-        check_ref(a)
-        check_ref(b)
-        if a == b:
-            raise OntologyError(f"concept {a!r} declared disjoint with itself")
-        pair = _canon_pair(a, b)
-        if pair in dis_seen:
+        pair = _canon_pair(str(a).strip(), str(b).strip())
+        if pair in dis:
             logger.warning("duplicate disjointness axiom {%s, %s} ignored", *pair)
-            continue
-        dis_seen.add(pair)
-        dis.append(pair)
+        dis[pair] = None
 
-    leaf_list: list[str] = []
-    for leaf in leaves:
-        leaf = str(leaf).strip()
-        check_ref(leaf)
-        if leaf not in leaf_list:
-            leaf_list.append(leaf)
-
-    onto = Ontology(tuple(interned), tuple(sub), tuple(dis), tuple(leaf_list))
+    leaves = dict.fromkeys(str(leaf).strip() for leaf in leaves)
+    onto = Ontology(tuple(str(c).strip() for c in concepts), tuple(sub),
+                    tuple(dis), tuple(leaves))
     diags = validate(onto)
     if diags:
         raise OntologyError(

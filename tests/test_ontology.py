@@ -73,8 +73,24 @@ def test_parse_syntax_error_reports_position():
 
 
 def test_parse_unknown_identifier():
-    with pytest.raises(OntologyError, match="unknown identifier 'C'"):
+    with pytest.raises(OntologyError, match="undeclared 'C'"):
         parse_ontology('{"concepts": ["A", "B"], "subclass": [["A", "C"]]}')
+
+
+def test_parse_reports_every_declaration_fault_at_once():
+    doc = {"concepts": ["A", "B", "A", " "], "subclass": [["A", "C"]],
+           "disjoint": [["B", "B"]], "leaves": ["D"]}
+    with pytest.raises(OntologyError) as err:
+        parse_ontology(json.dumps(doc))
+    assert [(d.kind, d.concepts) for d in err.value.diagnostics] == [
+        ("duplicate-concept", ("A",)),
+        ("empty-concept", ()),
+        ("unknown-identifier", ("C",)),
+        ("self-disjointness", ("B",)),
+        ("unknown-identifier", ("D",)),
+    ]
+    for diag in err.value.diagnostics:
+        assert diag.message in str(err.value)
 
 
 def test_parse_duplicate_axiom_warns_and_dedupes(caplog):
