@@ -3,8 +3,9 @@
 Subcommands mirror the pipeline stages (ingest, ich, embed, tune, negatives,
 train-projector, infer, episodes, viz) plus `pipeline`, which runs the whole
 chain from one JSON config. Any subcommand that trains accepts --verbose to
-stream per-epoch losses. Seeds: --seed, else the config section's seed, else
-the config's global seed, else a fixed constant, never wall-clock state.
+stream per-epoch losses, and any that draws random numbers accepts --seed.
+Seeds: --seed, else the config section's seed, else the config's global
+seed, else a fixed constant, never wall-clock state.
 """
 
 from __future__ import annotations
@@ -29,8 +30,15 @@ from .viz import render_balls_2d
 
 
 def _load(path, cls):
+    """The ``cls`` artifact in the JSON file at ``path``; a file of the
+    wrong shape is a ValueError that names both."""
     with open(path) as fh:
-        return cls.from_dict(json.load(fh))
+        obj = json.load(fh)
+    try:
+        return cls.from_dict(obj)
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise ValueError(f"{path} does not hold a {cls.__name__} artifact: "
+                         f"{type(exc).__name__}: {exc}") from exc
 
 
 def _read_features(path):
@@ -230,11 +238,13 @@ def build_parser() -> argparse.ArgumentParser:
         description="Ontology-guided n-ball embeddings and few-shot evaluation")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, func, help_text):
+    def add(name, func, help_text, seeded=False):
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(func=func)
-        p.add_argument("--seed", type=int, default=None,
-                       help="override every stage seed (default: fixed constant)")
+        if seeded:
+            p.add_argument("--seed", type=int, default=None,
+                           help="override every stage seed "
+                                "(default: fixed constant)")
         return p
 
     p = add("ingest", cmd_ingest, "validate an ontology file")
@@ -245,13 +255,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("ontology")
     p.add_argument("--out", help="write closure pairs JSON here")
 
-    p = add("embed", cmd_embed, "train n-ball embeddings")
+    p = add("embed", cmd_embed, "train n-ball embeddings", seeded=True)
     p.add_argument("ontology")
     p.add_argument("--out", required=True)
     p.add_argument("--config", help="pipeline JSON; the embed section is used")
     p.add_argument("--verbose", action="store_true")
 
-    p = add("tune", cmd_tune, "grid-search embedding margins")
+    p = add("tune", cmd_tune, "grid-search embedding margins", seeded=True)
     p.add_argument("ontology")
     p.add_argument("--out", required=True)
     p.add_argument("--config", help="pipeline JSON; the embed section is used")
@@ -262,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
                    default=GridSpec.s_d_threshold)
     p.add_argument("--space-out", help="also write the winning space here")
 
-    p = add("negatives", cmd_negatives, "build hard-negative sets")
+    p = add("negatives", cmd_negatives, "build hard-negative sets", seeded=True)
     p.add_argument("space")
     p.add_argument("--out", required=True)
     p.add_argument("--k", type=int, default=None)
@@ -270,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
                                     "(default: every concept in the space)")
 
     p = add("train-projector", cmd_train_projector,
-            "base learning for the feature projector")
+            "base learning for the feature projector", seeded=True)
     p.add_argument("space")
     p.add_argument("negatives")
     p.add_argument("features", help="base-split feature file (.npz or CSV)")
@@ -286,7 +296,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ontology", help="enables ancestor reports")
     p.add_argument("--out")
 
-    p = add("episodes", cmd_episodes, "few-shot episode evaluation")
+    p = add("episodes", cmd_episodes, "few-shot episode evaluation",
+            seeded=True)
     p.add_argument("space")
     p.add_argument("mlp")
     p.add_argument("--novel", required=True,
@@ -311,7 +322,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="feature file (.npz or CSV) to scatter over the balls")
     p.add_argument("--mlp", help="projector used to map --points into the space")
 
-    p = add("pipeline", cmd_pipeline, "run every stage from one config")
+    p = add("pipeline", cmd_pipeline, "run every stage from one config",
+            seeded=True)
     p.add_argument("--config", required=True)
     p.add_argument("--verbose", action="store_true")
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -81,14 +82,9 @@ class BallSpace:
         self.centres.setflags(write=False)
         self.radii.setflags(write=False)
 
-    @property
+    @cached_property
     def index(self) -> dict[str, int]:
-        try:
-            return self._index_cache  # type: ignore[attr-defined]
-        except AttributeError:
-            idx = {c: i for i, c in enumerate(self.concepts)}
-            object.__setattr__(self, "_index_cache", idx)
-            return idx
+        return {c: i for i, c in enumerate(self.concepts)}
 
     def centre_of(self, concept: str) -> np.ndarray:
         return self.centres[self.index[concept]]
@@ -205,6 +201,13 @@ class _Rows(NamedTuple):
         return _Rows(*(column[index] for column in self))
 
 
+def _level_floors(concepts, stats: HierarchyStats, psi: float) -> np.ndarray:
+    """Per concept, the radius floor psi*sqrt(n_h - level) of
+    ``radius_floor_penalty``."""
+    return np.array([psi * math.sqrt(stats.total_levels - stats.level[c])
+                     for c in concepts])
+
+
 class _AxiomTable(NamedTuple):
     """The axioms of a space, packed once per run: subsumption rows (sorted
     closure pairs), then disjointness rows, plus the per-concept penalties."""
@@ -233,9 +236,7 @@ def _axiom_table(space: BallSpace, ich: Ich, disjoint, stats: HierarchyStats,
         sign=np.where(is_sub, 1.0, -1.0),
         r_b_weight=np.where(is_sub, -1.0, 1.0),
         offset=np.where(is_sub, -config.gamma, config.gamma_disjoint))
-    floors = np.array(
-        [config.psi * math.sqrt(stats.total_levels - stats.level[c])
-         for c in space.concepts])
+    floors = _level_floors(space.concepts, stats, config.psi)
     occurrences = np.array([stats.occurrences[c] for c in space.concepts],
                            dtype=float)
     return _AxiomTable(rows, len(ich.pairs), floors, occurrences)
@@ -394,9 +395,8 @@ def init_space(concepts, stats: HierarchyStats, config: EmbedConfig) -> BallSpac
     norms = np.linalg.norm(raw, axis=1, keepdims=True)
     norms[norms == 0.0] = 1.0
     centres = config.phi * raw / norms
-    floors = np.array(
-        [config.psi * math.sqrt(stats.total_levels - stats.level[c]) for c in concepts])
-    radii = floors + config.radius_clamp_min + config.init_radius_slack
+    radii = (_level_floors(concepts, stats, config.psi)
+             + config.radius_clamp_min + config.init_radius_slack)
     return BallSpace(config.dim, concepts, centres, radii)
 
 

@@ -245,20 +245,20 @@ def _build_ontology(concepts, subclass_pairs, disjoint_pairs, leaves) -> Ontolog
     canonicalise disjoint pairs, then validate."""
     sub: dict[tuple[str, str], None] = {}
     for child, parent in subclass_pairs:
-        pair = (str(child).strip(), str(parent).strip())
+        pair = (child.strip(), parent.strip())
         if pair in sub:
             logger.warning("duplicate subclass axiom (%s, %s) ignored", *pair)
         sub[pair] = None
 
     dis: dict[tuple[str, str], None] = {}
     for a, b in disjoint_pairs:
-        pair = _canon_pair(str(a).strip(), str(b).strip())
+        pair = _canon_pair(a.strip(), b.strip())
         if pair in dis:
             logger.warning("duplicate disjointness axiom {%s, %s} ignored", *pair)
         dis[pair] = None
 
-    leaves = dict.fromkeys(str(leaf).strip() for leaf in leaves)
-    onto = Ontology(tuple(str(c).strip() for c in concepts), tuple(sub),
+    leaves = dict.fromkeys(leaf.strip() for leaf in leaves)
+    onto = Ontology(tuple(c.strip() for c in concepts), tuple(sub),
                     tuple(dis), tuple(leaves))
     diags = validate(onto)
     if diags:
@@ -267,17 +267,37 @@ def _build_ontology(concepts, subclass_pairs, disjoint_pairs, leaves) -> Ontolog
     return onto
 
 
+_AXIOM_SECTIONS = ("subclass", "disjoint")
+_SECTIONS = ("concepts", *_AXIOM_SECTIONS, "leaves")
+
+
 def ontology_from_dict(obj: dict) -> Ontology:
+    """Check the document's shape, then build and validate its hierarchy.
+
+    The keys are ``_SECTIONS``, each a list: ``concepts`` and ``leaves`` of
+    strings, the axiom sections of two-string lists. Only ``concepts`` is
+    required. Declaration faults are left to ``validate``.
+    """
     if not isinstance(obj, dict):
         raise OntologyError("ontology document must be a JSON object")
+    unknown = sorted(set(obj) - set(_SECTIONS))
+    if unknown:
+        raise OntologyError(f"unknown ontology keys {unknown}; "
+                            f"expected {list(_SECTIONS)}")
     if "concepts" not in obj:
         raise OntologyError('ontology document is missing the "concepts" list')
-    return _build_ontology(
-        obj.get("concepts", []),
-        obj.get("subclass", []),
-        obj.get("disjoint", []),
-        obj.get("leaves", []),
-    )
+    for key, items in obj.items():
+        if not isinstance(items, list):
+            raise OntologyError(f'"{key}" must be a JSON list')
+        for i, item in enumerate(items):
+            if key not in _AXIOM_SECTIONS:
+                if not isinstance(item, str):
+                    raise OntologyError(f'"{key}"[{i}] must be a string')
+            elif not (isinstance(item, list) and len(item) == 2
+                      and all(isinstance(name, str) for name in item)):
+                raise OntologyError(
+                    f'"{key}"[{i}] must be a list of two strings')
+    return _build_ontology(*(obj.get(key, []) for key in _SECTIONS))
 
 
 def parse_ontology(text: str) -> Ontology:

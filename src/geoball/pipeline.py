@@ -12,7 +12,9 @@ that is renamed into place, nothing half-written is left behind.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, fields
+import types
+import typing
+from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
 
 from .embedding import EmbedConfig, train_embeddings
@@ -82,36 +84,68 @@ class EpisodeConfig:
 def global_seed(sections: dict, seed: int | None = None) -> int:
     """A given ``seed``, else the config document's global seed, else
     DEFAULT_SEED."""
-    return int(sections.get("seed", DEFAULT_SEED)) if seed is None else seed
+    return sections.get("seed", DEFAULT_SEED) if seed is None else seed
+
+
+def _has_type(value, hint) -> bool:
+    """Whether a JSON value fits a field annotation. A bool is no number,
+    an int is a float, and a tuple field takes a list."""
+    if typing.get_origin(hint) is types.UnionType:
+        return any(_has_type(value, h) for h in typing.get_args(hint))
+    if typing.get_origin(hint) is tuple:
+        return isinstance(value, (list, tuple)) and all(
+            _has_type(v, typing.get_args(hint)[0]) for v in value)
+    if is_dataclass(hint):
+        return isinstance(value, dict)
+    if isinstance(value, bool):
+        return hint is bool
+    return isinstance(value, (int, float) if hint is float else hint)
+
+
+def check_fields(cls, obj, where: str) -> dict:
+    """``obj`` once it is an object whose every key is a field of dataclass
+    ``cls`` and whose every value fits that field's type (``_has_type``);
+    otherwise a ValueError that names ``where`` and the key."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{where} must be a JSON object")
+    declared = {f.name: f.type for f in fields(cls)}
+    unknown = set(obj) - set(declared)
+    if unknown:
+        raise ValueError(f"unknown {where} keys: {sorted(unknown)}")
+    hints = typing.get_type_hints(cls)
+    for key, value in obj.items():
+        if not _has_type(value, hints[key]):
+            kind = ("a JSON object" if is_dataclass(hints[key])
+                    else declared[key])
+            raise ValueError(f"{where} key {key!r} must be {kind}, "
+                             f"not {json.dumps(value, default=repr)}")
+    return obj
 
 
 def load_config_sections(path) -> dict:
-    """The pipeline config document at ``path``; ``{}`` when there is none."""
+    """The pipeline config document at ``path``, its top-level keys and
+    values checked; ``{}`` when there is none."""
     if path is None:
         return {}
     with open(path) as fh:
         obj = json.load(fh)
     if not isinstance(obj, dict):
         raise ValueError(f"config file {path} must hold a JSON object")
-    return obj
+    return check_fields(PipelineConfig, obj, "pipeline config")
 
 
 def stage_config(sections: dict, name: str, cls, seed: int | None = None):
     """A ``cls`` built from section ``name`` of a pipeline config document.
 
-    Unknown keys fail loudly; an omitted key takes the dataclass default,
-    through the constructor checks. For configs with a seed, a given ``seed``
-    wins, then the section's own seed, then ``global_seed``.
+    Keys and values are checked (``check_fields``); an omitted key takes the
+    dataclass default, through the constructor checks. For configs with a
+    seed, a given ``seed`` wins, then the section's own seed, then
+    ``global_seed``.
     """
-    raw = sections.get(name, {})
-    if not isinstance(raw, dict):
-        raise ValueError(f"config section {name!r} must be a JSON object")
-    raw = dict(raw)
-    allowed = {f.name for f in fields(cls)}
-    unknown = set(raw) - allowed
-    if unknown:
-        raise ValueError(f"unknown {cls.__name__} keys: {sorted(unknown)}")
-    if "seed" in allowed and (seed is not None or "seed" not in raw):
+    raw = dict(check_fields(cls, sections.get(name, {}),
+                            f"config section {name!r}"))
+    if "seed" in {f.name for f in fields(cls)} and (
+            seed is not None or "seed" not in raw):
         raw["seed"] = global_seed(sections, seed)
     if "hidden_sizes" in raw:
         raw["hidden_sizes"] = tuple(raw["hidden_sizes"])
@@ -136,15 +170,13 @@ class PipelineConfig:
     def from_dict(cls, obj: dict, seed: int | None = None) -> "PipelineConfig":
         """Sections override the config defaults field by field; a given
         ``seed`` replaces the global seed and every section's own."""
-        unknown = set(obj) - {f.name for f in fields(cls)}
-        if unknown:
-            raise ValueError(f"unknown pipeline config keys: {sorted(unknown)}")
+        check_fields(cls, obj, "pipeline config")
         for key in ("ontology_path", "out_dir"):
             if key not in obj:
                 raise ValueError(f"pipeline config needs {key!r}")
         return cls(
-            ontology_path=str(obj["ontology_path"]),
-            out_dir=str(obj["out_dir"]),
+            ontology_path=obj["ontology_path"],
+            out_dir=obj["out_dir"],
             seed=global_seed(obj, seed),
             embed=stage_config(obj, "embed", EmbedConfig, seed),
             projector=stage_config(obj, "projector", ProjectorConfig, seed),

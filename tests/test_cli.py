@@ -1,5 +1,7 @@
 """Tests for the geoball command line."""
 
+import argparse
+import inspect
 import json
 import re
 
@@ -43,6 +45,59 @@ def test_ingest_rejects_broken_ontology(tmp_path, capsys):
                                "disjoint": [], "leaves": []}))
     assert main(["ingest", str(bad)]) == 1
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("doc, names", [
+    ({"concepts": ["a", "b"], "subclases": [["a", "b"]]}, "'subclases'"),
+    ({"concepts": "ab"}, '"concepts" must be a JSON list'),
+    ({"concepts": ["a", "b"], "leaves": "ab"}, '"leaves" must be a JSON list'),
+    ({"concepts": 5}, '"concepts" must be a JSON list'),
+    ({"concepts": ["a", None]}, '"concepts"[1] must be a string'),
+    ({"concepts": ["a"], "subclass": [5]}, '"subclass"[0] must be a list'),
+    ({"concepts": ["a", "b"], "subclass": {"a": "b"}},
+     '"subclass" must be a JSON list'),
+])
+def test_ingest_refuses_a_misshapen_document(tmp_path, capsys, doc, names):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert main(["ingest", str(path)]) == 1
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: ") and names in line
+
+
+@pytest.mark.parametrize("doc, names", [
+    ({"embed": {"dim": "4"}}, "config section 'embed' key 'dim'"),
+    ({"embed": {"learning_rate": "0.1"}},
+     "config section 'embed' key 'learning_rate'"),
+    ({"seed": 1.7}, "pipeline config key 'seed'"),
+    ({"seed": True}, "pipeline config key 'seed'"),
+    ({"embed": {"epochs": True}}, "config section 'embed' key 'epochs'"),
+    ({"embedd": {}}, "['embedd']"),
+])
+def test_config_value_of_the_wrong_type_is_a_clean_error(
+        poodle_path, tmp_path, capsys, doc, names):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(doc))
+    assert main(["embed", str(poodle_path), "--out", str(tmp_path / "s.json"),
+                 "--config", str(config)]) == 1
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: ") and names in line
+    assert not (tmp_path / "s.json").exists()
+
+
+def test_every_flag_is_read_by_its_subcommand():
+    """A flag whose ``dest`` its subcommand's ``cmd_*`` body never reads
+    would be accepted and then do nothing."""
+    parser = geoball.cli.build_parser()
+    (subcommands,) = (action for action in parser._actions
+                      if isinstance(action, argparse._SubParsersAction))
+    unread = []
+    for name, sub in subcommands.choices.items():
+        body = inspect.getsource(sub.get_default("func"))
+        unread += [(name, action.dest) for action in sub._actions
+                   if not isinstance(action, argparse._HelpAction)
+                   and not re.search(rf"\bargs\.{action.dest}\b", body)]
+    assert unread == []
 
 
 def test_missing_file_is_a_clean_error(tmp_path, capsys):
@@ -390,3 +445,30 @@ def test_cli_rejects_non_finite_and_bad_artifacts(world, tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("error: ") and str(path) in err, path
         assert reason in err, path
+
+
+def test_artifact_of_the_wrong_shape_is_a_clean_error(world, tmp_path, capsys):
+    """Valid JSON that is not the artifact a command reads is refused with
+    one line naming the file and the artifact kind."""
+    run_dir, _ = world
+    mlp = json.loads((run_dir / "mlp.json").read_text())
+    del mlp["weights"]
+    bad = {}
+    for name, doc in (("space", {"dim": 2, "balls": []}),
+                      ("negatives", {"poodle": 5}), ("mlp", mlp)):
+        bad[name] = tmp_path / f"{name}.json"
+        bad[name].write_text(json.dumps(doc))
+    space = str(run_dir / "space.json")
+    features = str(run_dir / "features_base.npz")
+    out = str(tmp_path / "out.json")
+    for argv, path, kind in (
+            (["negatives", str(bad["space"]), "--out", out], bad["space"],
+             "BallSpace"),
+            (["train-projector", space, str(bad["negatives"]), features,
+              "--out", out], bad["negatives"], "NegativeSets"),
+            (["infer", space, str(bad["mlp"]), features], bad["mlp"], "Mlp")):
+        assert main(argv) == 1, argv
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: ")
+        assert f"{path} does not hold a {kind} artifact" in line
+    assert not (tmp_path / "out.json").exists()

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import weakref
 
 import pytest
@@ -153,6 +154,34 @@ def test_config_validation(tmp_path):
         GeneratorConfig(noise_sigma=-1.0)
     with pytest.raises(ValueError):
         EpisodeConfig(w=0)
+
+
+@pytest.mark.parametrize("overrides, message", [
+    ({"embed": {"dim": "4"}}, "config section 'embed' key 'dim' must be int"),
+    ({"embed": {"learning_rate": "0.1"}},
+     "config section 'embed' key 'learning_rate' must be float"),
+    ({"seed": 1.7}, "pipeline config key 'seed' must be int"),
+    ({"seed": True}, "pipeline config key 'seed' must be int"),
+    ({"embed": {"epochs": True}}, "config section 'embed' key 'epochs'"),
+    ({"projector": {"hidden_sizes": [8, 2.5]}}, "'hidden_sizes'"),
+    ({"generator": {"intrinsic_dim": 1.5}}, "'intrinsic_dim' must be int | None"),
+    ({"negatives_k": "3"}, "'negatives_k'"),
+    ({"out_dir": 5}, "'out_dir' must be str"),
+])
+def test_config_refuses_a_value_of_the_wrong_type(tmp_path, overrides, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        PipelineConfig.from_dict(small_config(tmp_path, **overrides))
+
+
+def test_config_value_types_follow_the_fields(tmp_path):
+    """An int where a float goes, null for an optional field, and a list or
+    tuple of ints for the hidden sizes."""
+    obj = small_config(tmp_path, negatives_k=None)
+    obj["embed"].update(gamma=-1, disjoint_gamma=None)
+    obj["projector"]["hidden_sizes"] = (16, 8)
+    config = PipelineConfig.from_dict(obj)
+    assert config.embed.gamma == -1 and config.embed.disjoint_gamma is None
+    assert config.projector.hidden_sizes == (16, 8)
 
 
 def test_config_dict_roundtrip(tmp_path):
