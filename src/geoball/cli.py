@@ -36,7 +36,7 @@ def _load(path, cls):
         obj = json.load(fh)
     try:
         return cls.from_dict(obj)
-    except (KeyError, TypeError, AttributeError) as exc:
+    except (KeyError, TypeError, AttributeError, ValueError) as exc:
         raise ValueError(f"{path} does not hold a {cls.__name__} artifact: "
                          f"{type(exc).__name__}: {exc}") from exc
 
@@ -46,6 +46,18 @@ def _read_features(path):
     if Path(path).suffix == ".npz":
         return read_features_npz(path)
     return read_features_csv(path)
+
+
+def _space_names(text: str, space: BallSpace, flag: str, path):
+    """The comma-separated names given to ``flag``, once each is a ball of
+    ``space`` (read from ``path``); otherwise a ValueError that names the
+    flag and every name without one."""
+    names = tuple(text.split(","))
+    unknown = [name for name in names if name not in space.index]
+    if unknown:
+        raise ValueError(f"unknown {flag} concepts: {unknown} "
+                         f"(no ball in {path})")
+    return names
 
 
 def _float_list(text: str) -> tuple[float, ...]:
@@ -117,8 +129,8 @@ def cmd_tune(args) -> int:
 
 def cmd_negatives(args) -> int:
     space = _load(args.space, BallSpace)
-    names = (tuple(args.leaves.split(",")) if args.leaves
-             else tuple(space.concepts))
+    names = (_space_names(args.leaves, space, "--leaves", args.space)
+             if args.leaves else tuple(space.concepts))
     negatives = build_negative_sets(space, names, k=args.k,
                                     seed=global_seed({}, args.seed))
     _write_json(args.out, negatives.to_dict())
@@ -148,7 +160,8 @@ def cmd_infer(args) -> int:
     if not features.labels:
         raise ValueError(f"feature file {args.features} holds no rows")
     if args.candidates:
-        names = tuple(args.candidates.split(","))
+        names = _space_names(args.candidates, space, "--candidates",
+                             args.space)
     else:
         names = tuple(sorted(mlp.trained_labels)) or tuple(space.concepts)
     candidates = [(name, space.ball(name)) for name in names]

@@ -109,6 +109,11 @@ class BallSpace:
     def from_dict(cls, obj: dict) -> "BallSpace":
         dim = int(obj["dim"])
         names = tuple(obj["balls"].keys())
+        for c in names:
+            length = len(obj["balls"][c]["c"])
+            if length != dim:
+                raise ValueError(f"the centre of ball {c!r} has {length} "
+                                 f"entries, not dim {dim}")
         centres = np.array([obj["balls"][c]["c"] for c in names], dtype=float)
         radii = np.array([obj["balls"][c]["r"] for c in names], dtype=float)
         if centres.size == 0:

@@ -135,6 +135,11 @@ class NegativeSets:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "NegativeSets":
+        for name, neg in obj.items():
+            if not (isinstance(neg, list)
+                    and all(isinstance(q, str) for q in neg)):
+                raise ValueError(f"the negatives of {name!r} must be a list "
+                                 f"of names, not {neg!r}")
         return cls({name: tuple(neg) for name, neg in obj.items()})
 
 
@@ -150,6 +155,8 @@ def build_negative_sets(space: BallSpace, leaves, k: int | None = None,
     other leaf (by centre distance) as the sole negative.
     """
     leaves = sorted(leaves)
+    if not leaves:
+        raise ValueError("no leaves to build negative sets for")
     if k is None:
         k = default_k(len(leaves))
     rows = np.array([space.index[leaf] for leaf in leaves])

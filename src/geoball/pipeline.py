@@ -3,10 +3,13 @@
 Stages run in dependency order (ingest, embed, negatives, features,
 train-projector, episodes). Every stage derives its seed from the global one
 unless its config section pins its own (``stage_config``, which the CLI uses
-too), so re-running the same config file reproduces each artifact byte for
-byte. A stage failure aborts the run with the stage name attached; artifacts
-of completed stages stay on disk, and as each is written to a temporary file
-that is renamed into place, nothing half-written is left behind.
+too), so re-running the same config file at the same BLAS thread count
+reproduces each artifact byte for byte; ``mlp.json`` and ``report.json`` can
+differ between thread counts, since LAPACK's threaded ``eigh`` behind the
+input reduction does. A stage failure aborts the run with the stage name
+attached; artifacts of completed stages stay on disk, and as each is written
+to a temporary file that is renamed into place, nothing half-written is left
+behind.
 """
 
 from __future__ import annotations
@@ -202,9 +205,12 @@ class PipelineError(RuntimeError):
 
 
 def _write_json(path, obj: dict) -> None:
-    text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    """``obj`` as indented, key-sorted JSON, the bytes of ``json.dumps``,
+    streamed chunk by chunk so that its whole text is never held at once."""
+    encoder = json.JSONEncoder(indent=2, sort_keys=True)
     with atomic_open(path) as fh:
-        fh.write(text)
+        fh.writelines(encoder.iterencode(obj))
+        fh.write("\n")
 
 
 def print_losses(losses, stage: str = "") -> None:

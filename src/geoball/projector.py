@@ -355,7 +355,8 @@ def _epoch_loss(x, rows, weights, biases, targets, mu, nu, block):
 
 def _resolve_targets(labels, space: BallSpace, negatives: NegativeSets,
                      restrict_to=None):
-    """Packed targets per label; negatives optionally restricted to a label set."""
+    """Packed targets per label; negatives optionally restricted to a label
+    set. Every label and every negative of one must have a ball."""
     balls: dict[str, Ball] = {}
     negative_balls: dict[str, list[Ball]] = {}
     for label in sorted(set(labels)):
@@ -363,9 +364,12 @@ def _resolve_targets(labels, space: BallSpace, negatives: NegativeSets,
             raise KeyError(f"no ball for label {label!r}")
         balls[label] = space.ball(label)
         pool = negatives.negatives.get(label, ())
+        unknown = [q for q in pool if q not in space.index]
+        if unknown:
+            raise ValueError(f"negatives of {label!r} have no ball: {unknown}")
         if restrict_to is not None:
             pool = [q for q in pool if q in restrict_to]
-        negative_balls[label] = [space.ball(q) for q in pool if q in space.index]
+        negative_balls[label] = [space.ball(q) for q in pool]
     return _pack_targets(labels, balls, negative_balls)
 
 

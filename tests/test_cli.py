@@ -472,3 +472,60 @@ def test_artifact_of_the_wrong_shape_is_a_clean_error(world, tmp_path, capsys):
         assert line.startswith("error: ")
         assert f"{path} does not hold a {kind} artifact" in line
     assert not (tmp_path / "out.json").exists()
+
+
+@pytest.mark.parametrize("flag, argv", [
+    ("--leaves", ["negatives", "SPACE", "--out", "OUT"]),
+    ("--candidates", ["infer", "SPACE", "MLP", "FEATURES", "--out", "OUT"]),
+])
+def test_unknown_names_in_a_flag_are_a_clean_error(world, tmp_path, capsys,
+                                                    flag, argv):
+    run_dir, _ = world
+    paths = {"SPACE": run_dir / "space.json", "MLP": run_dir / "mlp.json",
+             "FEATURES": run_dir / "features_novel.npz",
+             "OUT": tmp_path / "out.json"}
+    assert main([str(paths.get(arg, arg)) for arg in argv]
+                + [flag, "poodle,nope,nada"]) == 1
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: ")
+    assert f"unknown {flag} concepts: ['nope', 'nada']" in line
+    assert str(paths["SPACE"]) in line
+    assert not (tmp_path / "out.json").exists()
+
+
+@pytest.mark.parametrize("value", [["nope"], "retriever"])
+def test_negatives_without_a_ball_are_a_clean_error(world, tmp_path, capsys,
+                                                    value):
+    """A negative set the space has no ball for, or a bare name in place of
+    a list of names, is refused instead of being dropped or split into
+    characters."""
+    run_dir, _ = world
+    doc = json.loads((run_dir / "negatives.json").read_text())
+    bad = tmp_path / "negatives.json"
+    bad.write_text(json.dumps({name: value for name in doc}))
+    out = tmp_path / "mlp.json"
+    assert main(["train-projector", str(run_dir / "space.json"), str(bad),
+                 str(run_dir / "features_base.npz"), "--out", str(out)]) == 1
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: ") and repr(value) in line
+    assert not out.exists()
+
+
+def test_misshapen_space_is_a_clean_negatives_error(world, tmp_path, capsys):
+    run_dir, _ = world
+    space = json.loads((run_dir / "space.json").read_text())
+    name = next(iter(space["balls"]))
+    space["balls"][name]["c"].pop()
+    short, empty = tmp_path / "short.json", tmp_path / "empty.json"
+    short.write_text(json.dumps(space))
+    empty.write_text(json.dumps({"dim": space["dim"], "balls": {}}))
+    out = tmp_path / "negatives.json"
+    for path, reason in (
+            (short, f"{short} does not hold a BallSpace artifact: ValueError: "
+                    f"the centre of ball {name!r} has {space['dim'] - 1} "
+                    f"entries, not dim {space['dim']}"),
+            (empty, "no leaves to build negative sets for")):
+        assert main(["negatives", str(path), "--out", str(out)]) == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: ") and reason in line, line
+    assert not out.exists()

@@ -3,6 +3,7 @@
 import json
 import os
 import re
+import tracemalloc
 import weakref
 
 import pytest
@@ -16,6 +17,7 @@ from geoball.pipeline import (
     PipelineConfig,
     PipelineError,
     run_pipeline,
+    _write_json,
 )
 
 POODLE = {
@@ -237,3 +239,28 @@ def test_generated_splits_are_freed_before_base_learning(tmp_path, monkeypatch):
     monkeypatch.setattr(geoball.pipeline, "train_base", recording_train)
     run_pipeline(PipelineConfig.from_dict(small_config(tmp_path)))
     assert alive == [False, False]
+
+
+def test_json_write_streams_its_text(tmp_path):
+    # about 1M floats, some 15 MB of indented text; built before tracing
+    doc = {"weights": [[i + j / 1000 for j in range(1000)]
+                       for i in range(1000)]}
+    path = tmp_path / "big.json"
+    tracemalloc.start()
+    try:
+        _write_json(path, doc)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < path.stat().st_size / 100
+
+
+def test_json_write_that_fails_part_way_keeps_the_old_file(tmp_path):
+    path = tmp_path / "doc.json"
+    _write_json(path, {"old": True})
+    before = path.read_bytes()
+    # keys are sorted, so the unserialisable value comes after 100k floats
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        _write_json(path, {"a": [0.5] * 100_000, "b": object()})
+    assert path.read_bytes() == before
+    assert list(tmp_path.glob("*.tmp")) == []

@@ -1,8 +1,9 @@
-"""Property tests: every artifact format round-trips exactly, the array
-ranking loss and the packed ball hinges agree with their scalar definitions,
-classification does not depend on candidate order beyond its documented tie
-rule and batches follow the per-point rule, and every entry point names the
-same cycle witness."""
+"""Property tests: every artifact format round-trips exactly, the JSON
+writer writes the text of ``json.dumps``, the array ranking loss and the
+packed ball hinges agree with their scalar definitions, classification does
+not depend on candidate order beyond its documented tie rule and batches
+follow the per-point rule, and every entry point names the same cycle
+witness."""
 
 import io
 import json
@@ -24,6 +25,7 @@ from geoball.harness import (FeatureDataset, read_features_csv,
 from geoball.negatives import NegativeSets
 from geoball.ontology import (Ich, Ontology, OntologyError, compute_ich,
                               compute_stats, validate)
+from geoball.pipeline import _write_json
 from geoball.projector import (Mlp, _pack_targets, _ranking_loss_grad,
                                classify, classify_batch, ranking_loss)
 
@@ -95,6 +97,22 @@ def test_negative_sets_roundtrip_is_exact(doc):
     sets = NegativeSets.from_dict(doc)
     assert sets.to_dict() == {name: doc[name] for name in sorted(doc)}
     assert NegativeSets.from_dict(through_json(sets.to_dict())) == sets
+
+
+JSON_DOCUMENTS = st.dictionaries(st.text(), st.recursive(
+    st.none() | st.booleans() | st.integers() | FINITE | st.text(),
+    lambda children: (st.lists(children, max_size=4)
+                      | st.dictionaries(st.text(), children, max_size=4)),
+    max_leaves=20))
+
+
+@given(JSON_DOCUMENTS)
+@example({"zero": -0.0, "tiny": 5e-324, "é→": ["ü", {}, [], None, True]})
+def test_written_json_is_the_dumped_text(tmp_path_factory, doc):
+    path = tmp_path_factory.getbasetemp() / "doc.json"
+    _write_json(path, doc)
+    expected = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    assert path.read_bytes() == expected.encode()
 
 
 @st.composite
