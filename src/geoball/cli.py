@@ -164,6 +164,10 @@ def cmd_infer(args) -> int:
                              args.space)
     else:
         names = tuple(sorted(mlp.trained_labels)) or tuple(space.concepts)
+        unknown = [name for name in names if name not in space.index]
+        if unknown:
+            raise ValueError(f"projector {args.mlp} was trained on labels "
+                             f"with no ball in {args.space}: {unknown}")
     candidates = [(name, space.ball(name)) for name in names]
     ich = None
     if args.ontology:
@@ -213,8 +217,8 @@ def cmd_episodes(args) -> int:
 
 def cmd_viz(args) -> int:
     space = _load(args.space, BallSpace)
-    concepts = (tuple(args.concepts.split(",")) if args.concepts
-                else tuple(space.concepts))
+    concepts = (_space_names(args.concepts, space, "--concepts", args.space)
+                if args.concepts else tuple(space.concepts))
     points = labels = None
     if args.points:
         dataset = _read_features(args.points)

@@ -11,8 +11,13 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import io
+import itertools
 import math
+import mmap
 import os
+import pickle
+import re
 import warnings
 import zipfile
 from dataclasses import dataclass
@@ -30,6 +35,13 @@ from .projector import (Mlp, ProjectorConfig, ancestor_report, classify_batch,
 # feature file reads and checks work in blocks of this size, so that their
 # temporaries stay small next to the matrix at any size
 _BLOCK_BYTES = 1 << 16
+
+# a feature CSV is scanned in blocks of this many bytes, and its rows are
+# converted in blocks of about this many bytes of matrix; it is parsed in
+# more than one share only when each share gets at least _SHARE_MIN_BYTES
+# of text, below which a fork costs more than it saves
+_TEXT_BLOCK_BYTES = 1 << 20
+_SHARE_MIN_BYTES = 1 << 20
 
 # full-scale results from the original evaluation, recorded in reports as
 # non-reproducible reference points for the desk-scale figures
@@ -94,6 +106,101 @@ def atomic_open(path, mode: str = "w"):
         raise
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on; 1 where the OS does not say (there
+    is no ``os.sched_getaffinity`` on macOS or Windows)."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity else 1
+
+
+def _map_shares(fn, items) -> list:
+    """``[fn(item) for item in items]``, computed over contiguous shares of
+    ``items``, one share per usable CPU (at most one per item).
+
+    Share 0 runs in this process. Each other share runs in a forked child,
+    which sends back its pickled result list, or its exception, through a
+    pipe and leaves only through ``os._exit``, so no ``finally`` block or
+    exit handler of this process runs twice. A child's exception is raised
+    here again with its type and message; one that does not pickle becomes
+    a RuntimeError carrying its repr. Every pipe is closed and every child
+    reaped before this returns or raises. With one CPU or one item, the
+    list is computed here.
+    """
+    items = list(items)
+    n_shares = min(_usable_cpus(), len(items))
+    if n_shares <= 1:
+        return [fn(item) for item in items]
+    cuts = [len(items) * k // n_shares for k in range(n_shares + 1)]
+    children = []  # (pid, read end of its pipe)
+    try:
+        for k in range(1, n_shares):
+            read_fd, write_fd = os.pipe()
+            try:
+                # Python 3.12+ warns in the parent when a process with
+                # threads forks. The threads are BLAS's: the OpenBLAS in
+                # numpy's wheels stops them in its own fork handler, and a
+                # child runs only numpy and pickle before os._exit.
+                with warnings.catch_warnings():
+                    warnings.filterwarnings(
+                        "ignore", "This process .* is multi-threaded",
+                        DeprecationWarning)
+                    pid = os.fork()
+                if pid == 0:
+                    _share_child(fn, items[cuts[k]:cuts[k + 1]], write_fd,
+                                 [read_fd, *(fd for _, fd in children)])
+                children.append((pid, read_fd))
+            except BaseException:
+                os.close(read_fd)
+                raise
+            finally:
+                os.close(write_fd)
+        results = [fn(item) for item in items[:cuts[1]]]
+        for pid, read_fd in children:
+            results.extend(_share_result(pid, read_fd))
+        return results
+    finally:
+        for _, read_fd in children:
+            os.close(read_fd)
+        for pid, _ in children:
+            os.waitpid(pid, 0)
+
+
+def _share_child(fn, share, write_fd: int, inherited_fds) -> None:
+    """The body of a forked share: its pickled ``(error, results)`` go into
+    ``write_fd``. It never returns."""
+    status = 1
+    try:
+        for fd in inherited_fds:
+            os.close(fd)
+        try:
+            payload = pickle.dumps((None, [fn(item) for item in share]))
+        except BaseException as exc:
+            try:
+                payload = pickle.dumps((exc, None))
+                pickle.loads(payload)
+            except Exception:
+                payload = pickle.dumps((RuntimeError(repr(exc)), None))
+        with open(write_fd, "wb") as pipe:
+            pipe.write(payload)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _share_result(pid: int, read_fd: int) -> list:
+    """The results a forked share sent, or its exception raised here."""
+    with open(read_fd, "rb", closefd=False) as pipe:
+        payload = pipe.read()
+    try:
+        error, results = pickle.loads(payload)
+    except Exception as exc:
+        raise RuntimeError(f"share process {pid} ended without sending "
+                           "its results") from exc
+    if error is not None:
+        raise error
+    return results
+
+
 def _csv_field(text: str) -> str:
     """``text`` as one CSV field, quoted where csv.reader would misread it."""
     if text.startswith('"') or any(ch in text for ch in ',\r\n'):
@@ -117,12 +224,53 @@ def write_features_csv(dataset: FeatureDataset, path) -> None:
         fh.writelines(_csv_lines(dataset))
 
 
-def _row_bound(path) -> int:
-    """An upper bound on the rows of a CSV file: all but the last end in a
-    newline."""
-    with open(path, "rb") as raw:
-        return 1 + sum(block.count(b"\n")
-                       for block in iter(lambda: raw.read(1 << 20), b""))
+def _line_ends(block: bytes, start: int, stop: int) -> int:
+    """The line endings in ``block[start:stop]``: ``\\n``, ``\\r\\n`` and bare
+    ``\\r``, as a text handle opened with ``newline=""`` splits lines."""
+    ends = block.count(b"\n", start, stop)
+    if block.find(b"\r", start, stop) < 0:  # a memchr, unlike the counts
+        return ends
+    return (ends + block.count(b"\r", start, stop)
+            - block.count(b"\r\n", start, stop))
+
+
+def _scan_csv(raw, size: int, n_shares: int):
+    """One pass over the binary file ``raw`` in blocks: the byte offset at
+    which each share starts and the line endings in each share.
+
+    Share ``k`` starts just after the first ``\\n`` at or after ``k/n_shares``
+    of the file, so every cut falls between lines. A quoted label may hold
+    a line break, so a file with any ``"`` byte is one share.
+    """
+    targets = [size * k // n_shares for k in range(1, n_shares)]
+    starts, ends = [0], [0]
+    quoted = after_cr = False
+    pos = 0
+    for block in iter(lambda: raw.read(_TEXT_BLOCK_BYTES), b""):
+        quoted = quoted or b'"' in block
+        if after_cr and block.startswith(b"\n"):
+            ends[-1] -= 1  # a \r\n split between blocks was counted twice
+        at = 0
+        while targets and targets[0] < pos + len(block):
+            newline = block.find(b"\n", max(targets[0] - pos, at))
+            if newline < 0:
+                break
+            ends[-1] += _line_ends(block, at, newline + 1)
+            at = newline + 1
+            starts.append(pos + at)
+            ends.append(0)
+            targets = [t for t in targets if t >= pos + at]
+        ends[-1] += _line_ends(block, at, len(block))
+        after_cr = block.endswith(b"\r")
+        pos += len(block)
+    if quoted:
+        return [0], [sum(ends)]
+    return starts, ends
+
+
+# numpy's row numbers count from the start of each row block; the reader
+# names the line of the file instead
+_NUMPY_ROW = re.compile(r" at row \d+")
 
 
 def _require_finite(features: np.ndarray, what: str) -> None:
@@ -135,34 +283,97 @@ def _require_finite(features: np.ndarray, what: str) -> None:
 
 
 def read_features_csv(path) -> FeatureDataset:
-    max_rows = _row_bound(path)
+    """The feature CSV ``write_features_csv`` writes, or any CSV with a
+    ``label`` column first and one float column per feature; anything else
+    is a ValueError that names the file.
+
+    A first pass over the bytes bounds the rows of each share of the file,
+    and the matrix is allocated once, by that bound, in an anonymous shared
+    mapping. Each share (one per usable CPU, see ``_map_shares``) parses
+    its lines in row blocks straight into its rows of the matrix and sends
+    back only its labels; the gaps the bounds leave are then closed.
+    """
     with open(path, newline="") as fh:
-        first = fh.readline()
-        if not first:
-            raise ValueError(f"feature CSV {path} is empty")
-        header = next(csv.reader([first]))
-        if not header or header[0] != "label":
-            raise ValueError("feature CSV must start with a 'label' column")
-        dim = len(header) - 1
-        if dim < 1:
-            raise ValueError(f"feature CSV {path} has no feature columns")
-        row = np.dtype([("label", object), ("f", float, (dim,))])
-        # comments=None: a label may start with '#'. A header-only file is a
-        # valid empty dataset, so loadtxt's no-data warning is not passed on.
-        # Given max_rows, loadtxt allocates its table once; grown row block
-        # by row block instead, its copies left the read's peak memory to
-        # the layout of the heap.
-        with warnings.catch_warnings():
-            warnings.filterwarnings("ignore", "loadtxt: input contained no data",
-                                    UserWarning)
-            try:
-                table = np.loadtxt(fh, dtype=row, delimiter=",", quotechar='"',
-                                   comments=None, ndmin=1, max_rows=max_rows)
-            except ValueError as exc:
-                raise ValueError(f"feature CSV {path}: {exc}") from exc
-    features = table["f"]
+        try:
+            first = fh.readline()
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"feature CSV {path}: {exc}") from exc
+    if not first:
+        raise ValueError(f"feature CSV {path} is empty")
+    header = next(csv.reader([first]))
+    if not header or header[0] != "label":
+        raise ValueError(f"feature CSV {path} must start with a 'label' "
+                         "column")
+    dim = len(header) - 1
+    if dim < 1:
+        raise ValueError(f"feature CSV {path} has no feature columns")
+    with open(path, "rb") as raw:
+        size = os.fstat(raw.fileno()).st_size
+        n_shares = max(1, min(_usable_cpus(), size // _SHARE_MIN_BYTES))
+        starts, ends = _scan_csv(raw, size, n_shares)
+    last = len(ends) - 1
+    # every line of a share but the header holds at most one row, and the
+    # last line of the file may lack its line ending
+    offsets = np.cumsum([0, *(lines - (k == 0) + (k == last)
+                              for k, lines in enumerate(ends))]).tolist()
+    lines_before = np.cumsum([0, *ends]).tolist()
+    row_bytes = 8 * dim
+    buffer = mmap.mmap(-1, max(1, offsets[-1]) * row_bytes)
+    matrix = np.frombuffer(buffer, dtype=np.float64).reshape(-1, dim)
+    row = np.dtype([("label", object), ("f", float, (dim,))])
+    block_rows = max(1, _TEXT_BLOCK_BYTES // row_bytes)
+
+    def parse(k: int) -> list[str]:
+        """Share ``k``'s rows, converted block by block into its slice of
+        the matrix; returns their labels."""
+        out = matrix[offsets[k]:offsets[k + 1]]
+        labels: list[str] = []
+        line = lines_before[k]  # the line of the file read last
+
+        def counted(lines):
+            nonlocal line
+            for text in lines:
+                line += 1
+                yield text
+
+        with open(path, "rb") as raw:
+            raw.seek(starts[k])
+            fh = io.TextIOWrapper(raw, newline="")
+            lines = counted(fh if k == last else
+                            itertools.islice(fh, ends[k]))
+            if k == 0:
+                next(lines)  # the header
+            # comments=None: a label may start with '#'. A header-only file
+            # is a valid empty dataset, so loadtxt's no-data warning is not
+            # passed on.
+            with warnings.catch_warnings():
+                warnings.filterwarnings("ignore", "loadtxt: input contained "
+                                        "no data", UserWarning)
+                while True:
+                    try:
+                        table = np.loadtxt(lines, dtype=row, delimiter=",",
+                                           quotechar='"', comments=None,
+                                           ndmin=1, max_rows=block_rows)
+                        out[len(labels):len(labels) + len(table)] = table["f"]
+                    except ValueError as exc:
+                        raise ValueError(f"feature CSV {path}, line {line}: "
+                                         f"{_NUMPY_ROW.sub('', str(exc))}"
+                                         ) from exc
+                    labels.extend(table["label"].tolist())
+                    if len(table) < block_rows:
+                        return labels
+
+    shares = _map_shares(parse, range(len(ends)))
+    rows = 0
+    for k, labels in enumerate(shares):  # close the gaps between shares
+        if offsets[k] != rows:
+            buffer.move(rows * row_bytes, offsets[k] * row_bytes,
+                        len(labels) * row_bytes)
+        rows += len(labels)
+    features = matrix[:rows]
     _require_finite(features, f"feature CSV {path}")
-    return FeatureDataset(dim, tuple(table["label"].tolist()), features)
+    return FeatureDataset(dim, tuple(itertools.chain.from_iterable(shares)),
+                          features)
 
 
 def _write_npy_member(archive: zipfile.ZipFile, name: str, array) -> None:
@@ -426,11 +637,13 @@ def evaluate_episodes(space: BallSpace, base_mlp: Mlp, episodes,
     """Few-shot protocol: per episode fine-tune a copy of the base projector
     on the support set, then classify the queries against the w candidate
     balls. Semantic errors (wrong but inside the true class's parent ball)
-    are tallied when the closure is supplied."""
-    per_episode = []
-    wrong = semantic_wrong = 0
+    are tallied when the closure is supplied. Episodes are independent, so
+    they run in shares, one per usable CPU (``_map_shares``)."""
     parents_of: dict[str, frozenset[str]] = {}
-    for episode in episodes:
+
+    def run(episode: Episode) -> tuple[float, int, int]:
+        """The episode's accuracy, its missed queries and how many of those
+        fell inside a parent ball of their true class."""
         query = episode.query
         tuned = finetune_fewshot(base_mlp, episode.support, space, negatives,
                                  projector_config)
@@ -439,25 +652,29 @@ def evaluate_episodes(space: BallSpace, base_mlp: Mlp, episodes,
         picks, _, _ = classify_batch(outputs, candidates)
         truths = np.array(query.labels)
         missed = np.flatnonzero(np.array(episode.classes)[picks] != truths)
-        per_episode.append((len(truths) - len(missed)) / len(truths))
-        wrong += len(missed)
-        if ich is None:
-            continue
-        for i in missed:
+        semantic_hits = 0
+        for i in missed if ich is not None else ():
             truth = truths[i]
             if truth not in parents_of:
                 parents_of[truth] = direct_parents(ich, [truth])
             report = ancestor_report(outputs[i], space, ich)
-            semantic_wrong += any(p in report for p in parents_of[truth])
+            semantic_hits += any(p in report for p in parents_of[truth])
+        return ((len(truths) - len(missed)) / len(truths), len(missed),
+                semantic_hits)
+
+    results = _map_shares(run, episodes)
+    wrong = sum(missed for _, missed, _ in results)
+    semantic_wrong = sum(hits for _, _, hits in results)
     semantic = (semantic_wrong / wrong) if (ich is not None and wrong) else (
         0.0 if ich is not None else None)
-    return _aggregate(per_episode, semantic)
+    return _aggregate([accuracy for accuracy, _, _ in results], semantic)
 
 
 def nearest_centroid_accuracy(episodes) -> EvalReport:
-    """Baseline: classify each query by the nearest support-class centroid."""
-    per_episode = []
-    for episode in episodes:
+    """Baseline: classify each query by the nearest support-class centroid.
+    Episodes run in shares, like ``evaluate_episodes``."""
+
+    def run(episode: Episode) -> float:
         support, query = episode.support, episode.query
         idx = support.class_indices()
         names = episode.classes
@@ -467,8 +684,9 @@ def nearest_centroid_accuracy(episodes) -> EvalReport:
         for row, truth in zip(query.features, query.labels):
             d = np.linalg.norm(centroids - row, axis=1)
             correct += names[int(d.argmin())] == truth
-        per_episode.append(correct / len(query.labels))
-    return _aggregate(per_episode, None)
+        return correct / len(query.labels)
+
+    return _aggregate(_map_shares(run, episodes), None)
 
 
 def dataset_accuracy(space: BallSpace, mlp: Mlp, dataset: FeatureDataset,

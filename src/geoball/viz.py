@@ -89,7 +89,7 @@ def render_balls_2d(space: BallSpace, concepts, points=None,
         raise ValueError("need at least one concept to draw")
     missing = [n for n in names if n not in space.index]
     if missing:
-        raise KeyError(f"unknown concepts: {missing}")
+        raise ValueError(f"unknown concepts: {missing} (no ball in the space)")
     centres = np.stack([space.centre_of(n) for n in names])
     radii = np.array([space.radius_of(n) for n in names])
 

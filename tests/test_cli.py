@@ -477,6 +477,7 @@ def test_artifact_of_the_wrong_shape_is_a_clean_error(world, tmp_path, capsys):
 @pytest.mark.parametrize("flag, argv", [
     ("--leaves", ["negatives", "SPACE", "--out", "OUT"]),
     ("--candidates", ["infer", "SPACE", "MLP", "FEATURES", "--out", "OUT"]),
+    ("--concepts", ["viz", "SPACE", "--out", "OUT"]),
 ])
 def test_unknown_names_in_a_flag_are_a_clean_error(world, tmp_path, capsys,
                                                     flag, argv):
@@ -491,6 +492,27 @@ def test_unknown_names_in_a_flag_are_a_clean_error(world, tmp_path, capsys,
     assert f"unknown {flag} concepts: ['nope', 'nada']" in line
     assert str(paths["SPACE"]) in line
     assert not (tmp_path / "out.json").exists()
+
+
+def test_infer_against_another_space_names_both_files(world, tmp_path,
+                                                      capsys):
+    """Without --candidates, infer classifies into the projector's trained
+    labels; one with no ball in the space is named with both files."""
+    run_dir, _ = world
+    trained = json.loads((run_dir / "mlp.json").read_text())["trained_labels"]
+    space = json.loads((run_dir / "space.json").read_text())
+    gone = sorted(trained)[:2]
+    for name in gone:
+        del space["balls"][name]
+    other = tmp_path / "other_space.json"
+    other.write_text(json.dumps(space))
+    out = tmp_path / "preds.json"
+    assert main(["infer", str(other), str(run_dir / "mlp.json"),
+                 str(run_dir / "features_base.npz"), "--out", str(out)]) == 1
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line == (f"error: projector {run_dir / 'mlp.json'} was trained on "
+                    f"labels with no ball in {other}: {gone}")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("value", [["nope"], "retriever"])

@@ -2,6 +2,8 @@
 
 import hashlib
 import io
+import locale
+import os
 import re
 import tracemalloc
 import warnings
@@ -9,6 +11,7 @@ import warnings
 import numpy as np
 import pytest
 
+from geoball import harness
 from geoball.embedding import EmbedConfig, train_embeddings
 from geoball.harness import (
     FeatureDataset,
@@ -307,14 +310,16 @@ def test_csv_header_only_is_an_empty_dataset(tmp_path):
     ("label,f_1\na,1.0\nb,2.0", ("a", "b")),  # no newline after the last row
     ("label,f_1\r\na,1.0\r\nb,2.0\r\n", ("a", "b")),
     ('label,f_1\n"a\nz",1.0\nb,2.0\n', ("a\nz", "b")),
+    ("label,f_1\ra,1.0\rb,2.0\rc,3.0\r", ("a", "b", "c")),
 ])
 def test_csv_reads_every_row_whatever_its_line_ends(tmp_path, text, labels):
-    # the reader bounds the rows by the newlines in the file
+    # the reader bounds the rows by the line endings in the file: \n, \r\n
+    # and bare \r
     path = tmp_path / "ends.csv"
     path.write_bytes(text.encode())
     back = read_features_csv(path)
     assert back.labels == labels
-    assert back.features[:, 0].tolist() == [1.0, 2.0]
+    assert back.features[:, 0].tolist() == [1.0, 2.0, 3.0][:len(labels)]
 
 
 @pytest.mark.parametrize("body", ["x,1.0,2.0\ny,1.0\n", "x,1.0,2.0,3.0\n",
@@ -326,10 +331,23 @@ def test_csv_bad_row_error_names_the_file(tmp_path, body):
         read_features_csv(path)
 
 
+@pytest.mark.skipif(locale.getpreferredencoding(False).lower()
+                    not in ("utf-8", "utf8"),
+                    reason="the reader decodes with the locale's encoding")
+@pytest.mark.parametrize("text", [b"label,f_1\n\xff,1.0\n",
+                                  b"\xfflabel,f_1\na,1.0\n"])
+def test_csv_that_is_not_text_names_the_file(tmp_path, text):
+    path = tmp_path / "bytes.csv"
+    path.write_bytes(text)
+    with pytest.raises(ValueError, match=re.escape(f"feature CSV {path}: ")):
+        read_features_csv(path)
+
+
 def test_csv_rejects_malformed(tmp_path):
     bad_header = tmp_path / "a.csv"
     bad_header.write_text("name,f_1\nx,1.0\n")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=re.escape(
+            f"feature CSV {bad_header} must start with a 'label' column")):
         read_features_csv(bad_header)
     ragged = tmp_path / "b.csv"
     ragged.write_text("label,f_1,f_2\nx,1.0\n")
@@ -696,6 +714,252 @@ def test_ci_shrinks_like_inverse_sqrt(desk):
     quarter = nearest_centroid_accuracy(desk.episodes[:25])
     ratio = quarter.ci95 / full.ci95
     assert abs(ratio - 2.0) / 2.0 < 0.2
+
+
+# ---------------------------------------------------------------------------
+# shares: episodes and the CSV parse in forked processes, one per usable CPU
+
+
+def use_cpus(monkeypatch, n):
+    monkeypatch.setattr(harness.os, "sched_getaffinity",
+                        lambda pid: set(range(n)))
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_episodes_give_equal_reports_at_every_share_count(small_world,
+                                                          monkeypatch):
+    onto, ich, space, negatives = small_world
+    base, novel = small_datasets(onto, noise=3.0)
+    mlp, _ = train_base(base, space, negatives, SMALL_PROJECTOR)
+    episodes = sample_episodes(novel, w=4, s=2, q=4, n_episodes=5, seed=5)
+    # this small world has no semantic errors; a stand-in ancestor report
+    # makes some misses count, so that the shares' tallies are summed
+    real = harness.ancestor_report
+    reports = []
+    for n in (1, 2, 3):
+        use_cpus(monkeypatch, n)
+        monkeypatch.setattr(harness, "ancestor_report", real)
+        with_ich = evaluate_episodes(space, mlp, episodes, SMALL_PROJECTOR,
+                                     negatives, ich=ich)
+        monkeypatch.setattr(
+            harness, "ancestor_report",
+            lambda h, space, ich: space.concepts if h[0] > 0 else ())
+        reports.append((
+            with_ich,
+            evaluate_episodes(space, mlp, episodes, SMALL_PROJECTOR,
+                              negatives, ich=ich),
+            evaluate_episodes(space, mlp, episodes, SMALL_PROJECTOR,
+                              negatives),
+            nearest_centroid_accuracy(episodes)))
+        assert_no_child_left()
+    assert reports[0][0].accuracy < 1.0
+    assert reports[0][0].semantic_error_fraction == 0.0
+    assert 0.0 < reports[0][1].semantic_error_fraction < 1.0
+    assert reports[0][2].semantic_error_fraction is None
+    assert reports[1] == reports[0] and reports[2] == reports[0]
+
+
+def test_a_refusal_in_a_child_share_keeps_its_type(small_world, monkeypatch):
+    onto, _, space, negatives = small_world
+    base, novel = small_datasets(onto, noise=0.5)
+    mlp, _ = train_base(base, space, negatives, SMALL_PROJECTOR)
+    episodes = (sample_episodes(novel, w=2, s=2, q=2, n_episodes=1, seed=0)
+                + sample_episodes(base, w=2, s=2, q=2, n_episodes=2, seed=0))
+    use_cpus(monkeypatch, 3)
+    with pytest.raises(ValueError, match="overlap"):
+        evaluate_episodes(space, mlp, episodes, SMALL_PROJECTOR, negatives)
+    assert_no_child_left()
+
+
+def pid_of(_):
+    return os.getpid()
+
+
+@pytest.mark.parametrize("cpus, items", [(1, 5), (3, 1), (None, 5)])
+def test_one_cpu_or_one_item_runs_in_this_process(monkeypatch, cpus, items):
+    if cpus is None:  # no affinity call, as on macOS and Windows
+        monkeypatch.delattr(harness.os, "sched_getaffinity")
+    else:
+        use_cpus(monkeypatch, cpus)
+    assert harness._map_shares(pid_of, range(items)) == [os.getpid()] * items
+
+
+def test_shares_are_contiguous_and_ordered(monkeypatch):
+    use_cpus(monkeypatch, 3)
+    pids = harness._map_shares(pid_of, range(7))
+    assert harness._map_shares(lambda x: x * x, range(7)) == [
+        x * x for x in range(7)]
+    # shares of 2, 2 and 3 items: this process, then two children
+    assert pids[:2] == [os.getpid()] * 2
+    assert len(set(pids[2:4])) == 1 and len(set(pids[4:])) == 1
+    assert len(set(pids)) == 3
+    assert_no_child_left()
+
+
+class Unpicklable(Exception):
+    def __reduce__(self):
+        raise TypeError("no pickling")
+
+
+def fail_on(bad, error):
+    def fn(item):
+        if item == bad:
+            raise error
+        return item
+    return fn
+
+
+@pytest.mark.parametrize("bad", [0, 6])  # in this process, in the last child
+def test_a_failing_share_raises_and_leaves_no_child(monkeypatch, bad):
+    use_cpus(monkeypatch, 3)
+    with pytest.raises(KeyError, match="'nope'"):
+        harness._map_shares(fail_on(bad, KeyError("nope")), range(7))
+    assert_no_child_left()
+
+
+def test_a_share_error_that_does_not_pickle_becomes_a_runtime_error(
+        monkeypatch):
+    use_cpus(monkeypatch, 2)
+    with pytest.raises(RuntimeError, match=re.escape("Unpicklable('x')")):
+        harness._map_shares(fail_on(3, Unpicklable("x")), range(4))
+    assert_no_child_left()
+
+
+def test_a_share_that_sends_nothing_is_an_error(monkeypatch):
+    use_cpus(monkeypatch, 2)
+    with pytest.raises(RuntimeError, match="without sending its results"):
+        harness._map_shares(lambda item: item or os._exit(3), [1, 0])
+    assert_no_child_left()
+
+
+def test_share_results_come_back_equal(monkeypatch):
+    use_cpus(monkeypatch, 2)
+    items = [("a", 1.5), {"b": [np.float64(0.1)]}]
+    assert harness._map_shares(lambda item: item, items) == items
+
+
+def test_the_fork_warning_about_threads_is_not_an_error(monkeypatch):
+    """Python 3.12+ warns in the parent when a process with threads forks,
+    and numpy's OpenBLAS starts threads at import; under an error filter
+    the warning must not fail the call. A stand-in fork warns the same way
+    on every Python."""
+    fork = os.fork
+
+    def warning_fork():
+        pid = fork()
+        if pid:
+            warnings.warn(f"This process (pid={os.getpid()}) is "
+                          "multi-threaded, use of fork() may lead to "
+                          "deadlocks in the child.", DeprecationWarning)
+        return pid
+
+    monkeypatch.setattr(harness.os, "fork", warning_fork)
+    use_cpus(monkeypatch, 3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert harness._map_shares(lambda x: x * x, range(5)) == [
+            0, 1, 4, 9, 16]
+    assert_no_child_left()
+
+
+def split_csv(monkeypatch, path, cpus):
+    """Read ``path`` at ``cpus`` shares of at least 1 KiB and return the
+    dataset and the byte offsets at which the shares started."""
+    use_cpus(monkeypatch, cpus)
+    monkeypatch.setattr(harness, "_SHARE_MIN_BYTES", 1024)
+    monkeypatch.setattr(harness, "_TEXT_BLOCK_BYTES", 4096)
+    seen = []
+    scan = harness._scan_csv
+
+    def recording(*args):
+        starts, ends = scan(*args)
+        seen.append(starts)
+        return starts, ends
+
+    monkeypatch.setattr(harness, "_scan_csv", recording)
+    dataset = read_features_csv(path)
+    assert_no_child_left()
+    return dataset, seen[0]
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n"])
+def test_csv_shares_read_the_same_bytes(tmp_path, monkeypatch, newline):
+    rng = np.random.default_rng(3)
+    dataset = FeatureDataset(7, tuple(f"#c{i % 5}" for i in range(200)),
+                             rng.normal(size=(200, 7)))
+    path = tmp_path / "f.csv"
+    write_features_csv(dataset, path)
+    path.write_bytes(path.read_bytes().replace(b"\n", newline.encode()))
+    for cpus in (1, 2, 3):
+        back, starts = split_csv(monkeypatch, path, cpus)
+        assert len(starts) == cpus
+        assert back.labels == dataset.labels
+        assert back.features.tobytes() == dataset.features.tobytes()
+
+
+def test_csv_with_a_quoted_newline_is_one_share(tmp_path, monkeypatch):
+    labels = tuple(f"c{i}" if i != 150 else "c\n150" for i in range(200))
+    dataset = FeatureDataset(7, labels, np.arange(1400.0).reshape(200, 7))
+    path = tmp_path / "f.csv"
+    write_features_csv(dataset, path)
+    back, starts = split_csv(monkeypatch, path, 3)
+    assert starts == [0]
+    assert back.labels == labels
+    assert back.features.tobytes() == dataset.features.tobytes()
+
+
+@pytest.mark.parametrize("bad, reason", [
+    ("c9,1.0,abc,2.0", "could not convert string 'abc' to float64"),
+    ("c9,1.0,2.0", "requires 4 columns but 3 were found"),
+])
+def test_csv_bad_row_in_a_later_share_names_the_file_and_line(
+        tmp_path, monkeypatch, bad, reason):
+    lines = ["label,f_1,f_2,f_3"] + [f"c{i},1.0,2.0,3.0" for i in range(300)]
+    lines[280] = bad
+    path = tmp_path / "bad.csv"
+    path.write_text("\n".join(lines) + "\n")
+    messages = []
+    for cpus in (1, 2, 3):
+        use_cpus(monkeypatch, cpus)
+        monkeypatch.setattr(harness, "_SHARE_MIN_BYTES", 1024)
+        monkeypatch.setattr(harness, "_TEXT_BLOCK_BYTES", 256)
+        with pytest.raises(ValueError) as err:
+            read_features_csv(path)
+        assert_no_child_left()
+        messages.append(str(err.value))
+    assert messages[0].startswith(f"feature CSV {path}, line 281: ")
+    assert reason in messages[0]
+    assert messages == [messages[0]] * 3
+
+
+def test_csv_shares_parse_into_one_matrix_outside_the_heap(tmp_path,
+                                                          monkeypatch):
+    """Each share converts its text in row blocks into its rows of one
+    anonymous mapping, which tracemalloc does not see; the parent's traced
+    peak stays within a few blocks, where a second copy of the matrix
+    would show."""
+    rng = np.random.default_rng(4)
+    dataset = FeatureDataset(64, tuple(f"c{i % 9}" for i in range(2000)),
+                             rng.normal(size=(2000, 64)))
+    path = tmp_path / "f.csv"
+    write_features_csv(dataset, path)
+    use_cpus(monkeypatch, 3)
+    monkeypatch.setattr(harness, "_SHARE_MIN_BYTES", 64 << 10)
+    monkeypatch.setattr(harness, "_TEXT_BLOCK_BYTES", 16 << 10)
+    tracemalloc.start()
+    try:
+        back = read_features_csv(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert_no_child_left()
+    assert back.features.tobytes() == dataset.features.tobytes()
+    assert back.features.nbytes == 1_024_000
+    assert peak < 8 * (16 << 10) + 0.2e6, peak
 
 
 # ---------------------------------------------------------------------------

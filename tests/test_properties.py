@@ -176,12 +176,17 @@ def test_feature_npz_roundtrip_is_exact(tmp_path_factory, dataset):
 
 
 def test_feature_npz_of_a_csv_read_matches_savez(tmp_path):
-    # the CSV reader's features are a strided field of its row table,
-    # neither C- nor Fortran-contiguous
+    # the CSV reader writes its rows into one C-contiguous matrix; the same
+    # values as a strided field of a row table (neither C- nor
+    # Fortran-contiguous) must give the same archive
     csv_path = tmp_path / "features.csv"
     write_features_csv(FeatureDataset(
         3, ("a", "b,c"), np.arange(6.0).reshape(2, 3) - 2.5), csv_path)
-    dataset = read_features_csv(csv_path)
+    read = read_features_csv(csv_path)
+    assert read.features.flags.c_contiguous
+    table = np.zeros(2, dtype=[("label", object), ("f", float, (3,))])
+    table["f"] = read.features
+    dataset = FeatureDataset(3, read.labels, table["f"])
     flags = dataset.features.flags
     assert not flags.c_contiguous and not flags.f_contiguous
     path = tmp_path / "features.npz"

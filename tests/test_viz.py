@@ -1,3 +1,4 @@
+import re
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -139,7 +140,8 @@ class TestRenderBalls2d:
 
     def test_unknown_concept_rejected(self):
         space = make_space([[0.0, 0.0]], [1.0], names=("a",))
-        with pytest.raises(KeyError):
+        with pytest.raises(ValueError, match=re.escape(
+                "unknown concepts: ['ghost']")):
             render_balls_2d(space, ["a", "ghost"])
 
     def test_empty_selection_rejected(self):
