@@ -11,7 +11,6 @@ seed, else a fixed constant, never wall-clock state.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -19,6 +18,7 @@ from pathlib import Path
 from .embedding import BallSpace, EmbedConfig, train_embeddings
 from .evaluation import GridSpec, grid_search, score_space
 from .harness import atomic_open, read_features_csv, read_features_npz
+from .jsonio import read_json
 from .negatives import NegativeSets, build_negative_sets
 from .ontology import OntologyError, compute_ich, compute_stats, load_ontology
 from .pipeline import (EpisodeConfig, PipelineConfig, PipelineError,
@@ -32,8 +32,7 @@ from .viz import render_balls_2d
 def _load(path, cls):
     """The ``cls`` artifact in the JSON file at ``path``; a file of the
     wrong shape is a ValueError that names both."""
-    with open(path) as fh:
-        obj = json.load(fh)
+    obj = read_json(path, f"{cls.__name__} file")
     try:
         return cls.from_dict(obj)
     except (KeyError, TypeError, AttributeError, ValueError) as exc:

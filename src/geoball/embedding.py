@@ -16,6 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .jsonio import check_value, float_array
 from .ontology import HierarchyStats, Ich, Ontology
 
 
@@ -107,15 +108,18 @@ class BallSpace:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "BallSpace":
-        dim = int(obj["dim"])
+        dim = check_value(obj["dim"], int, "dim")
         names = tuple(obj["balls"].keys())
         for c in names:
             length = len(obj["balls"][c]["c"])
             if length != dim:
                 raise ValueError(f"the centre of ball {c!r} has {length} "
                                  f"entries, not dim {dim}")
-        centres = np.array([obj["balls"][c]["c"] for c in names], dtype=float)
-        radii = np.array([obj["balls"][c]["r"] for c in names], dtype=float)
+        centres = float_array([obj["balls"][c]["c"] for c in names],
+                              "ball centres")
+        radii = np.array([check_value(obj["balls"][c]["r"], float,
+                                      f"the radius of ball {c!r}")
+                          for c in names], dtype=float)
         if centres.size == 0:
             centres = centres.reshape(0, dim)
         if not np.isfinite(centres).all():

@@ -15,6 +15,7 @@ import io
 import itertools
 import math
 import mmap
+import multiprocessing
 import os
 import pickle
 import re
@@ -117,88 +118,67 @@ def _map_shares(fn, items) -> list:
     """``[fn(item) for item in items]``, computed over contiguous shares of
     ``items``, one share per usable CPU (at most one per item).
 
-    Share 0 runs in this process. Each other share runs in a forked child,
-    which sends back its pickled result list, or its exception, through a
-    pipe and leaves only through ``os._exit``, so no ``finally`` block or
-    exit handler of this process runs twice. A child's exception is raised
-    here again with its type and message; one that does not pickle becomes
-    a RuntimeError carrying its repr. Every pipe is closed and every child
-    reaped before this returns or raises. With one CPU or one item, the
-    list is computed here.
+    Share 0 runs here, every other share in a child of multiprocessing's
+    fork context, which sends back its results or its exception. A child's
+    exception is raised here again; one that does not survive a pickle
+    round trip becomes a RuntimeError carrying its repr. Every child is
+    joined before this returns or raises.
     """
     items = list(items)
     n_shares = min(_usable_cpus(), len(items))
     if n_shares <= 1:
         return [fn(item) for item in items]
     cuts = [len(items) * k // n_shares for k in range(n_shares + 1)]
-    children = []  # (pid, read end of its pipe)
+    fork = multiprocessing.get_context("fork")
+    children = []  # (process, read end of its pipe)
     try:
         for k in range(1, n_shares):
-            read_fd, write_fd = os.pipe()
-            try:
-                # Python 3.12+ warns in the parent when a process with
-                # threads forks. The threads are BLAS's: the OpenBLAS in
-                # numpy's wheels stops them in its own fork handler, and a
-                # child runs only numpy and pickle before os._exit.
-                with warnings.catch_warnings():
-                    warnings.filterwarnings(
-                        "ignore", "This process .* is multi-threaded",
-                        DeprecationWarning)
-                    pid = os.fork()
-                if pid == 0:
-                    _share_child(fn, items[cuts[k]:cuts[k + 1]], write_fd,
-                                 [read_fd, *(fd for _, fd in children)])
-                children.append((pid, read_fd))
-            except BaseException:
-                os.close(read_fd)
-                raise
-            finally:
-                os.close(write_fd)
+            reader, writer = fork.Pipe(duplex=False)
+            child = fork.Process(target=_share_child, args=(
+                fn, items[cuts[k]:cuts[k + 1]], reader, writer))
+            # Python 3.12+ warns when a process with threads forks; they are
+            # BLAS's, which numpy's OpenBLAS stops in its fork handler
+            with warnings.catch_warnings():
+                warnings.filterwarnings(
+                    "ignore", "This process .* is multi-threaded",
+                    DeprecationWarning)
+                child.start()
+            writer.close()
+            children.append((child, reader))
         results = [fn(item) for item in items[:cuts[1]]]
-        for pid, read_fd in children:
-            results.extend(_share_result(pid, read_fd))
+        for child, reader in children:
+            try:
+                error, share = reader.recv()
+            except Exception as exc:
+                raise RuntimeError(f"share process {child.pid} ended "
+                                   "without sending its results") from exc
+            if error is not None:
+                raise error
+            results.extend(share)
         return results
     finally:
-        for _, read_fd in children:
-            os.close(read_fd)
-        for pid, _ in children:
-            os.waitpid(pid, 0)
+        # a later child holds the read ends of earlier pipes, so a child
+        # may wait for a sibling; every read end is closed before any join
+        for _, reader in children:
+            reader.close()
+        for child, _ in children:
+            child.join()
 
 
-def _share_child(fn, share, write_fd: int, inherited_fds) -> None:
-    """The body of a forked share: its pickled ``(error, results)`` go into
-    ``write_fd``. It never returns."""
-    status = 1
-    try:
-        for fd in inherited_fds:
-            os.close(fd)
+def _share_child(fn, share, reader, writer) -> None:
+    """The body of a forked share: sends ``(error, results)`` through
+    ``writer``. Once the parent has closed its end of the pipe, nothing is
+    sent and nothing is written to stderr."""
+    reader.close()  # else a parent that stopped reading would not be seen
+    with contextlib.suppress(OSError):
         try:
-            payload = pickle.dumps((None, [fn(item) for item in share]))
+            writer.send((None, [fn(item) for item in share]))
         except BaseException as exc:
             try:
-                payload = pickle.dumps((exc, None))
-                pickle.loads(payload)
+                pickle.loads(pickle.dumps(exc))
             except Exception:
-                payload = pickle.dumps((RuntimeError(repr(exc)), None))
-        with open(write_fd, "wb") as pipe:
-            pipe.write(payload)
-        status = 0
-    finally:
-        os._exit(status)
-
-
-def _share_result(pid: int, read_fd: int) -> list:
-    """The results a forked share sent, or its exception raised here."""
-    with open(read_fd, "rb", closefd=False) as pipe:
-        payload = pipe.read()
-    try:
-        error, results = pickle.loads(payload)
-    except Exception as exc:
-        raise RuntimeError(f"share process {pid} ended without sending "
-                           "its results") from exc
-    if error is not None:
-        raise error
-    return results
+                exc = RuntimeError(repr(exc))
+            writer.send((exc, None))
 
 
 def _csv_field(text: str) -> str:

@@ -13,6 +13,8 @@ from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 
+from .jsonio import read_json
+
 logger = logging.getLogger(__name__)
 
 
@@ -316,8 +318,7 @@ def parse_ontology(text: str) -> Ontology:
 
 
 def load_ontology(path) -> Ontology:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_ontology(fh.read())
+    return ontology_from_dict(read_json(path, "ontology file"))
 
 
 def compute_ich(ontology: Ontology) -> Ich:

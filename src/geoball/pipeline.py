@@ -15,9 +15,7 @@ behind.
 from __future__ import annotations
 
 import json
-import types
-import typing
-from dataclasses import asdict, dataclass, field, fields, is_dataclass
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 from .embedding import EmbedConfig, train_embeddings
@@ -32,6 +30,7 @@ from .harness import (
     sample_episodes,
     write_features_npz,
 )
+from .jsonio import check_fields, read_json
 from .negatives import build_negative_sets
 from .ontology import compute_ich, compute_stats, load_ontology
 from .projector import ProjectorConfig, train_base
@@ -90,48 +89,12 @@ def global_seed(sections: dict, seed: int | None = None) -> int:
     return sections.get("seed", DEFAULT_SEED) if seed is None else seed
 
 
-def _has_type(value, hint) -> bool:
-    """Whether a JSON value fits a field annotation. A bool is no number,
-    an int is a float, and a tuple field takes a list."""
-    if typing.get_origin(hint) is types.UnionType:
-        return any(_has_type(value, h) for h in typing.get_args(hint))
-    if typing.get_origin(hint) is tuple:
-        return isinstance(value, (list, tuple)) and all(
-            _has_type(v, typing.get_args(hint)[0]) for v in value)
-    if is_dataclass(hint):
-        return isinstance(value, dict)
-    if isinstance(value, bool):
-        return hint is bool
-    return isinstance(value, (int, float) if hint is float else hint)
-
-
-def check_fields(cls, obj, where: str) -> dict:
-    """``obj`` once it is an object whose every key is a field of dataclass
-    ``cls`` and whose every value fits that field's type (``_has_type``);
-    otherwise a ValueError that names ``where`` and the key."""
-    if not isinstance(obj, dict):
-        raise ValueError(f"{where} must be a JSON object")
-    declared = {f.name: f.type for f in fields(cls)}
-    unknown = set(obj) - set(declared)
-    if unknown:
-        raise ValueError(f"unknown {where} keys: {sorted(unknown)}")
-    hints = typing.get_type_hints(cls)
-    for key, value in obj.items():
-        if not _has_type(value, hints[key]):
-            kind = ("a JSON object" if is_dataclass(hints[key])
-                    else declared[key])
-            raise ValueError(f"{where} key {key!r} must be {kind}, "
-                             f"not {json.dumps(value, default=repr)}")
-    return obj
-
-
 def load_config_sections(path) -> dict:
     """The pipeline config document at ``path``, its top-level keys and
     values checked; ``{}`` when there is none."""
     if path is None:
         return {}
-    with open(path) as fh:
-        obj = json.load(fh)
+    obj = read_json(path, "config file")
     if not isinstance(obj, dict):
         raise ValueError(f"config file {path} must hold a JSON object")
     return check_fields(PipelineConfig, obj, "pipeline config")

@@ -26,6 +26,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .embedding import Ball, BallSpace, Optimizer
+from .jsonio import check_value, float_array
 from .negatives import NegativeSets
 
 
@@ -48,6 +49,9 @@ class Mlp:
     def __post_init__(self):
         if len(self.sizes) < 2:
             raise ValueError("need at least input and output sizes")
+        if not len(self.weights) == len(self.biases) == len(self.sizes) - 1:
+            raise ValueError(f"{len(self.sizes)} sizes need "
+                             f"{len(self.sizes) - 1} weights and biases")
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
             if w.shape != (self.sizes[i + 1], self.sizes[i]):
                 raise ValueError(f"layer {i} weight shape {w.shape} mismatches sizes")
@@ -96,15 +100,17 @@ class Mlp:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "Mlp":
-        mean = obj.get("input_mean")
-        basis = obj.get("input_basis")
+        compression = {key: float_array(obj[key], key)
+                       for key in ("input_mean", "input_basis")
+                       if obj.get(key) is not None}
         return cls(
-            sizes=tuple(int(s) for s in obj["sizes"]),
-            weights=tuple(np.array(w, dtype=float) for w in obj["weights"]),
-            biases=tuple(np.array(b, dtype=float) for b in obj["biases"]),
-            trained_labels=frozenset(obj.get("trained_labels", ())),
-            input_mean=None if mean is None else np.array(mean, dtype=float),
-            input_basis=None if basis is None else np.array(basis, dtype=float),
+            sizes=tuple(check_value(obj["sizes"], tuple[int, ...], "sizes")),
+            weights=tuple(float_array(w, "weights") for w in obj["weights"]),
+            biases=tuple(float_array(b, "biases") for b in obj["biases"]),
+            trained_labels=frozenset(check_value(
+                obj.get("trained_labels", []), tuple[str, ...],
+                "trained_labels")),
+            **compression,
         )
 
 

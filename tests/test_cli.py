@@ -551,3 +551,137 @@ def test_misshapen_space_is_a_clean_negatives_error(world, tmp_path, capsys):
         (line,) = capsys.readouterr().err.splitlines()
         assert line.startswith("error: ") and reason in line, line
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["ingest", "BAD"],
+    ["embed", "ONTOLOGY", "--out", "OUT", "--config", "BAD"],
+    ["pipeline", "--config", "BAD"],
+    ["negatives", "BAD", "--out", "OUT"],
+    ["train-projector", "SPACE", "BAD", "FEATURES", "--out", "OUT"],
+    ["infer", "SPACE", "BAD", "FEATURES", "--out", "OUT"],
+], ids=["ontology", "embed-config", "pipeline-config", "space", "negatives",
+        "mlp"])
+def test_a_json_syntax_error_names_the_file(world, tmp_path, capsys, argv):
+    run_dir, config = world
+    paths = {"ONTOLOGY": config.parent / "poodle.json",
+             "SPACE": run_dir / "space.json",
+             "FEATURES": run_dir / "features_base.npz",
+             "OUT": tmp_path / "out.json", "BAD": tmp_path / "bad.json"}
+    paths["BAD"].write_text('{"a": 1,}')
+    assert main([str(paths.get(arg, arg)) for arg in argv]) == 1
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: ") and str(paths["BAD"]) in line
+    assert "syntax error at line 1, column 9" in line
+    assert not paths["OUT"].exists()
+
+
+DROPPED = object()
+
+
+def set_at(doc, path, value):
+    """Put ``value`` at ``path`` in ``doc``, or delete the entry there for
+    ``DROPPED``."""
+    for key in path[:-1]:
+        doc = doc[key]
+    if value is DROPPED:
+        del doc[path[-1]]
+    else:
+        doc[path[-1]] = value
+
+
+@pytest.mark.parametrize("kind, path, value, names", [
+    ("space", ("dim",), 4.7, "dim must be int, not 4.7"),
+    ("space", ("balls", "poodle", "r"), "0.5",
+     "the radius of ball 'poodle' must be float"),
+    ("mlp", ("sizes", 0), 12.9, "sizes must be tuple[int, ...]"),
+    ("mlp", ("trained_labels",), "abc",
+     'trained_labels must be tuple[str, ...], not "abc"'),
+    ("mlp", ("weights", 0, 0, 0), "0.5", "weights must hold only numbers"),
+], ids=["dim", "radius", "sizes", "trained_labels", "weights"])
+def test_artifact_fields_are_checked_like_config_fields(
+        world, tmp_path, capsys, kind, path, value, names):
+    """A float is not truncated to an int, a numeric string is not read as
+    a number, and a string is not a list of names."""
+    run_dir, _ = world
+    files = {name: run_dir / f"{name}.json"
+             for name in ("space", "mlp", "negatives")}
+    doc = json.loads(files[kind].read_text())
+    set_at(doc, path, value)
+    files[kind] = tmp_path / f"{kind}.json"
+    files[kind].write_text(json.dumps(doc))
+    assert main(["episodes", str(files["space"]), str(files["mlp"]),
+                 "--novel", str(run_dir / "features_novel.npz"),
+                 "--negatives", str(files["negatives"])]) == 1
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith(f"error: {files[kind]} does not hold a ")
+    assert names in line
+
+
+def mutation_sites(doc, path=()):
+    """The paths the mutation test changes: the root, every key of the
+    top-level object, the first key of every deeper object and the first
+    entry of every list."""
+    yield path
+    if isinstance(doc, dict):
+        for key in list(doc)[:None if not path else 1]:
+            yield from mutation_sites(doc[key], path + (key,))
+    elif isinstance(doc, list) and doc:
+        yield from mutation_sites(doc[0], path + (0,))
+
+
+MUTANTS = (None, True, -1, 0.5, "0.5", "nope", float("nan"), [], {})
+
+
+def mutations(doc):
+    """``(what, mutated copy)`` for every site of ``doc``: the value there
+    replaced by each of ``MUTANTS``, shortened, or dropped."""
+    for path in mutation_sites(doc):
+        value = doc
+        for key in path:
+            value = value[key]
+        changes = [(repr(new), new) for new in MUTANTS]
+        if isinstance(value, list) and value:
+            changes.append(("shortened", value[:-1]))
+        if not path:
+            yield from ((f"root -> {what}", new) for what, new in changes)
+            continue
+        for what, new in changes + [("dropped", DROPPED)]:
+            copy = json.loads(json.dumps(doc))
+            set_at(copy, path, new)
+            yield f"{list(path)} -> {what}", copy
+
+
+@pytest.mark.parametrize("kind, command", [
+    ("space", "episodes"), ("space", "infer"), ("negatives", "episodes"),
+    ("mlp", "episodes"), ("mlp", "infer"),
+])
+def test_every_mutated_artifact_ends_cleanly(world, tmp_path, capfd, kind,
+                                             command):
+    """Each structured mutation of a valid artifact (a dropped key or entry,
+    a shortened list, a value of another type, NaN, an empty container or
+    an unknown name) ends in exit 0, or in exit 1 with exactly one
+    ``error:`` line and no traceback."""
+    run_dir, _ = world
+    files = {name: run_dir / f"{name}.json"
+             for name in ("space", "mlp", "negatives")}
+    doc = json.loads(files[kind].read_text())
+    files[kind] = tmp_path / f"{kind}.json"
+    novel = str(run_dir / "features_novel.npz")
+    argv = {"episodes": ["episodes", str(files["space"]), str(files["mlp"]),
+                         "--novel", novel, "--negatives",
+                         str(files["negatives"]), "--episodes", "1"],
+            "infer": ["infer", str(files["space"]), str(files["mlp"]),
+                      novel]}[command]
+    faults = []
+    for what, mutant in mutations(doc):
+        files[kind].write_text(json.dumps(mutant))
+        try:
+            code = main(argv)
+        except Exception as exc:  # noqa: BLE001 - a fault to report
+            code = repr(exc)
+        lines = capfd.readouterr().err.splitlines()
+        if not (code == 0 or (code == 1 and len(lines) == 1
+                              and lines[0].startswith("error: "))):
+            faults.append((what, code, lines[-3:]))
+    assert faults == []

@@ -3,8 +3,10 @@
 import hashlib
 import io
 import locale
+import multiprocessing
 import os
 import re
+import signal
 import tracemalloc
 import warnings
 
@@ -827,6 +829,50 @@ def test_a_share_error_that_does_not_pickle_becomes_a_runtime_error(
     with pytest.raises(RuntimeError, match=re.escape("Unpicklable('x')")):
         harness._map_shares(fail_on(3, Unpicklable("x")), range(4))
     assert_no_child_left()
+
+
+class TwoArg(Exception):
+    """Pickles, but unpickling calls ``TwoArg('x')``, which is a TypeError."""
+
+    def __init__(self, a, b):
+        super().__init__(a)
+
+
+def test_a_share_error_that_does_not_unpickle_becomes_a_runtime_error(
+        monkeypatch):
+    use_cpus(monkeypatch, 2)
+    with pytest.raises(RuntimeError, match=re.escape("TwoArg('x')")):
+        harness._map_shares(fail_on(3, TwoArg("x", "y")), range(4))
+    assert_no_child_left()
+
+
+def test_a_child_whose_parent_stopped_reading_leaves_quietly(monkeypatch,
+                                                             capfd):
+    """Share 0 fails here while each child's results are far more than a
+    pipe holds: each child must see the closed pipe and leave without a
+    traceback, or the joins would wait for ever. An alarm turns such a wait
+    into a failure, and kills the children so that the test run can end."""
+    def fn(item):
+        if item == 0:
+            raise KeyError("nope")
+        return "x" * (1 << 20)
+
+    def timeout(signum, frame):
+        for child in multiprocessing.active_children():
+            child.kill()
+        raise TimeoutError("a share child was still writing")
+
+    use_cpus(monkeypatch, 3)
+    previous = signal.signal(signal.SIGALRM, timeout)
+    signal.alarm(60)
+    try:
+        with pytest.raises(KeyError, match="'nope'"):
+            harness._map_shares(fn, range(6))
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert_no_child_left()
+    assert capfd.readouterr().err == ""
 
 
 def test_a_share_that_sends_nothing_is_an_error(monkeypatch):

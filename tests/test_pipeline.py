@@ -3,8 +3,11 @@
 import json
 import os
 import re
+import subprocess
+import sys
 import tracemalloc
 import weakref
+from pathlib import Path
 
 import pytest
 
@@ -80,6 +83,36 @@ def test_pipeline_reruns_are_byte_identical(tmp_path):
         a = (tmp_path / "a" / name).read_bytes()
         b = (tmp_path / "b" / name).read_bytes()
         assert a == b, f"{name} differs between identical runs"
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity")
+                    or len(os.sched_getaffinity(0)) < 2,
+                    reason="needs two usable CPUs")
+def test_pipeline_artifacts_do_not_depend_on_the_blas_thread_count(tmp_path):
+    """One config run by ``geoball pipeline`` in two child processes, at one
+    and at two BLAS threads (set in the children's environment only),
+    writes the same ``space.json``, ``negatives.json`` and feature ``.npz``
+    files. ``mlp.json`` and ``report.json`` are not compared: with an input
+    reduction, base learning runs LAPACK's ``eigh``, and its threaded
+    eigensolver gives other last bits at another thread count."""
+    src = str(Path(geoball.pipeline.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    for threads in ("1", "2"):
+        config = tmp_path / f"config{threads}.json"
+        # the generator's intrinsic lift puts a LAPACK QR on the path
+        config.write_text(json.dumps(small_config(
+            tmp_path, f"threads{threads}",
+            generator={"dim": 64, "per_class": 6, "intrinsic_dim": 6})))
+        subprocess.run([sys.executable, "-m", "geoball.cli", "pipeline",
+                        "--config", str(config)], check=True,
+                       capture_output=True,
+                       env={**env, "OPENBLAS_NUM_THREADS": threads,
+                            "OMP_NUM_THREADS": threads})
+    for name in ("space.json", "negatives.json", "features_base.npz",
+                 "features_novel.npz"):
+        assert ((tmp_path / "threads1" / name).read_bytes()
+                == (tmp_path / "threads2" / name).read_bytes()), name
 
 
 def test_pipeline_missing_ontology_aborts_cleanly(tmp_path):
