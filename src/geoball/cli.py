@@ -15,17 +15,18 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .embedding import BallSpace, EmbedConfig, train_embeddings
-from .evaluation import GridSpec, grid_search, score_space
+from .embedding import BallSpace, EmbedConfig
+from .evaluation import GridSpec, grid_search
 from .harness import atomic_open, read_features_csv, read_features_npz
 from .jsonio import read_json
 from .negatives import NegativeSets, build_negative_sets
-from .ontology import OntologyError, compute_ich, compute_stats, load_ontology
-from .pipeline import (EpisodeConfig, PipelineConfig, PipelineError,
-                       episodes_report, global_seed, load_config_sections,
-                       print_losses, run_pipeline, stage_config, _write_json)
+from .ontology import OntologyError, compute_ich, load_ontology
+from .pipeline import (EpisodeConfig, PipelineConfig, PipelineError, embed,
+                       episodes_report, global_seed, ingest, learn_base,
+                       load_config_sections, run_pipeline, stage_config,
+                       _write_json)
 from .projector import (Mlp, ProjectorConfig, ancestor_report, classify_batch,
-                        mlp_forward, train_base)
+                        mlp_forward)
 from .viz import render_balls_2d
 
 
@@ -88,16 +89,10 @@ def cmd_ich(args) -> int:
 
 
 def cmd_embed(args) -> int:
-    ontology = load_ontology(args.ontology)
-    ich = compute_ich(ontology)
-    stats = compute_stats(ontology, ich)
+    ontology, ich, stats = ingest(args.ontology)
     config = stage_config(load_config_sections(args.config), "embed",
                           EmbedConfig, args.seed)
-    space, history = train_embeddings(ontology, ich, stats, config,
-                                      history=args.verbose)
-    if args.verbose:
-        print_losses([e.total for e in history])
-    scores = score_space(space, ich, ontology.leaves)
+    space, scores = embed(ontology, ich, stats, config, args.verbose)
     print(f"f1_all {scores.f1_all:.4f}  f1_leaf {scores.f1_leaf:.4f}  "
           f"s_d_fraction {scores.s_d_fraction:.4f}")
     _write_json(args.out, space.to_dict())
@@ -105,9 +100,7 @@ def cmd_embed(args) -> int:
 
 
 def cmd_tune(args) -> int:
-    ontology = load_ontology(args.ontology)
-    ich = compute_ich(ontology)
-    stats = compute_stats(ontology, ich)
+    ontology, ich, stats = ingest(args.ontology)
     base = stage_config(load_config_sections(args.config), "embed",
                         EmbedConfig, args.seed)
     grid = GridSpec(gammas=_float_list(args.gammas),
@@ -143,10 +136,7 @@ def cmd_train_projector(args) -> int:
     features = _read_features(args.features)
     config = stage_config(load_config_sections(args.config), "projector",
                           ProjectorConfig, args.seed)
-    mlp, losses = train_base(features, space, negatives, config,
-                              history=args.verbose)
-    if args.verbose:
-        print_losses(losses)
+    mlp, losses = learn_base(features, space, negatives, config, args.verbose)
     print(f"final loss {losses[-1]:.6f}" if losses else "no training epochs")
     _write_json(args.out, mlp.to_dict())
     return 0

@@ -56,6 +56,12 @@ class EmbedConfig:
             raise ValueError("psi and phi must be > 0")
         if self.epochs < 0:
             raise ValueError("epochs must be >= 0")
+        if self.lr_decay < 0:
+            raise ValueError("lr_decay must be >= 0")
+        if self.batch_size < 1:
+            raise ValueError("batch_size must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if self.radius_clamp_min <= 0:
             raise ValueError("radius_clamp_min must be > 0")
         if self.optimizer not in ("sgd", "adam"):

@@ -7,6 +7,7 @@ is no int, so nothing is truncated, and a list of names holds only strings.
 
 from __future__ import annotations
 
+import itertools
 import json
 import types
 import typing
@@ -17,10 +18,14 @@ import numpy as np
 
 def read_json(path, what: str):
     """The JSON document in the file at ``path``; a file that is not UTF-8
-    JSON is a ValueError that names ``what``, the file and the fault."""
+    JSON, or that holds ``NaN``, ``Infinity`` or ``-Infinity``, is a
+    ValueError that names ``what``, the file and the fault."""
+    def refuse(constant):
+        raise ValueError(f"{what} {path}: {constant} is not a JSON number")
+
     with open(path, encoding="utf-8") as fh:
         try:
-            return json.load(fh)
+            return json.load(fh, parse_constant=refuse)
         except json.JSONDecodeError as exc:
             raise ValueError(f"{what} {path}: syntax error at line "
                              f"{exc.lineno}, column {exc.colno}: "
@@ -72,10 +77,13 @@ def check_fields(cls, obj, where: str) -> dict:
 
 def float_array(value, where: str) -> np.ndarray:
     """``value``, JSON numbers in nested lists, as a float array; a string,
-    null or object among them is a ValueError that names ``where``. The
-    check is the dtype numpy infers, so it costs no Python step per number,
-    and a bool among numbers reads as 0 or 1 (all bools are refused)."""
+    null, bool or object among them is a ValueError that names ``where``.
+    The dtype numpy infers finds all but a bool among numbers, which numpy
+    reads as 0 or 1; that takes one type lookup per number."""
     array = np.array(value)
-    if array.dtype.kind not in "iuf":
+    numbers = [value]
+    for _ in range(array.ndim):
+        numbers = itertools.chain.from_iterable(numbers)
+    if array.dtype.kind not in "iuf" or bool in set(map(type, numbers)):
         raise ValueError(f"{where} must hold only numbers")
     return array.astype(float, copy=False)

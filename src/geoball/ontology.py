@@ -7,7 +7,6 @@ image classes downstream.
 
 from __future__ import annotations
 
-import json
 import logging
 from collections import deque
 from dataclasses import dataclass
@@ -300,21 +299,6 @@ def ontology_from_dict(obj: dict) -> Ontology:
                 raise OntologyError(
                     f'"{key}"[{i}] must be a list of two strings')
     return _build_ontology(*(obj.get(key, []) for key in _SECTIONS))
-
-
-def parse_ontology(text: str) -> Ontology:
-    """Parse and validate a JSON hierarchy document.
-
-    Expected shape: {"concepts": [...], "subclass": [[child, parent], ...],
-    "disjoint": [[a, b], ...], "leaves": [...]}. Duplicate axioms are dropped
-    with a warning; structural problems raise OntologyError.
-    """
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise OntologyError(
-            f"syntax error at line {e.lineno}, column {e.colno}: {e.msg}") from e
-    return ontology_from_dict(obj)
 
 
 def load_ontology(path) -> Ontology:

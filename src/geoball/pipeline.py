@@ -10,11 +10,17 @@ input reduction does. A stage failure aborts the run with the stage name
 attached; artifacts of completed stages stay on disk, and as each is written
 to a temporary file that is renamed into place, nothing half-written is left
 behind.
+
+The work of a stage that a subcommand also runs is written once, here:
+``ingest``, ``embed`` (training and scoring, with the ``--verbose`` loss
+lines), ``learn_base`` (base learning, with its loss lines) and
+``episodes_report``. ``run_pipeline`` and the subcommands both call them.
 """
 
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
@@ -182,6 +188,36 @@ def print_losses(losses, stage: str = "") -> None:
         print(f"{stage}epoch {i + 1}: loss {value:.6f}")
 
 
+def ingest(path):
+    """The ontology in the file at ``path``, its inferred class hierarchy and
+    its statistics: ``(ontology, ich, stats)``."""
+    ontology = load_ontology(path)
+    ich = compute_ich(ontology)
+    return ontology, ich, compute_stats(ontology, ich)
+
+
+def embed(ontology, ich, stats, config: EmbedConfig, verbose: bool = False,
+          prefix: str = ""):
+    """The trained n-ball space and its ``score_space`` scores; with
+    ``verbose``, one loss line per epoch, led by ``prefix``."""
+    space, history = train_embeddings(ontology, ich, stats, config,
+                                      history=verbose)
+    if verbose:
+        print_losses([e.total for e in history], prefix)
+    return space, score_space(space, ich, ontology.leaves)
+
+
+def learn_base(features, space, negatives, config: ProjectorConfig,
+               verbose: bool = False, prefix: str = ""):
+    """``train_base``'s projector and losses; with ``verbose``, one loss line
+    per epoch, led by ``prefix``."""
+    mlp, losses = train_base(features, space, negatives, config,
+                             history=verbose)
+    if verbose:
+        print_losses(losses, prefix)
+    return mlp, losses
+
+
 def episodes_report(space, mlp, novel, negatives, projector: ProjectorConfig,
                     protocol: EpisodeConfig, seed: int, ich=None) -> dict:
     """Evaluate ``protocol``'s episodes and the nearest-centroid baseline."""
@@ -215,50 +251,44 @@ def _write_features(ontology, config: PipelineConfig, out: Path):
     return len(base.labels), len(novel.labels)
 
 
+@contextmanager
+def _stage(name: str):
+    """A failure in the with-block is a PipelineError that names stage
+    ``name``."""
+    try:
+        yield
+    except Exception as exc:
+        raise PipelineError(name, exc) from exc
+
+
 def run_pipeline(config: PipelineConfig, verbose: bool = False) -> list[Path]:
     """Execute all stages; returns the artifact paths in creation order."""
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    stage = "ingest"
-
-    def log(msg):
-        if verbose:
-            print(msg)
-
-    try:
-        ontology = load_ontology(config.ontology_path)
-        ich = compute_ich(ontology)
-        stats = compute_stats(ontology, ich)
-        log(f"ingest: {len(ontology.concepts)} concepts, "
-            f"{len(ontology.leaves)} leaves")
-
-        stage = "embed"
-        space, history = train_embeddings(ontology, ich, stats, config.embed,
-                                          history=verbose)
-        if verbose:
-            print_losses([e.total for e in history], "embed ")
-        scores = score_space(space, ich, ontology.leaves)
+    with _stage("ingest"):
+        ontology, ich, stats = ingest(config.ontology_path)
+    if verbose:
+        print(f"ingest: {len(ontology.concepts)} concepts, "
+              f"{len(ontology.leaves)} leaves")
+    with _stage("embed"):
+        space, scores = embed(ontology, ich, stats, config.embed, verbose,
+                              "embed ")
         _write_json(out / "space.json", space.to_dict())
-
-        stage = "negatives"
+    with _stage("negatives"):
         negatives = build_negative_sets(space, ontology.leaves,
                                         k=config.negatives_k, seed=config.seed)
         _write_json(out / "negatives.json", negatives.to_dict())
-
-        stage = "features"
+    with _stage("features"):
         n_base, n_novel = _write_features(ontology, config, out)
-        log(f"features: {n_base} base / {n_novel} novel examples in "
-            f"{config.generator.dim}d")
-
-        stage = "train-projector"
-        mlp, losses = train_base(read_features_npz(out / "features_base.npz"),
-                                  space, negatives, config.projector,
-                                  history=verbose)
-        if verbose:
-            print_losses(losses, "projector ")
+    if verbose:
+        print(f"features: {n_base} base / {n_novel} novel examples in "
+              f"{config.generator.dim}d")
+    with _stage("train-projector"):
+        mlp, losses = learn_base(read_features_npz(out / "features_base.npz"),
+                                 space, negatives, config.projector, verbose,
+                                 "projector ")
         _write_json(out / "mlp.json", mlp.to_dict())
-
-        stage = "episodes"
+    with _stage("episodes"):
         summary = episodes_report(space, mlp,
                                   read_features_npz(out / "features_novel.npz"),
                                   negatives, config.projector, config.episodes,
@@ -266,8 +296,7 @@ def run_pipeline(config: PipelineConfig, verbose: bool = False) -> list[Path]:
         summary["embedding_scores"] = scores.to_dict()
         summary["projector_final_loss"] = losses[-1] if losses else None
         _write_json(out / "report.json", summary)
-        log(f"episodes: accuracy {summary['episodes']['accuracy']:.4f} "
-            f"(baseline {summary['baseline_nearest_centroid']['accuracy']:.4f})")
-    except Exception as exc:
-        raise PipelineError(stage, exc) from exc
+    if verbose:
+        print(f"episodes: accuracy {summary['episodes']['accuracy']:.4f} "
+              f"(baseline {summary['baseline_nearest_centroid']['accuracy']:.4f})")
     return [out / name for name in ARTIFACT_NAMES]

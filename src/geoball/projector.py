@@ -140,6 +140,10 @@ class ProjectorConfig:
             raise ValueError("mu and nu must be > 0")
         if self.epochs_bl < 0 or self.epochs_fsl < 0:
             raise ValueError("epoch counts must be >= 0")
+        if self.batch_size < 1:
+            raise ValueError("batch_size must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if self.optimizer not in ("sgd", "adam"):
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
         if self.reduce_dim is not None and self.reduce_dim < 1:

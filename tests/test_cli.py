@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import geoball.cli
+import geoball.pipeline
 from geoball.cli import main
 from geoball.harness import (FeatureDataset, read_features_csv,
                              read_features_npz, write_features_csv,
@@ -73,6 +74,15 @@ def test_ingest_refuses_a_misshapen_document(tmp_path, capsys, doc, names):
     ({"seed": True}, "pipeline config key 'seed'"),
     ({"embed": {"epochs": True}}, "config section 'embed' key 'epochs'"),
     ({"embedd": {}}, "['embedd']"),
+    ({"embed": {"learning_rate": float("nan")}},
+     "config.json: NaN is not a JSON number"),
+    ({"embed": {"gamma": float("inf")}},
+     "config.json: Infinity is not a JSON number"),
+    ({"embed": {"psi": -float("inf")}},
+     "config.json: -Infinity is not a JSON number"),
+    ({"embed": {"batch_size": 0}}, "batch_size must be >= 1"),
+    ({"embed": {"seed": -1}}, "seed must be >= 0"),
+    ({"seed": -1}, "seed must be >= 0"),
 ])
 def test_config_value_of_the_wrong_type_is_a_clean_error(
         poodle_path, tmp_path, capsys, doc, names):
@@ -265,6 +275,23 @@ def test_verbose_prints_one_loss_line_per_epoch(config_path, poodle_path,
     assert loss_lines(capsys.readouterr().out) == embed
 
 
+def test_train_projector_prints_the_pipelines_loss_lines(config_path,
+                                                         tmp_path, capsys):
+    """The train-projector subcommand trains the pipeline's base projector,
+    epoch for epoch."""
+    assert main(["pipeline", "--config", str(config_path), "--verbose"]) == 0
+    projector = loss_lines(capsys.readouterr().out, "projector ")
+    assert len(projector) == small_config(tmp_path)["projector"]["epochs_bl"]
+    run_dir = tmp_path / "run"
+    mlp = tmp_path / "mlp.json"
+    assert main(["train-projector", str(run_dir / "space.json"),
+                 str(run_dir / "negatives.json"),
+                 str(run_dir / "features_base.npz"), "--out", str(mlp),
+                 "--config", str(config_path), "--verbose"]) == 0
+    assert loss_lines(capsys.readouterr().out) == projector
+    assert mlp.read_bytes() == (run_dir / "mlp.json").read_bytes()
+
+
 def test_pipeline_seed_flag_matches_config_global_seed(tmp_path):
     flagged = tmp_path / "flagged.json"
     flagged.write_text(json.dumps(small_config(tmp_path, "flag")))
@@ -325,13 +352,13 @@ def test_stage_seed_precedence(world, tmp_path, monkeypatch, stage, doc,
     """--seed, then the section's seed, then the global seed, then 0."""
     run_dir, config = world
     seen = []
-    real = getattr(geoball.cli, STAGES[stage])
+    real = getattr(geoball.pipeline, STAGES[stage])
 
     def recording(*args, **kwargs):
         seen.append(args[-1].seed)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(geoball.cli, STAGES[stage], recording)
+    monkeypatch.setattr(geoball.pipeline, STAGES[stage], recording)
     argv = flag
     if doc is not None:
         section = dict(json.loads(config.read_text())[stage])
@@ -598,7 +625,9 @@ def set_at(doc, path, value):
     ("mlp", ("trained_labels",), "abc",
      'trained_labels must be tuple[str, ...], not "abc"'),
     ("mlp", ("weights", 0, 0, 0), "0.5", "weights must hold only numbers"),
-], ids=["dim", "radius", "sizes", "trained_labels", "weights"])
+    ("mlp", ("weights", 0, 0, 0), True, "weights must hold only numbers"),
+], ids=["dim", "radius", "sizes", "trained_labels", "weights",
+        "bool-weight"])
 def test_artifact_fields_are_checked_like_config_fields(
         world, tmp_path, capsys, kind, path, value, names):
     """A float is not truncated to an int, a numeric string is not read as
@@ -618,25 +647,26 @@ def test_artifact_fields_are_checked_like_config_fields(
     assert names in line
 
 
-def mutation_sites(doc, path=()):
+def mutation_sites(doc, path=(), every=((),)):
     """The paths the mutation test changes: the root, every key of the
-    top-level object, the first key of every deeper object and the first
-    entry of every list."""
+    objects at the paths in ``every`` (the top-level object by default),
+    the first key of every other object and the first entry of every
+    list."""
     yield path
     if isinstance(doc, dict):
-        for key in list(doc)[:None if not path else 1]:
-            yield from mutation_sites(doc[key], path + (key,))
+        for key in list(doc)[:None if path in every else 1]:
+            yield from mutation_sites(doc[key], path + (key,), every)
     elif isinstance(doc, list) and doc:
-        yield from mutation_sites(doc[0], path + (0,))
+        yield from mutation_sites(doc[0], path + (0,), every)
 
 
 MUTANTS = (None, True, -1, 0.5, "0.5", "nope", float("nan"), [], {})
 
 
-def mutations(doc):
+def mutations(doc, every=((),)):
     """``(what, mutated copy)`` for every site of ``doc``: the value there
     replaced by each of ``MUTANTS``, shortened, or dropped."""
-    for path in mutation_sites(doc):
+    for path in mutation_sites(doc, every=every):
         value = doc
         for key in path:
             value = value[key]
@@ -652,32 +682,57 @@ def mutations(doc):
             yield f"{list(path)} -> {what}", copy
 
 
+# the config sections each subcommand reads, whose every key is mutated; a
+# config's other sections are mutated at their first key only
+READ_SECTIONS = {"embed": ("embed",), "train-projector": ("projector",),
+                 "episodes": ("projector", "episodes"),
+                 "pipeline": ("generator",)}
+
+
 @pytest.mark.parametrize("kind, command", [
     ("space", "episodes"), ("space", "infer"), ("negatives", "episodes"),
-    ("mlp", "episodes"), ("mlp", "infer"),
+    ("mlp", "episodes"), ("mlp", "infer"), ("ontology", "ingest"),
+    ("ontology", "embed"), ("config", "embed"), ("config", "train-projector"),
+    ("config", "episodes"), ("config", "pipeline"),
 ])
-def test_every_mutated_artifact_ends_cleanly(world, tmp_path, capfd, kind,
-                                             command):
-    """Each structured mutation of a valid artifact (a dropped key or entry,
-    a shortened list, a value of another type, NaN, an empty container or
-    an unknown name) ends in exit 0, or in exit 1 with exactly one
-    ``error:`` line and no traceback."""
-    run_dir, _ = world
+def test_every_mutated_artifact_ends_cleanly(world, tmp_path, capfd,
+                                             monkeypatch, kind, command):
+    """Each structured mutation of a valid input file (a dropped key or
+    entry, a shortened list, a value of another type, NaN, an empty
+    container or an unknown name) ends in exit 0, or in exit 1 with
+    exactly one ``error:`` line and no traceback."""
+    run_dir, config = world
     files = {name: run_dir / f"{name}.json"
              for name in ("space", "mlp", "negatives")}
+    files["ontology"] = config.parent / "poodle.json"
+    files["config"] = config
     doc = json.loads(files[kind].read_text())
+    every = ((),)
+    if kind == "config":
+        # a run writes into this test's directory, never into the world's;
+        # a relative out_dir lands there too
+        doc["out_dir"] = str(tmp_path / "run")
+        monkeypatch.chdir(tmp_path)
+        every += tuple((section,) for section in READ_SECTIONS[command])
     files[kind] = tmp_path / f"{kind}.json"
-    novel = str(run_dir / "features_novel.npz")
-    argv = {"episodes": ["episodes", str(files["space"]), str(files["mlp"]),
-                         "--novel", novel, "--negatives",
-                         str(files["negatives"]), "--episodes", "1"],
-            "infer": ["infer", str(files["space"]), str(files["mlp"]),
-                      novel]}[command]
+    novel, base = run_dir / "features_novel.npz", run_dir / "features_base.npz"
+    out = tmp_path / "out.json"
+    argv = {"episodes": ["episodes", files["space"], files["mlp"],
+                         "--novel", novel, "--negatives", files["negatives"],
+                         "--episodes", "1", "--config", files["config"]],
+            "infer": ["infer", files["space"], files["mlp"], novel],
+            "ingest": ["ingest", files["ontology"]],
+            "embed": ["embed", files["ontology"], "--out", out,
+                      "--config", files["config"]],
+            "train-projector": ["train-projector", files["space"],
+                                files["negatives"], base, "--out", out,
+                                "--config", files["config"]],
+            "pipeline": ["pipeline", "--config", files["config"]]}[command]
     faults = []
-    for what, mutant in mutations(doc):
+    for what, mutant in mutations(doc, every):
         files[kind].write_text(json.dumps(mutant))
         try:
-            code = main(argv)
+            code = main([str(arg) for arg in argv])
         except Exception as exc:  # noqa: BLE001 - a fault to report
             code = repr(exc)
         lines = capfd.readouterr().err.splitlines()

@@ -270,6 +270,12 @@ def test_config_rejects_bad_values():
         EmbedConfig(epochs=-1)
     with pytest.raises(ValueError):
         EmbedConfig(optimizer="lbfgs")
+    with pytest.raises(ValueError, match="batch_size"):
+        EmbedConfig(batch_size=0)
+    with pytest.raises(ValueError, match="seed"):
+        EmbedConfig(seed=-1)
+    with pytest.raises(ValueError, match="lr_decay"):
+        EmbedConfig(lr_decay=-1.0)
 
 
 def test_ball_space_roundtrip():

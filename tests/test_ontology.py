@@ -10,7 +10,8 @@ from geoball.ontology import (
     OntologyError,
     compute_ich,
     compute_stats,
-    parse_ontology,
+    load_ontology,
+    ontology_from_dict,
     validate,
 )
 
@@ -49,7 +50,8 @@ def random_dag(rng, n_nodes):
 
 
 def test_parse_minimal_document():
-    onto = parse_ontology('{"concepts": ["A", "B"], "subclass": [["A", "B"]], "disjoint": []}')
+    onto = ontology_from_dict(json.loads(
+        '{"concepts": ["A", "B"], "subclass": [["A", "B"]], "disjoint": []}'))
     assert onto.concepts == ("A", "B")
     assert onto.told_subsumptions == (("A", "B"),)
     assert onto.disjointness == ()
@@ -57,7 +59,7 @@ def test_parse_minimal_document():
 
 def test_parse_self_subsumption_is_cycle():
     with pytest.raises(OntologyError, match="cycle"):
-        parse_ontology('{"concepts": ["A"], "subclass": [["A", "A"]]}')
+        ontology_from_dict(json.loads('{"concepts": ["A"], "subclass": [["A", "A"]]}'))
 
 
 def test_parse_poodle_fixture(poodle_ontology):
@@ -67,21 +69,24 @@ def test_parse_poodle_fixture(poodle_ontology):
     assert poodle_ontology.leaves == ("poodle", "retriever", "street_sign")
 
 
-def test_parse_syntax_error_reports_position():
-    with pytest.raises(OntologyError, match=r"line \d+"):
-        parse_ontology('{"concepts": [,]}')
+def test_parse_syntax_error_reports_position(tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text('{"concepts": [,]}')
+    with pytest.raises(ValueError, match=r"syntax error at line \d+"):
+        load_ontology(path)
 
 
 def test_parse_unknown_identifier():
     with pytest.raises(OntologyError, match="undeclared 'C'"):
-        parse_ontology('{"concepts": ["A", "B"], "subclass": [["A", "C"]]}')
+        ontology_from_dict(json.loads(
+            '{"concepts": ["A", "B"], "subclass": [["A", "C"]]}'))
 
 
 def test_parse_reports_every_declaration_fault_at_once():
     doc = {"concepts": ["A", "B", "A", " "], "subclass": [["A", "C"]],
            "disjoint": [["B", "B"]], "leaves": ["D"]}
     with pytest.raises(OntologyError) as err:
-        parse_ontology(json.dumps(doc))
+        ontology_from_dict(doc)
     assert [(d.kind, d.concepts) for d in err.value.diagnostics] == [
         ("duplicate-concept", ("A",)),
         ("empty-concept", ()),
@@ -96,13 +101,14 @@ def test_parse_reports_every_declaration_fault_at_once():
 def test_parse_duplicate_axiom_warns_and_dedupes(caplog):
     doc = '{"concepts": ["A", "B"], "subclass": [["A", "B"], ["A", "B"]]}'
     with caplog.at_level(logging.WARNING, logger="geoball.ontology"):
-        onto = parse_ontology(doc)
+        onto = ontology_from_dict(json.loads(doc))
     assert onto.told_subsumptions == (("A", "B"),)
     assert any("duplicate" in r.message for r in caplog.records)
 
 
 def test_parse_trims_whitespace_preserves_case():
-    onto = parse_ontology('{"concepts": [" Dog ", "animal"], "subclass": [["Dog", "animal"]]}')
+    onto = ontology_from_dict(json.loads(
+        '{"concepts": [" Dog ", "animal"], "subclass": [["Dog", "animal"]]}'))
     assert onto.concepts == ("Dog", "animal")
 
 
@@ -151,14 +157,14 @@ def test_validate_leaf_with_children():
 
 
 def test_ich_transitive_chain():
-    onto = parse_ontology(
-        '{"concepts": ["A", "B", "C"], "subclass": [["A", "B"], ["B", "C"]]}')
+    onto = ontology_from_dict(json.loads(
+        '{"concepts": ["A", "B", "C"], "subclass": [["A", "B"], ["B", "C"]]}'))
     assert compute_ich(onto).pairs == frozenset(
         {("A", "B"), ("B", "C"), ("A", "C")})
 
 
 def test_ich_empty():
-    onto = parse_ontology('{"concepts": ["A", "B"]}')
+    onto = ontology_from_dict(json.loads('{"concepts": ["A", "B"]}'))
     assert compute_ich(onto).pairs == frozenset()
 
 
@@ -213,15 +219,15 @@ def test_ich_cycle_aborts():
 
 
 def test_stats_single_root():
-    onto = parse_ontology('{"concepts": ["R"]}')
+    onto = ontology_from_dict(json.loads('{"concepts": ["R"]}'))
     stats = compute_stats(onto, compute_ich(onto))
     assert stats.level == {"R": 1}
     assert stats.total_levels == 1
 
 
 def test_stats_chain_levels():
-    onto = parse_ontology(
-        '{"concepts": ["A", "B", "C"], "subclass": [["A", "B"], ["B", "C"]]}')
+    onto = ontology_from_dict(json.loads(
+        '{"concepts": ["A", "B", "C"], "subclass": [["A", "B"], ["B", "C"]]}'))
     stats = compute_stats(onto, compute_ich(onto))
     assert stats.level == {"C": 1, "B": 2, "A": 3}
     assert stats.total_levels == 3
@@ -256,7 +262,7 @@ def test_stats_level_increases_along_told_edges(poodle_ontology):
 
 def test_stats_deterministic_bytes(poodle_doc):
     def run():
-        onto = parse_ontology(json.dumps(poodle_doc))
+        onto = ontology_from_dict(poodle_doc)
         stats = compute_stats(onto, compute_ich(onto))
         return json.dumps(
             {"n": stats.total_levels, "level": stats.level, "occ": stats.occurrences},

@@ -183,6 +183,10 @@ def test_projector_config_validation():
         ProjectorConfig(epochs_bl=-1)
     with pytest.raises(ValueError):
         ProjectorConfig(optimizer="sgdm")
+    with pytest.raises(ValueError, match="batch_size"):
+        ProjectorConfig(batch_size=0)
+    with pytest.raises(ValueError, match="seed"):
+        ProjectorConfig(seed=-1)
 
 
 # ---------------------------------------------------------------------------
