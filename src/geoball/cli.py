@@ -11,6 +11,7 @@ seed, else a fixed constant, never wall-clock state.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -60,8 +61,18 @@ def _space_names(text: str, space: BallSpace, flag: str, path):
     return names
 
 
-def _float_list(text: str) -> tuple[float, ...]:
-    return tuple(float(v) for v in text.split(",") if v.strip())
+def _float_list(text: str, flag: str) -> tuple[float, ...]:
+    """The comma-separated numbers given to ``flag``; one that does not parse
+    or is not finite is a ValueError that names the flag."""
+    values = []
+    for item in filter(None, (v.strip() for v in text.split(","))):
+        try:
+            values.append(float(item))
+        except ValueError:
+            values.append(math.nan)
+        if not math.isfinite(values[-1]):
+            raise ValueError(f"{flag} takes finite numbers, not {item!r}")
+    return tuple(values)
 
 
 # ---------------------------------------------------------------------------
@@ -103,9 +114,9 @@ def cmd_tune(args) -> int:
     ontology, ich, stats = ingest(args.ontology)
     base = stage_config(load_config_sections(args.config), "embed",
                         EmbedConfig, args.seed)
-    grid = GridSpec(gammas=_float_list(args.gammas),
-                    psis=_float_list(args.psis),
-                    phis=_float_list(args.phis),
+    grid = GridSpec(gammas=_float_list(args.gammas, "--gammas"),
+                    psis=_float_list(args.psis, "--psis"),
+                    phis=_float_list(args.phis, "--phis"),
                     s_d_threshold=args.s_d_threshold)
     result = grid_search(ontology, ich, stats, grid, base)
     best = result.best_scores

@@ -4,7 +4,9 @@ Features stand in for extractor outputs: each leaf class gets an anchor
 vector generated by a random walk down the hierarchy (children perturb their
 parent's anchor), so sibling classes look similar in feature space the way
 visually related categories do. Episodes are w-way s-shot tasks over novel
-classes; evaluation fine-tunes a copy of the base projector per episode.
+classes; evaluation fine-tunes a copy of the base projector per episode and
+scores the nearest-support-centroid baseline on the same queries, returning
+the projector's report and the baseline's.
 """
 
 from __future__ import annotations
@@ -613,19 +615,24 @@ def _aggregate(per_episode, semantic: float | None) -> EvalReport:
 
 def evaluate_episodes(space: BallSpace, base_mlp: Mlp, episodes,
                       projector_config: ProjectorConfig,
-                      negatives: NegativeSets, ich: Ich | None = None) -> EvalReport:
+                      negatives: NegativeSets, ich: Ich | None = None
+                      ) -> tuple[EvalReport, EvalReport]:
     """Few-shot protocol: per episode fine-tune a copy of the base projector
     on the support set, then classify the queries against the w candidate
     balls. Semantic errors (wrong but inside the true class's parent ball)
-    are tallied when the closure is supplied. Episodes are independent, so
-    they run in shares, one per usable CPU (``_map_shares``)."""
+    are tallied when the closure is supplied. The same queries are scored by
+    the baseline, which ignores the ontology: the nearest support-class
+    centroid, the first class winning ties. Returns the projector's report
+    and the baseline's. Episodes are independent, so they run in shares,
+    one per usable CPU (``_map_shares``)."""
     parents_of: dict[str, frozenset[str]] = {}
 
-    def run(episode: Episode) -> tuple[float, int, int]:
-        """The episode's accuracy, its missed queries and how many of those
-        fell inside a parent ball of their true class."""
-        query = episode.query
-        tuned = finetune_fewshot(base_mlp, episode.support, space, negatives,
+    def run(episode: Episode) -> tuple[float, int, int, float]:
+        """The episode's accuracy, its missed queries, how many of those
+        fell inside a parent ball of their true class, and the baseline's
+        accuracy."""
+        support, query = episode.support, episode.query
+        tuned = finetune_fewshot(base_mlp, support, space, negatives,
                                  projector_config)
         candidates = [(name, space.ball(name)) for name in episode.classes]
         outputs = mlp_forward(query.features, tuned)
@@ -639,41 +646,20 @@ def evaluate_episodes(space: BallSpace, base_mlp: Mlp, episodes,
                 parents_of[truth] = direct_parents(ich, [truth])
             report = ancestor_report(outputs[i], space, ich)
             semantic_hits += any(p in report for p in parents_of[truth])
-        return ((len(truths) - len(missed)) / len(truths), len(missed),
-                semantic_hits)
-
-    results = _map_shares(run, episodes)
-    wrong = sum(missed for _, missed, _ in results)
-    semantic_wrong = sum(hits for _, _, hits in results)
-    semantic = (semantic_wrong / wrong) if (ich is not None and wrong) else (
-        0.0 if ich is not None else None)
-    return _aggregate([accuracy for accuracy, _, _ in results], semantic)
-
-
-def nearest_centroid_accuracy(episodes) -> EvalReport:
-    """Baseline: classify each query by the nearest support-class centroid.
-    Episodes run in shares, like ``evaluate_episodes``."""
-
-    def run(episode: Episode) -> float:
-        support, query = episode.support, episode.query
         idx = support.class_indices()
-        names = episode.classes
         centroids = np.stack([support.features[idx[name]].mean(axis=0)
-                              for name in names])
-        correct = 0
+                              for name in episode.classes])
+        baseline_hits = 0
         for row, truth in zip(query.features, query.labels):
             d = np.linalg.norm(centroids - row, axis=1)
-            correct += names[int(d.argmin())] == truth
-        return correct / len(query.labels)
+            baseline_hits += episode.classes[int(d.argmin())] == truth
+        return ((len(truths) - len(missed)) / len(truths), len(missed),
+                semantic_hits, baseline_hits / len(truths))
 
-    return _aggregate(_map_shares(run, episodes), None)
-
-
-def dataset_accuracy(space: BallSpace, mlp: Mlp, dataset: FeatureDataset,
-                     candidates=None) -> float:
-    """Fraction of examples classified into their own label's ball."""
-    names = tuple(candidates) if candidates is not None else dataset.class_names()
-    balls = [(name, space.ball(name)) for name in names]
-    picks, _, _ = classify_batch(mlp_forward(dataset.features, mlp), balls)
-    correct = int((np.array(names)[picks] == np.array(dataset.labels)).sum())
-    return correct / len(dataset.labels)
+    results = _map_shares(run, episodes)
+    wrong = sum(missed for _, missed, _, _ in results)
+    semantic_wrong = sum(hits for _, _, hits, _ in results)
+    semantic = (semantic_wrong / wrong) if (ich is not None and wrong) else (
+        0.0 if ich is not None else None)
+    return (_aggregate([accuracy for accuracy, _, _, _ in results], semantic),
+            _aggregate([baseline for _, _, _, baseline in results], None))

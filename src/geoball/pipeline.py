@@ -14,7 +14,9 @@ behind.
 The work of a stage that a subcommand also runs is written once, here:
 ``ingest``, ``embed`` (training and scoring, with the ``--verbose`` loss
 lines), ``learn_base`` (base learning, with its loss lines) and
-``episodes_report``. ``run_pipeline`` and the subcommands both call them.
+``episodes_report``, whose one ``evaluate_episodes`` call returns the
+projector's report and the nearest-centroid baseline's. ``run_pipeline`` and
+the subcommands both call them.
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ from .harness import (
     atomic_open,
     evaluate_episodes,
     generate_synthetic_features,
-    nearest_centroid_accuracy,
     read_features_npz,
     sample_episodes,
     write_features_npz,
@@ -91,8 +92,11 @@ class EpisodeConfig:
 
 def global_seed(sections: dict, seed: int | None = None) -> int:
     """A given ``seed``, else the config document's global seed, else
-    DEFAULT_SEED."""
-    return sections.get("seed", DEFAULT_SEED) if seed is None else seed
+    DEFAULT_SEED; a negative one is a ValueError."""
+    chosen = sections.get("seed", DEFAULT_SEED) if seed is None else seed
+    if chosen < 0:
+        raise ValueError("seed must be >= 0")
+    return chosen
 
 
 def load_config_sections(path) -> dict:
@@ -220,13 +224,13 @@ def learn_base(features, space, negatives, config: ProjectorConfig,
 
 def episodes_report(space, mlp, novel, negatives, projector: ProjectorConfig,
                     protocol: EpisodeConfig, seed: int, ich=None) -> dict:
-    """Evaluate ``protocol``'s episodes and the nearest-centroid baseline."""
+    """Evaluate ``protocol``'s episodes: the fine-tuned projector and the
+    nearest-centroid baseline, scored together by ``evaluate_episodes``."""
     episodes = sample_episodes(novel, w=protocol.w, s=protocol.s,
                                q=protocol.q, n_episodes=protocol.n_episodes,
                                seed=seed)
-    report = evaluate_episodes(space, mlp, episodes, projector, negatives,
-                               ich=ich)
-    baseline = nearest_centroid_accuracy(episodes)
+    report, baseline = evaluate_episodes(space, mlp, episodes, projector,
+                                         negatives, ich=ich)
     return {
         "episodes": report.to_dict(),
         "baseline_nearest_centroid": baseline.to_dict(),

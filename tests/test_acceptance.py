@@ -17,12 +17,12 @@ import pytest
 from geoball.embedding import Ball, BallSpace, EmbedConfig, loss_gradients, train_embeddings
 from geoball.evaluation import score_space
 from geoball.harness import (REFERENCE_RESULTS, FeatureDataset,
-                             dataset_accuracy, evaluate_episodes,
-                             nearest_centroid_accuracy, synthetic_ontology)
+                             evaluate_episodes, synthetic_ontology)
 from geoball.negatives import kmeans
 from geoball.ontology import Ich, HierarchyStats, compute_ich, compute_stats, ontology_from_dict
 from geoball.pipeline import ARTIFACT_NAMES, PipelineConfig, run_pipeline
-from geoball.projector import ProjectorConfig, classify, train_base
+from geoball.projector import (ProjectorConfig, classify, classify_batch,
+                               mlp_forward, train_base)
 
 from test_embedding import (assert_close_rel, finite_difference,
                             kink_distance, random_space)
@@ -268,10 +268,10 @@ def test_kmeans_small_scale_optimality(capsys):
 
 def test_end_to_end_fewshot(desk, capsys):
     t0 = time.perf_counter()
-    report = evaluate_episodes(desk.space, desk.mlp, desk.episodes,
-                               ProjectorConfig(), desk.negatives, ich=desk.ich)
+    report, baseline = evaluate_episodes(desk.space, desk.mlp, desk.episodes,
+                                         ProjectorConfig(), desk.negatives,
+                                         ich=desk.ich)
     runtime = desk.wall_setup + (time.perf_counter() - t0)
-    baseline = nearest_centroid_accuracy(desk.episodes)
     margin = report.accuracy - baseline.accuracy
 
     recorded = (REFERENCE_RESULTS["mini_imagenet_5way_1shot"]["accuracy"] == 65.71
@@ -313,11 +313,21 @@ def per_class_split(dataset, train_per_class):
     return subset(train_idx), subset(held_idx)
 
 
+def pick_accuracy(space, mlp, dataset):
+    # hits counted from classify_batch's picks, as `geoball infer` counts them
+    names = dataset.class_names()
+    picks, _, _ = classify_batch(mlp_forward(dataset.features, mlp),
+                                 [(name, space.ball(name)) for name in names])
+    hits = sum(names[int(pick)] == truth
+               for pick, truth in zip(picks, dataset.labels))
+    return hits / len(dataset.labels)
+
+
 def test_generalization_direction(desk, capsys):
     train_set, held_set = per_class_split(desk.base, train_per_class=160)
     mlp, _ = train_base(train_set, desk.space, desk.negatives, ProjectorConfig())
-    train_acc = dataset_accuracy(desk.space, mlp, train_set)
-    held_acc = dataset_accuracy(desk.space, mlp, held_set)
+    train_acc = pick_accuracy(desk.space, mlp, train_set)
+    held_acc = pick_accuracy(desk.space, mlp, held_set)
     recorded = (REFERENCE_RESULTS["base_learning_train_accuracy"] == 85.32
                 and REFERENCE_RESULTS["base_learning_test_accuracy"] == 95.36)
     ok = held_acc >= train_acc - 0.05 and recorded

@@ -569,14 +569,29 @@ def test_misshapen_space_is_a_clean_negatives_error(world, tmp_path, capsys):
     short.write_text(json.dumps(space))
     empty.write_text(json.dumps({"dim": space["dim"], "balls": {}}))
     out = tmp_path / "negatives.json"
-    for path, reason in (
-            (short, f"{short} does not hold a BallSpace artifact: ValueError: "
-                    f"the centre of ball {name!r} has {space['dim'] - 1} "
-                    f"entries, not dim {space['dim']}"),
-            (empty, "no leaves to build negative sets for")):
-        assert main(["negatives", str(path), "--out", str(out)]) == 1
+    for path, flags, reason in (
+            (short, [], f"{short} does not hold a BallSpace artifact: "
+                        f"ValueError: the centre of ball {name!r} has "
+                        f"{space['dim'] - 1} entries, not dim {space['dim']}"),
+            (empty, [], "no leaves to build negative sets for"),
+            (run_dir / "space.json", ["--seed", "-1"], "seed must be >= 0")):
+        assert main(["negatives", str(path), "--out", str(out), *flags]) == 1
         (line,) = capsys.readouterr().err.splitlines()
         assert line.startswith("error: ") and reason in line, line
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--gammas", "nan"), ("--gammas", "inf"), ("--gammas", "abc"),
+    ("--psis", "0.1,-inf"), ("--phis", "2,1e999"),
+])
+def test_a_grid_value_that_is_not_a_finite_number_is_a_clean_tune_error(
+        poodle_path, tmp_path, capsys, flag, value):
+    out = tmp_path / "grid.json"
+    assert main(["tune", str(poodle_path), "--out", str(out),
+                 f"{flag}={value}"]) == 1
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: ") and flag in line
     assert not out.exists()
 
 
@@ -690,10 +705,12 @@ READ_SECTIONS = {"embed": ("embed",), "train-projector": ("projector",),
 
 
 @pytest.mark.parametrize("kind, command", [
-    ("space", "episodes"), ("space", "infer"), ("negatives", "episodes"),
-    ("mlp", "episodes"), ("mlp", "infer"), ("ontology", "ingest"),
-    ("ontology", "embed"), ("config", "embed"), ("config", "train-projector"),
-    ("config", "episodes"), ("config", "pipeline"),
+    ("space", "episodes"), ("space", "infer"), ("space", "negatives"),
+    ("space", "viz"), ("negatives", "episodes"), ("mlp", "episodes"),
+    ("mlp", "infer"), ("ontology", "ingest"), ("ontology", "embed"),
+    ("ontology", "infer --ontology"), ("config", "embed"),
+    ("config", "train-projector"), ("config", "episodes"),
+    ("config", "pipeline"),
 ])
 def test_every_mutated_artifact_ends_cleanly(world, tmp_path, capfd,
                                              monkeypatch, kind, command):
@@ -721,6 +738,10 @@ def test_every_mutated_artifact_ends_cleanly(world, tmp_path, capfd,
                          "--novel", novel, "--negatives", files["negatives"],
                          "--episodes", "1", "--config", files["config"]],
             "infer": ["infer", files["space"], files["mlp"], novel],
+            "infer --ontology": ["infer", files["space"], files["mlp"], novel,
+                                 "--ontology", files["ontology"]],
+            "negatives": ["negatives", files["space"], "--out", out],
+            "viz": ["viz", files["space"], "--out", tmp_path / "balls.svg"],
             "ingest": ["ingest", files["ontology"]],
             "embed": ["embed", files["ontology"], "--out", out,
                       "--config", files["config"]],

@@ -19,7 +19,6 @@ from geoball.harness import (
     FeatureDataset,
     _hierarchy_anchors,
     generate_synthetic_features,
-    nearest_centroid_accuracy,
     read_features_csv,
     read_features_npz,
     sample_episode,
@@ -609,8 +608,8 @@ def test_zero_noise_evaluates_perfectly(small_world):
     base, novel = small_datasets(onto, noise=0.0)
     mlp, _ = train_base(base, space, negatives, SMALL_PROJECTOR)
     episodes = sample_episodes(novel, w=4, s=2, q=2, n_episodes=3, seed=0)
-    report = evaluate_episodes(space, mlp, episodes, SMALL_PROJECTOR,
-                               negatives, ich=ich)
+    report, _ = evaluate_episodes(space, mlp, episodes, SMALL_PROJECTOR,
+                                  negatives, ich=ich)
     assert report.accuracy == 1.0
     assert report.ci95 == 0.0
 
@@ -620,7 +619,8 @@ def test_one_way_episodes_are_trivially_correct(small_world):
     base, novel = small_datasets(onto, noise=1.5)
     mlp, _ = train_base(base, space, negatives, SMALL_PROJECTOR)
     episodes = sample_episodes(novel, w=1, s=2, q=3, n_episodes=4, seed=2)
-    report = evaluate_episodes(space, mlp, episodes, SMALL_PROJECTOR, negatives)
+    report, _ = evaluate_episodes(space, mlp, episodes, SMALL_PROJECTOR,
+                                  negatives)
     assert report.accuracy == 1.0
     assert report.semantic_error_fraction is None
 
@@ -634,7 +634,8 @@ def test_evaluation_matches_brute_force_oracle(small_world):
     base, novel = small_datasets(onto, noise=1.0)
     mlp, _ = train_base(base, space, negatives, SMALL_PROJECTOR)
     episodes = sample_episodes(novel, w=3, s=2, q=4, n_episodes=5, seed=4)
-    report = evaluate_episodes(space, mlp, episodes, SMALL_PROJECTOR, negatives)
+    report, _ = evaluate_episodes(space, mlp, episodes, SMALL_PROJECTOR,
+                                  negatives)
 
     expected = []
     for ep in episodes:
@@ -669,9 +670,8 @@ def test_batched_evaluation_matches_per_query_oracles(small_world):
     base, novel = small_datasets(onto, noise=3.0)
     mlp, _ = train_base(base, space, negatives, SMALL_PROJECTOR)
     episodes = sample_episodes(novel, w=4, s=2, q=4, n_episodes=6, seed=5)
-    report = evaluate_episodes(space, mlp, episodes, SMALL_PROJECTOR,
-                               negatives, ich=ich)
-    baseline = nearest_centroid_accuracy(episodes)
+    report, baseline = evaluate_episodes(space, mlp, episodes,
+                                         SMALL_PROJECTOR, negatives, ich=ich)
 
     expected, expected_baseline = [], []
     wrong = semantic = 0
@@ -712,8 +712,10 @@ def test_evaluation_rejects_support_from_base_classes(small_world):
 
 
 def test_ci_shrinks_like_inverse_sqrt(desk):
-    full = nearest_centroid_accuracy(desk.episodes)
-    quarter = nearest_centroid_accuracy(desk.episodes[:25])
+    _, full = evaluate_episodes(desk.space, desk.mlp, desk.episodes,
+                                ProjectorConfig(), desk.negatives)
+    _, quarter = evaluate_episodes(desk.space, desk.mlp, desk.episodes[:25],
+                                   ProjectorConfig(), desk.negatives)
     ratio = quarter.ci95 / full.ci95
     assert abs(ratio - 2.0) / 2.0 < 0.2
 
@@ -745,18 +747,19 @@ def test_episodes_give_equal_reports_at_every_share_count(small_world,
     for n in (1, 2, 3):
         use_cpus(monkeypatch, n)
         monkeypatch.setattr(harness, "ancestor_report", real)
-        with_ich = evaluate_episodes(space, mlp, episodes, SMALL_PROJECTOR,
-                                     negatives, ich=ich)
+        with_ich, baseline = evaluate_episodes(space, mlp, episodes,
+                                               SMALL_PROJECTOR, negatives,
+                                               ich=ich)
         monkeypatch.setattr(
             harness, "ancestor_report",
             lambda h, space, ich: space.concepts if h[0] > 0 else ())
         reports.append((
             with_ich,
             evaluate_episodes(space, mlp, episodes, SMALL_PROJECTOR,
-                              negatives, ich=ich),
+                              negatives, ich=ich)[0],
             evaluate_episodes(space, mlp, episodes, SMALL_PROJECTOR,
-                              negatives),
-            nearest_centroid_accuracy(episodes)))
+                              negatives)[0],
+            baseline))
         assert_no_child_left()
     assert reports[0][0].accuracy < 1.0
     assert reports[0][0].semantic_error_fraction == 0.0
@@ -1025,15 +1028,17 @@ def test_desk_baseline_in_tuned_window(desk):
             correct += pick == truth
             total += 1
     oracle = correct / total
-    packaged = nearest_centroid_accuracy(desk.episodes).accuracy
+    _, baseline = evaluate_episodes(desk.space, desk.mlp, desk.episodes,
+                                    ProjectorConfig(), desk.negatives)
+    packaged = baseline.accuracy
     assert abs(oracle - packaged) < 1e-12
     assert 0.80 <= packaged <= 0.90
 
 
 def test_desk_fixture_accuracy(desk):
-    report = evaluate_episodes(desk.space, desk.mlp, desk.episodes,
-                               ProjectorConfig(), desk.negatives, ich=desk.ich)
-    baseline = nearest_centroid_accuracy(desk.episodes)
+    report, baseline = evaluate_episodes(desk.space, desk.mlp, desk.episodes,
+                                         ProjectorConfig(), desk.negatives,
+                                         ich=desk.ich)
     assert report.accuracy >= 0.95
     assert report.accuracy >= baseline.accuracy + 0.03
     assert 0.0 <= report.semantic_error_fraction <= 1.0
