@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -43,21 +44,24 @@ def _load(path, cls):
 
 
 def _read_features(path):
-    """A ``.npz`` feature file as the pipeline writes it, any other as CSV."""
-    if Path(path).suffix == ".npz":
-        return read_features_npz(path)
-    return read_features_csv(path)
+    """A ``.npz`` feature file as the pipeline writes it, any other as CSV;
+    one without rows is a ValueError that names it."""
+    features = (read_features_npz(path) if Path(path).suffix == ".npz"
+                else read_features_csv(path))
+    if not features.labels:
+        raise ValueError(f"feature file {path} holds no rows")
+    return features
 
 
 def _space_names(text: str, space: BallSpace, flag: str, path):
-    """The comma-separated names given to ``flag``, once each is a ball of
-    ``space`` (read from ``path``); otherwise a ValueError that names the
-    flag and every name without one."""
+    """The comma-separated names given to ``flag``, each once and each a
+    ball of ``space`` (read from ``path``); otherwise a ValueError that names
+    the flag and every repeated name, or every name without a ball."""
     names = tuple(text.split(","))
-    unknown = [name for name in names if name not in space.index]
-    if unknown:
-        raise ValueError(f"unknown {flag} concepts: {unknown} "
-                         f"(no ball in {path})")
+    repeated = [name for name, count in Counter(names).items() if count > 1]
+    if repeated:
+        raise ValueError(f"{flag} names {repeated} more than once")
+    space.rows(names, f"{flag} concepts (space {path})")
     return names
 
 
@@ -157,17 +161,13 @@ def cmd_infer(args) -> int:
     space = _load(args.space, BallSpace)
     mlp = _load(args.mlp, Mlp)
     features = _read_features(args.features)
-    if not features.labels:
-        raise ValueError(f"feature file {args.features} holds no rows")
     if args.candidates:
         names = _space_names(args.candidates, space, "--candidates",
                              args.space)
     else:
         names = tuple(sorted(mlp.trained_labels)) or tuple(space.concepts)
-        unknown = [name for name in names if name not in space.index]
-        if unknown:
-            raise ValueError(f"projector {args.mlp} was trained on labels "
-                             f"with no ball in {args.space}: {unknown}")
+        space.rows(names, f"the trained labels of projector {args.mlp} "
+                          f"(space {args.space})")
     candidates = [(name, space.ball(name)) for name in names]
     ich = None
     if args.ontology:

@@ -93,14 +93,18 @@ class BallSpace:
     def index(self) -> dict[str, int]:
         return {c: i for i, c in enumerate(self.concepts)}
 
-    def centre_of(self, concept: str) -> np.ndarray:
-        return self.centres[self.index[concept]]
-
-    def radius_of(self, concept: str) -> float:
-        return float(self.radii[self.index[concept]])
+    def rows(self, names, what: str) -> np.ndarray:
+        """The row of each of ``names``, the one way a name reaches its
+        ball. Names without a ball are one ValueError that names ``what``
+        and each of them once, in the order given."""
+        names = list(names)
+        missing = list(dict.fromkeys(n for n in names if n not in self.index))
+        if missing:
+            raise ValueError(f"no ball for {what}: {missing}")
+        return np.array([self.index[n] for n in names], dtype=np.intp)
 
     def ball(self, concept: str) -> Ball:
-        i = self.index[concept]
+        (i,) = self.rows([concept], "concept")
         return Ball(self.centres[i], float(self.radii[i]))
 
     def to_dict(self) -> dict:
@@ -235,19 +239,13 @@ class _AxiomTable(NamedTuple):
 
 def _axiom_table(space: BallSpace, ich: Ich, disjoint, stats: HierarchyStats,
                  config: EmbedConfig) -> _AxiomTable:
-    index = space.index
-
-    def look(name):
-        try:
-            return index[name]
-        except KeyError:
-            raise KeyError(f"no ball for concept {name!r}") from None
-
     pairs = [*sorted(ich.pairs), *disjoint]
+    ends = space.rows([end for pair in pairs for end in pair],
+                      "axiom concepts").reshape(-1, 2)
     is_sub = np.arange(len(pairs)) < len(ich.pairs)
     rows = _Rows(
-        a=np.array([look(a) for a, _ in pairs], dtype=np.intp),
-        b=np.array([look(b) for _, b in pairs], dtype=np.intp),
+        a=ends[:, 0],
+        b=ends[:, 1],
         sign=np.where(is_sub, 1.0, -1.0),
         r_b_weight=np.where(is_sub, -1.0, 1.0),
         offset=np.where(is_sub, -config.gamma, config.gamma_disjoint))

@@ -85,12 +85,11 @@ def direct_parents(ich: Ich, leaves) -> frozenset[str]:
 def _pair_f1(space: BallSpace, ich: Ich, rows, cols) -> F1Result:
     """Containment F1 over the pairs rows x cols, a concept with itself
     excluded; the positives are the closure pairs."""
-    idx = space.index
+    r = space.rows(rows, "scored concepts")
+    c = space.rows(cols, "scored concepts")
+    ends = space.rows([q for pair in ich.pairs for q in pair], "closure pairs")
     actual = np.zeros((len(space.concepts),) * 2, dtype=bool)
-    for p, q in ich.pairs:
-        actual[idx[p], idx[q]] = True
-    r = np.array([idx[c] for c in rows], dtype=int)
-    c = np.array([idx[c] for c in cols], dtype=int)
+    actual[ends[0::2], ends[1::2]] = True
     block = np.ix_(r, c)
     pred, actual = _containment_matrix(space)[block], actual[block]
     off = r[:, None] != c[None, :]
@@ -120,7 +119,7 @@ def s_d(space: BallSpace, leaves) -> int:
     leaves = sorted(leaves)
     if len(leaves) < 2:
         raise ValueError("separation count needs at least 2 leaves")
-    rows = np.array([space.index[c] for c in leaves])
+    rows = space.rows(leaves, "leaves")
     dist = _distance_matrix(space)[np.ix_(rows, rows)]
     radii = space.radii[rows]
     separated = dist >= radii[None, :] + radii[:, None]

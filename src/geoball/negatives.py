@@ -140,6 +140,12 @@ class NegativeSets:
                     and all(isinstance(q, str) for q in neg)):
                 raise ValueError(f"the negatives of {name!r} must be a list "
                                  f"of names, not {neg!r}")
+            if name in neg:
+                raise ValueError(f"the negatives of {name!r} list the class "
+                                 f"itself: {neg!r}")
+            if len(set(neg)) < len(neg):
+                raise ValueError(f"the negatives of {name!r} name a class "
+                                 f"more than once: {neg!r}")
         return cls({name: tuple(neg) for name, neg in obj.items()})
 
 
@@ -157,10 +163,12 @@ def build_negative_sets(space: BallSpace, leaves, k: int | None = None,
     leaves = sorted(leaves)
     if not leaves:
         raise ValueError("no leaves to build negative sets for")
+    repeated = sorted({a for a, b in zip(leaves, leaves[1:]) if a == b})
+    if repeated:
+        raise ValueError(f"leaves given more than once: {repeated}")
     if k is None:
         k = default_k(len(leaves))
-    rows = np.array([space.index[leaf] for leaf in leaves])
-    points = space.centres[rows]
+    points = space.centres[space.rows(leaves, "leaves")]
     result = kmeans(points, k, seed=seed)
 
     groups: dict[int, list[str]] = {}

@@ -82,6 +82,11 @@ class Mlp:
         return self.sizes[0]
 
     def reduce(self, x: np.ndarray) -> np.ndarray:
+        """Rows of ``in_dim`` features through the input compression, if
+        there is one."""
+        if x.shape[1] != self.in_dim:
+            raise ValueError(f"feature dimension {x.shape[1]} != input "
+                             f"{self.in_dim}")
         if self.input_basis is None:
             return x
         return (x - self.input_mean) @ self.input_basis
@@ -187,8 +192,6 @@ def mlp_forward(f, mlp: Mlp) -> np.ndarray:
     single = x.ndim == 1
     if single:
         x = x[None, :]
-    if x.shape[1] != mlp.in_dim:
-        raise ValueError(f"feature dimension {x.shape[1]} != input {mlp.in_dim}")
     bad = ~np.isfinite(x).all(axis=1)
     if bad.any():
         raise ValueError(f"non-finite feature row {int(bad.argmax())}")
@@ -270,26 +273,6 @@ class _Targets(NamedTuple):
     neg_radii: np.ndarray  # (labels, width)
 
 
-def _pack_targets(labels, balls, negative_balls):
-    """Row index per example plus the padded target arrays of its label."""
-    names = sorted(set(labels))
-    row_of = {name: i for i, name in enumerate(names)}
-    pos_centres = np.array([balls[name].centre for name in names], dtype=float)
-    dim = pos_centres.shape[1]
-    width = max(len(negative_balls[name]) for name in names)
-    targets = _Targets(
-        pos_centres=pos_centres,
-        pos_radii=np.array([balls[name].radius for name in names], dtype=float),
-        neg_centres=np.zeros((len(names), width, dim)),
-        neg_radii=np.zeros((len(names), width)))
-    for i, name in enumerate(names):
-        for j, ball in enumerate(negative_balls[name]):
-            targets.neg_centres[i, j] = ball.centre
-            targets.neg_radii[i, j] = ball.radius
-    rows = np.array([row_of[label] for label in labels], dtype=np.intp)
-    return rows, targets
-
-
 def _ranking_loss_grad(h, rows, targets: _Targets, mu, nu):
     """Per-example ranking loss and its gradient w.r.t. h, for h of shape (m, dim).
 
@@ -365,22 +348,32 @@ def _epoch_loss(x, rows, weights, biases, targets, mu, nu, block):
 
 def _resolve_targets(labels, space: BallSpace, negatives: NegativeSets,
                      restrict_to=None):
-    """Packed targets per label; negatives optionally restricted to a label
-    set. Every label and every negative of one must have a ball."""
-    balls: dict[str, Ball] = {}
-    negative_balls: dict[str, list[Ball]] = {}
-    for label in sorted(set(labels)):
-        if label not in space.index:
-            raise KeyError(f"no ball for label {label!r}")
-        balls[label] = space.ball(label)
-        pool = negatives.negatives.get(label, ())
-        unknown = [q for q in pool if q not in space.index]
-        if unknown:
-            raise ValueError(f"negatives of {label!r} have no ball: {unknown}")
-        if restrict_to is not None:
-            pool = [q for q in pool if q in restrict_to]
-        negative_balls[label] = [space.ball(q) for q in pool]
-    return _pack_targets(labels, balls, negative_balls)
+    """Row index per example plus the packed targets of its label, copied
+    from the space's rows; negatives optionally restricted to a label set.
+    Every label and every negative of one must have a ball."""
+    names = sorted(set(labels))
+    label_rows = space.rows(names, "labels")
+    position = {name: i for i, name in enumerate(names)}
+    rows = np.array([position[label] for label in labels], dtype=np.intp)
+    pools = [negatives.negatives.get(name, ()) for name in names]
+    # a negative the restriction drops still needs a ball
+    space.rows([q for pool in pools for q in pool], "hard negatives")
+    if restrict_to is not None:
+        pools = [[q for q in pool if q in restrict_to] for pool in pools]
+    lengths = [len(pool) for pool in pools]
+    width = max(lengths)
+    # the slots of each label's pool, in order; the rest stay padding
+    filled = np.arange(width) < np.array(lengths)[:, None]
+    negative_rows = space.rows([q for pool in pools for q in pool],
+                               "hard negatives")
+    targets = _Targets(
+        pos_centres=space.centres[label_rows],
+        pos_radii=space.radii[label_rows],
+        neg_centres=np.zeros((len(pools), width, space.dim)),
+        neg_radii=np.zeros((len(pools), width)))
+    targets.neg_centres[filled] = space.centres[negative_rows]
+    targets.neg_radii[filled] = space.radii[negative_rows]
+    return rows, targets
 
 
 def _run_training(x, rows, flat, sizes, targets, config, epochs: int,
@@ -418,6 +411,8 @@ def train_base(features, space: BallSpace, negatives: NegativeSets,
     fine-tuning can reject overlapping class sets.
     """
     labels = list(features.labels)
+    if not labels:
+        raise ValueError("base learning needs at least one feature row")
     rows, targets = _resolve_targets(labels, space, negatives)
     x = np.asarray(features.features, dtype=float)
     mean = basis = None

@@ -87,11 +87,8 @@ def render_balls_2d(space: BallSpace, concepts, points=None,
     names = list(concepts)
     if not names:
         raise ValueError("need at least one concept to draw")
-    missing = [n for n in names if n not in space.index]
-    if missing:
-        raise ValueError(f"unknown concepts: {missing} (no ball in the space)")
-    centres = np.stack([space.centre_of(n) for n in names])
-    radii = np.array([space.radius_of(n) for n in names])
+    rows = space.rows(names, "concepts to draw")
+    centres, radii = space.centres[rows], space.radii[rows]
 
     proj = principal_projection(centres)
     flat = centres @ proj

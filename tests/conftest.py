@@ -1,9 +1,9 @@
 """Shared fixtures.
 
 The stock desk fixture costs a real base-learning run (~1 min), so it is
-built once per session and shared by the harness and acceptance tests. Wall
-times of the expensive stages are recorded on the fixture for the runtime
-budget checks.
+built once per session and shared by the harness and acceptance tests, and
+so is the evaluation of its 100 episodes. Wall times of the expensive stages
+are recorded on the fixtures for the runtime budget checks.
 """
 
 import copy
@@ -13,8 +13,8 @@ from types import SimpleNamespace
 import pytest
 
 from geoball.embedding import EmbedConfig, train_embeddings
-from geoball.harness import (generate_synthetic_features, sample_episodes,
-                             synthetic_ontology)
+from geoball.harness import (evaluate_episodes, generate_synthetic_features,
+                             sample_episodes, synthetic_ontology)
 from geoball.negatives import build_negative_sets
 from geoball.ontology import compute_ich, compute_stats, ontology_from_dict
 from geoball.pipeline import DEFAULT_SEED, EpisodeConfig, GeneratorConfig
@@ -71,3 +71,15 @@ def desk():
         protocol=protocol, mlp=mlp, losses=losses,
         wall_embed=wall_embed, wall_train=wall_train,
         wall_setup=time.perf_counter() - t0)
+
+
+@pytest.fixture(scope="session")
+def desk_evaluation(desk):
+    """The desk episodes fine-tuned and scored once, with the closure: the
+    projector's report, the nearest-centroid baseline's, and the wall time."""
+    t0 = time.perf_counter()
+    report, baseline = evaluate_episodes(desk.space, desk.mlp, desk.episodes,
+                                         ProjectorConfig(), desk.negatives,
+                                         ich=desk.ich)
+    return SimpleNamespace(report=report, baseline=baseline,
+                           wall=time.perf_counter() - t0)

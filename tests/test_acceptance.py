@@ -17,7 +17,7 @@ import pytest
 from geoball.embedding import Ball, BallSpace, EmbedConfig, loss_gradients, train_embeddings
 from geoball.evaluation import score_space
 from geoball.harness import (REFERENCE_RESULTS, FeatureDataset,
-                             evaluate_episodes, synthetic_ontology)
+                             synthetic_ontology)
 from geoball.negatives import kmeans
 from geoball.ontology import Ich, HierarchyStats, compute_ich, compute_stats, ontology_from_dict
 from geoball.pipeline import ARTIFACT_NAMES, PipelineConfig, run_pipeline
@@ -266,12 +266,9 @@ def test_kmeans_small_scale_optimality(capsys):
 # 5. end-to-end few-shot sanity on the desk fixture
 
 
-def test_end_to_end_fewshot(desk, capsys):
-    t0 = time.perf_counter()
-    report, baseline = evaluate_episodes(desk.space, desk.mlp, desk.episodes,
-                                         ProjectorConfig(), desk.negatives,
-                                         ich=desk.ich)
-    runtime = desk.wall_setup + (time.perf_counter() - t0)
+def test_end_to_end_fewshot(desk, desk_evaluation, capsys):
+    report, baseline = desk_evaluation.report, desk_evaluation.baseline
+    runtime = desk.wall_setup + desk_evaluation.wall
     margin = report.accuracy - baseline.accuracy
 
     recorded = (REFERENCE_RESULTS["mini_imagenet_5way_1shot"]["accuracy"] == 65.71

@@ -472,6 +472,17 @@ def test_cli_rejects_non_finite_and_bad_artifacts(world, tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("error: ") and str(path) in err, path
         assert reason in err, path
+    novel = read_features_npz(run_dir / "features_novel.npz")
+    narrow = tmp_path / "narrow.npz"
+    write_features_npz(FeatureDataset(novel.dim - 1, novel.labels,
+                                      novel.features[:, 1:]), narrow)
+    for argv in (["infer", good_space, good_mlp, str(narrow)],
+                 ["episodes", good_space, good_mlp, "--novel", str(narrow),
+                  "--negatives", str(run_dir / "negatives.json"),
+                  "--w", "1", "--s", "2", "--q", "2", "--episodes", "1"]):
+        assert main(argv) == 1, argv
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: ") and "feature dimension" in line, argv
 
 
 def test_artifact_of_the_wrong_shape_is_a_clean_error(world, tmp_path, capsys):
@@ -501,23 +512,35 @@ def test_artifact_of_the_wrong_shape_is_a_clean_error(world, tmp_path, capsys):
     assert not (tmp_path / "out.json").exists()
 
 
-@pytest.mark.parametrize("flag, argv", [
+NAME_FLAGS = (
     ("--leaves", ["negatives", "SPACE", "--out", "OUT"]),
     ("--candidates", ["infer", "SPACE", "MLP", "FEATURES", "--out", "OUT"]),
     ("--concepts", ["viz", "SPACE", "--out", "OUT"]),
+)
+
+
+@pytest.mark.parametrize("flag, argv, names, message", [
+    *(pytest.param(flag, argv, "poodle,nope,nada",
+                   "no ball for {flag} concepts (space {space}): "
+                   "['nope', 'nada']", id=f"{flag}-argv{i}")
+      for i, (flag, argv) in enumerate(NAME_FLAGS)),
+    *(pytest.param(flag, argv, "poodle,retriever,poodle",
+                   "{flag} names ['poodle'] more than once",
+                   id=f"{flag}-repeated")
+      for flag, argv in NAME_FLAGS),
 ])
 def test_unknown_names_in_a_flag_are_a_clean_error(world, tmp_path, capsys,
-                                                    flag, argv):
+                                                    flag, argv, names,
+                                                    message):
     run_dir, _ = world
     paths = {"SPACE": run_dir / "space.json", "MLP": run_dir / "mlp.json",
              "FEATURES": run_dir / "features_novel.npz",
              "OUT": tmp_path / "out.json"}
     assert main([str(paths.get(arg, arg)) for arg in argv]
-                + [flag, "poodle,nope,nada"]) == 1
+                + [flag, names]) == 1
     (line,) = capsys.readouterr().err.splitlines()
     assert line.startswith("error: ")
-    assert f"unknown {flag} concepts: ['nope', 'nada']" in line
-    assert str(paths["SPACE"]) in line
+    assert message.format(flag=flag, space=paths["SPACE"]) in line
     assert not (tmp_path / "out.json").exists()
 
 
@@ -537,17 +560,19 @@ def test_infer_against_another_space_names_both_files(world, tmp_path,
     assert main(["infer", str(other), str(run_dir / "mlp.json"),
                  str(run_dir / "features_base.npz"), "--out", str(out)]) == 1
     (line,) = capsys.readouterr().err.splitlines()
-    assert line == (f"error: projector {run_dir / 'mlp.json'} was trained on "
-                    f"labels with no ball in {other}: {gone}")
+    assert line == (f"error: no ball for the trained labels of projector "
+                    f"{run_dir / 'mlp.json'} (space {other}): {gone}")
     assert not out.exists()
 
 
-@pytest.mark.parametrize("value", [["nope"], "retriever"])
+@pytest.mark.parametrize("value", [["nope"], "retriever", ["poodle"],
+                                   ["dog", "dog"]])
 def test_negatives_without_a_ball_are_a_clean_error(world, tmp_path, capsys,
                                                     value):
     """A negative set the space has no ball for, or a bare name in place of
     a list of names, is refused instead of being dropped or split into
-    characters."""
+    characters; so is a class among its own negatives, and a negative named
+    twice."""
     run_dir, _ = world
     doc = json.loads((run_dir / "negatives.json").read_text())
     bad = tmp_path / "negatives.json"
@@ -697,9 +722,34 @@ def mutations(doc, every=((),)):
             yield f"{list(path)} -> {what}", copy
 
 
+def feature_mutations(dataset):
+    """``(what, arrays)`` for mutations of a feature file's labels and
+    features, each pair of arrays to be written with ``np.savez``."""
+    labels, features = np.array(dataset.labels, dtype=str), dataset.features
+    for what, name in (("renamed to an unknown name", "nope"),
+                       ("emptied", "")):
+        changed = labels.copy()
+        changed[0] = name
+        yield f"a label {what}", {"labels": changed, "features": features}
+    with_nan = features.copy()
+    with_nan[0, 0] = np.nan
+    for what, arrays in (
+            ("2-D labels", {"labels": labels[:, None]}),
+            ("integer labels", {"labels": np.arange(len(labels))}),
+            ("one label fewer", {"labels": labels[:-1]}),
+            ("zero rows", {"labels": labels[:0], "features": features[:0]}),
+            ("one row", {"labels": labels[:1], "features": features[:1]}),
+            ("one column fewer", {"features": features[:, :-1]}),
+            ("float32", {"features": features.astype(np.float32)}),
+            ("3-D features", {"features": features[:, :, None]}),
+            ("a NaN", {"features": with_nan})):
+        yield what, {"labels": labels, "features": features, **arrays}
+
+
 # the config sections each subcommand reads, whose every key is mutated; a
 # config's other sections are mutated at their first key only
-READ_SECTIONS = {"embed": ("embed",), "train-projector": ("projector",),
+READ_SECTIONS = {"embed": ("embed",), "tune": ("embed",),
+                 "train-projector": ("projector",),
                  "episodes": ("projector", "episodes"),
                  "pipeline": ("generator",)}
 
@@ -708,31 +758,47 @@ READ_SECTIONS = {"embed": ("embed",), "train-projector": ("projector",),
     ("space", "episodes"), ("space", "infer"), ("space", "negatives"),
     ("space", "viz"), ("negatives", "episodes"), ("mlp", "episodes"),
     ("mlp", "infer"), ("ontology", "ingest"), ("ontology", "embed"),
-    ("ontology", "infer --ontology"), ("config", "embed"),
+    ("ontology", "tune"), ("ontology", "infer --ontology"),
+    ("config", "embed"), ("config", "tune"),
     ("config", "train-projector"), ("config", "episodes"),
-    ("config", "pipeline"),
+    ("config", "pipeline"), ("features", "train-projector"),
+    ("features", "infer"), ("features", "episodes"),
 ])
 def test_every_mutated_artifact_ends_cleanly(world, tmp_path, capfd,
                                              monkeypatch, kind, command):
     """Each structured mutation of a valid input file (a dropped key or
     entry, a shortened list, a value of another type, NaN, an empty
-    container or an unknown name) ends in exit 0, or in exit 1 with
+    container or an unknown name; for a feature file, a changed label, a
+    changed shape or type, or a NaN) ends in exit 0, or in exit 1 with
     exactly one ``error:`` line and no traceback."""
     run_dir, config = world
     files = {name: run_dir / f"{name}.json"
              for name in ("space", "mlp", "negatives")}
     files["ontology"] = config.parent / "poodle.json"
     files["config"] = config
-    doc = json.loads(files[kind].read_text())
-    every = ((),)
-    if kind == "config":
-        # a run writes into this test's directory, never into the world's;
-        # a relative out_dir lands there too
-        doc["out_dir"] = str(tmp_path / "run")
-        monkeypatch.chdir(tmp_path)
-        every += tuple((section,) for section in READ_SECTIONS[command])
-    files[kind] = tmp_path / f"{kind}.json"
     novel, base = run_dir / "features_novel.npz", run_dir / "features_base.npz"
+    if kind == "features":
+        source = base if command == "train-projector" else novel
+        cases = feature_mutations(read_features_npz(source))
+        novel = base = tmp_path / "features.npz"
+
+        def write(arrays):
+            with open(novel, "wb") as fh:
+                np.savez(fh, **arrays)
+    else:
+        doc = json.loads(files[kind].read_text())
+        every = ((),)
+        if kind == "config":
+            # a run writes into this test's directory, never into the
+            # world's; a relative out_dir lands there too
+            doc["out_dir"] = str(tmp_path / "run")
+            monkeypatch.chdir(tmp_path)
+            every += tuple((section,) for section in READ_SECTIONS[command])
+        files[kind] = tmp_path / f"{kind}.json"
+        cases = mutations(doc, every)
+
+        def write(mutant):
+            files[kind].write_text(json.dumps(mutant))
     out = tmp_path / "out.json"
     argv = {"episodes": ["episodes", files["space"], files["mlp"],
                          "--novel", novel, "--negatives", files["negatives"],
@@ -745,13 +811,16 @@ def test_every_mutated_artifact_ends_cleanly(world, tmp_path, capfd,
             "ingest": ["ingest", files["ontology"]],
             "embed": ["embed", files["ontology"], "--out", out,
                       "--config", files["config"]],
+            "tune": ["tune", files["ontology"], "--out", out,
+                     "--config", files["config"], "--gammas=-0.1",
+                     "--psis", "0.3", "--phis", "2"],
             "train-projector": ["train-projector", files["space"],
                                 files["negatives"], base, "--out", out,
                                 "--config", files["config"]],
             "pipeline": ["pipeline", "--config", files["config"]]}[command]
     faults = []
-    for what, mutant in mutations(doc, every):
-        files[kind].write_text(json.dumps(mutant))
+    for what, mutant in cases:
+        write(mutant)
         try:
             code = main([str(arg) for arg in argv])
         except Exception as exc:  # noqa: BLE001 - a fault to report

@@ -65,16 +65,16 @@ def oracle_norm_term(c, n_occ, phi):
 def oracle_total(space, ich, disjoint, stats, config):
     out = 0.0
     for p, q in sorted(ich.pairs):
-        out += oracle_subsumption(space.centre_of(p), space.centre_of(q),
-                                  space.radius_of(p), space.radius_of(q), config.gamma)
+        out += oracle_subsumption(space.ball(p).centre, space.ball(q).centre,
+                                  space.ball(p).radius, space.ball(q).radius, config.gamma)
     for a, b in disjoint:
-        out += oracle_disjointness(space.centre_of(a), space.centre_of(b),
-                                   space.radius_of(a), space.radius_of(b),
+        out += oracle_disjointness(space.ball(a).centre, space.ball(b).centre,
+                                   space.ball(a).radius, space.ball(b).radius,
                                    config.gamma_disjoint)
     for c in space.concepts:
-        out += oracle_floor(space.radius_of(c), stats.total_levels,
+        out += oracle_floor(space.ball(c).radius, stats.total_levels,
                             stats.level[c], config.psi)
-        out += oracle_norm_term(space.centre_of(c), stats.occurrences[c], config.phi)
+        out += oracle_norm_term(space.ball(c).centre, stats.occurrences[c], config.phi)
     return out
 
 
@@ -94,19 +94,19 @@ def kink_distance(space, ich, disjoint, stats, config):
     """Smallest margin of any loss term to its nearest non-smooth point."""
     margins = []
     for p, q in sorted(ich.pairs):
-        d = dist(space.centre_of(p), space.centre_of(q))
-        margins.append(abs(d + space.radius_of(p) - space.radius_of(q) - config.gamma))
+        d = dist(space.ball(p).centre, space.ball(q).centre)
+        margins.append(abs(d + space.ball(p).radius - space.ball(q).radius - config.gamma))
         margins.append(d)
     for a, b in disjoint:
-        d = dist(space.centre_of(a), space.centre_of(b))
-        margins.append(abs(-d + space.radius_of(a) + space.radius_of(b)
+        d = dist(space.ball(a).centre, space.ball(b).centre)
+        margins.append(abs(-d + space.ball(a).radius + space.ball(b).radius
                            + config.gamma_disjoint))
         margins.append(d)
     for c in space.concepts:
         floor = config.psi * math.sqrt(stats.total_levels - stats.level[c])
-        margins.append(abs(floor - space.radius_of(c)))
-        margins.append(abs(norm(space.centre_of(c)) - config.phi))
-        margins.append(norm(space.centre_of(c)))
+        margins.append(abs(floor - space.ball(c).radius))
+        margins.append(abs(norm(space.ball(c).centre) - config.phi))
+        margins.append(norm(space.ball(c).centre))
     return min(margins)
 
 
@@ -285,7 +285,7 @@ def test_ball_space_roundtrip():
     assert again.concepts == space.concepts
     assert np.allclose(again.centres, space.centres)
     assert np.allclose(again.radii, space.radii)
-    assert again.ball("b").radius == pytest.approx(space.radius_of("b"))
+    assert again.ball("b").radius == pytest.approx(space.ball("b").radius)
 
 
 @pytest.mark.parametrize("centre, radius", [
@@ -404,7 +404,7 @@ def test_total_loss_missing_ball_raises(poodle):
     partial = tuple(c for c in onto.concepts if c != "dog")
     space = random_space(rng, partial, 4)
     config = embed_config(dim=4)
-    with pytest.raises(KeyError, match="dog"):
+    with pytest.raises(ValueError, match="dog"):
         total_loss(space, ich, onto.disjointness, stats, config)
 
 
@@ -499,8 +499,8 @@ def test_train_poodle_reaches_containment(poodle):
     final = history[-1]
     assert final.subsumption + final.disjointness < 1e-3
     for p, q in sorted(ich.pairs):
-        d = float(np.linalg.norm(space.centre_of(p) - space.centre_of(q)))
-        assert d <= space.radius_of(q) - space.radius_of(p)
+        d = float(np.linalg.norm(space.ball(p).centre - space.ball(q).centre))
+        assert d <= space.ball(q).radius - space.ball(p).radius
     assert len(history) == 300
     assert np.all(space.radii >= config.radius_clamp_min)
 
@@ -515,12 +515,12 @@ def test_train_zero_hinge_implies_strict_geometry(poodle):
     assert final.subsumption == 0.0
     assert final.disjointness == 0.0
     for p, q in sorted(ich.pairs):
-        d = float(np.linalg.norm(space.centre_of(p) - space.centre_of(q)))
-        assert d + space.radius_of(p) <= space.radius_of(q) + config.gamma + 1e-9
-        assert d + space.radius_of(p) < space.radius_of(q)
+        d = float(np.linalg.norm(space.ball(p).centre - space.ball(q).centre))
+        assert d + space.ball(p).radius <= space.ball(q).radius + config.gamma + 1e-9
+        assert d + space.ball(p).radius < space.ball(q).radius
     for a, b in onto.disjointness:
-        d = float(np.linalg.norm(space.centre_of(a) - space.centre_of(b)))
-        assert d >= space.radius_of(a) + space.radius_of(b)
+        d = float(np.linalg.norm(space.ball(a).centre - space.ball(b).centre))
+        assert d >= space.ball(a).radius + space.ball(b).radius
 
 
 def test_train_zero_epochs_returns_init(poodle):

@@ -33,8 +33,8 @@ def dist(u, v):
 
 
 def oracle_holds(space, p, q):
-    return dist(space.centre_of(p), space.centre_of(q)) <= (
-        space.radius_of(q) - space.radius_of(p))
+    return dist(space.ball(p).centre, space.ball(q).centre) <= (
+        space.ball(q).radius - space.ball(p).radius)
 
 
 def oracle_prf(candidates, positives, space):
@@ -75,8 +75,8 @@ def oracle_s_d(space, leaves):
     count = 0
     for i, p in enumerate(leaves):
         for q in leaves[i + 1:]:
-            d = dist(space.centre_of(p), space.centre_of(q))
-            if d >= space.radius_of(p) + space.radius_of(q):
+            d = dist(space.ball(p).centre, space.ball(q).centre)
+            if d >= space.ball(p).radius + space.ball(q).radius:
                 count += 1
     return count
 

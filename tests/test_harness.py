@@ -711,11 +711,10 @@ def test_evaluation_rejects_support_from_base_classes(small_world):
         evaluate_episodes(space, mlp, fake, SMALL_PROJECTOR, negatives)
 
 
-def test_ci_shrinks_like_inverse_sqrt(desk):
-    _, full = evaluate_episodes(desk.space, desk.mlp, desk.episodes,
-                                ProjectorConfig(), desk.negatives)
-    _, quarter = evaluate_episodes(desk.space, desk.mlp, desk.episodes[:25],
-                                   ProjectorConfig(), desk.negatives)
+def test_ci_shrinks_like_inverse_sqrt(desk_evaluation):
+    full = desk_evaluation.baseline
+    # episodes are independent, so this is the report of the first 25 alone
+    quarter = harness._aggregate(full.per_episode[:25], None)
     ratio = quarter.ci95 / full.ci95
     assert abs(ratio - 2.0) / 2.0 < 0.2
 
@@ -1015,7 +1014,7 @@ def test_csv_shares_parse_into_one_matrix_outside_the_heap(tmp_path,
 # the stock desk fixture
 
 
-def test_desk_baseline_in_tuned_window(desk):
+def test_desk_baseline_in_tuned_window(desk, desk_evaluation):
     # oracle: independent nearest-support-centroid classifier
     correct = total = 0
     for ep in desk.episodes:
@@ -1028,17 +1027,13 @@ def test_desk_baseline_in_tuned_window(desk):
             correct += pick == truth
             total += 1
     oracle = correct / total
-    _, baseline = evaluate_episodes(desk.space, desk.mlp, desk.episodes,
-                                    ProjectorConfig(), desk.negatives)
-    packaged = baseline.accuracy
+    packaged = desk_evaluation.baseline.accuracy
     assert abs(oracle - packaged) < 1e-12
     assert 0.80 <= packaged <= 0.90
 
 
-def test_desk_fixture_accuracy(desk):
-    report, baseline = evaluate_episodes(desk.space, desk.mlp, desk.episodes,
-                                         ProjectorConfig(), desk.negatives,
-                                         ich=desk.ich)
+def test_desk_fixture_accuracy(desk_evaluation):
+    report, baseline = desk_evaluation.report, desk_evaluation.baseline
     assert report.accuracy >= 0.95
     assert report.accuracy >= baseline.accuracy + 0.03
     assert 0.0 <= report.semantic_error_fraction <= 1.0

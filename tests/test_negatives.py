@@ -168,7 +168,7 @@ def test_poodle_negatives():
     assert sets.negatives["poodle"] == ("retriever",)
     assert sets.negatives["retriever"] == ("poodle",)
 
-    leaf_points = np.array([space.centre_of(c) for c in sorted(leaves)])
+    leaf_points = np.array([space.ball(c).centre for c in sorted(leaves)])
     result = kmeans(leaf_points, 2, seed=0)
     assert result.labels.tolist().count(result.labels[2]) == 1  # street_sign
     assert result.sse == pytest.approx(oracle_optimum(leaf_points, 2), rel=1e-9)
@@ -253,5 +253,5 @@ def test_negative_sets_reload_equals_build_with_one_way_fallbacks():
 
 def test_build_requires_ball_per_leaf():
     space = make_space(("a", "b"), [[0.0, 0.0], [1.0, 0.0]])
-    with pytest.raises(KeyError):
+    with pytest.raises(ValueError):
         build_negative_sets(space, ("a", "b", "ghost"), k=1, seed=0)

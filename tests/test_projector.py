@@ -27,7 +27,7 @@ from geoball.projector import (
     train_base,
 )
 from geoball.projector import (_backprop, _epoch_loss, _fit_reduction,
-                               _forward_pass, _pack_targets, _ranking_loss_grad,
+                               _forward_pass, _ranking_loss_grad,
                                _resolve_targets)
 from test_embedding import OracleOptimizer
 
@@ -239,10 +239,23 @@ def random_gradient_case(seed):
     return x, labels, weights, biases, balls, negative_balls
 
 
+def resolve_hand_made(labels, balls, negative_balls):
+    """``_resolve_targets`` on a space of the hand-made balls, in which each
+    negative ball is a concept of its own."""
+    named, pools = dict(balls), {}
+    for name, pool in negative_balls.items():
+        pools[name] = tuple(f"{name}/negative {j}" for j in range(len(pool)))
+        named.update(zip(pools[name], pool))
+    space = BallSpace(len(next(iter(named.values())).centre), tuple(named),
+                      np.array([ball.centre for ball in named.values()]),
+                      np.array([ball.radius for ball in named.values()]))
+    return _resolve_targets(labels, space, NegativeSets(pools))
+
+
 def loss_and_gradients(x, labels, weights, biases, balls, negative_balls):
     """Mean ranking loss (mu = nu = 1) of a gradient case and its parameter
     gradients, from the trainer's own kernels."""
-    rows, targets = _pack_targets(labels, balls, negative_balls)
+    rows, targets = resolve_hand_made(labels, balls, negative_balls)
     grads_w = [np.empty_like(w) for w in weights]
     grads_b = [np.empty_like(b) for b in biases]
     _backprop(x, rows, weights, biases, targets, 1.0, 1.0, grads_w, grads_b)
@@ -308,8 +321,8 @@ def test_train_base_converges_on_separable_set(world):
     assert mlp.trained_labels == frozenset(world.base.labels)
     h = mlp_forward(world.base.features, mlp)
     inside = [
-        float(np.linalg.norm(h[i] - world.space.centre_of(label)))
-        <= world.space.radius_of(label)
+        float(np.linalg.norm(h[i] - world.space.ball(label).centre))
+        <= world.space.ball(label).radius
         for i, label in enumerate(world.base.labels)
     ]
     assert all(inside)
@@ -343,7 +356,7 @@ def test_train_base_adam_converges(world):
 def test_train_base_label_without_ball(world):
     bad = SimpleNamespace(labels=("ghost",) * 4,
                           features=np.zeros((4, 8)), dim=8)
-    with pytest.raises(KeyError, match="ghost"):
+    with pytest.raises(ValueError, match="ghost"):
         train_base(bad, world.space, world.negatives, BASE_CONFIG)
 
 
@@ -357,8 +370,8 @@ def test_finetune_puts_support_inside_balls(world):
                              BASE_CONFIG)
     h = mlp_forward(world.support.features, tuned)
     for i, label in enumerate(world.support.labels):
-        d = float(np.linalg.norm(h[i] - world.space.centre_of(label)))
-        assert d <= world.space.radius_of(label)
+        d = float(np.linalg.norm(h[i] - world.space.ball(label).centre))
+        assert d <= world.space.ball(label).radius
     assert tuned.trained_labels == (frozenset(world.base.labels)
                                     | frozenset(world.support.labels))
 
@@ -391,8 +404,8 @@ def test_finetune_with_every_pool_empty_trains_positive_term(world):
                    for a, b in zip(first.weights, mlp.weights))
     h = mlp_forward(world.support.features, first)
     for i, label in enumerate(world.support.labels):
-        d = float(np.linalg.norm(h[i] - world.space.centre_of(label)))
-        assert d <= world.space.radius_of(label)
+        d = float(np.linalg.norm(h[i] - world.space.ball(label).centre))
+        assert d <= world.space.ball(label).radius
 
 
 def test_only_base_learning_computes_a_loss_history(world, monkeypatch):
@@ -613,7 +626,7 @@ def poodle_ich():
 
 def test_ancestor_report_leaf_centre(poodle_ich):
     space = nested_poodle_space()
-    report = ancestor_report(space.centre_of("poodle"), space, poodle_ich)
+    report = ancestor_report(space.ball("poodle").centre, space, poodle_ich)
     assert report == ["poodle", "dog", "animal", "entity"]
 
 

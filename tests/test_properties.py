@@ -26,8 +26,9 @@ from geoball.negatives import NegativeSets
 from geoball.ontology import (Ich, Ontology, OntologyError, compute_ich,
                               compute_stats, validate)
 from geoball.pipeline import _write_json
-from geoball.projector import (Mlp, _pack_targets, _ranking_loss_grad,
-                               classify, classify_batch, ranking_loss)
+from geoball.projector import (Mlp, _ranking_loss_grad, classify,
+                               classify_batch, ranking_loss)
+from test_projector import resolve_hand_made
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
 POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
@@ -87,8 +88,10 @@ def test_mlp_roundtrip_is_exact(mlp):
 
 @st.composite
 def negative_documents(draw):
+    """Documents in which no class is among its own negatives."""
     names = draw(NAMES)
-    return {name: draw(st.lists(st.sampled_from(names), unique=True))
+    return {name: [q for q in draw(st.lists(st.sampled_from(names),
+                                            unique=True)) if q != name]
             for name in names}
 
 
@@ -240,7 +243,7 @@ def kink_distance(h, positive, negatives, mu, nu):
 @given(loss_batches())
 def test_array_ranking_loss_matches_scalar_definition(batch):
     h, labels, balls, negative_balls, mu, nu = batch
-    rows, targets = _pack_targets(labels, balls, negative_balls)
+    rows, targets = resolve_hand_made(labels, balls, negative_balls)
     loss, grad = _ranking_loss_grad(h, rows, targets, mu, nu)
     assert loss.shape == (len(h),) and grad.shape == h.shape
     assert np.isfinite(grad).all()
@@ -367,7 +370,13 @@ def test_packed_hinges_match_scalar_definitions(case):
     ich = compute_ich(onto)
     breakdown = total_loss(space, ich, onto.disjointness,
                            compute_stats(onto, ich), config)
-    c, r = space.centre_of, space.radius_of
+
+    def c(name):
+        return space.ball(name).centre
+
+    def r(name):
+        return space.ball(name).radius
+
     subsumption = sum(subsumption_hinge(c(p), c(q), r(p), r(q), config.gamma)
                       for p, q in sorted(ich.pairs))
     disjointness = sum(disjointness_hinge(c(a), c(b), r(a), r(b),

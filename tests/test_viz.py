@@ -141,7 +141,7 @@ class TestRenderBalls2d:
     def test_unknown_concept_rejected(self):
         space = make_space([[0.0, 0.0]], [1.0], names=("a",))
         with pytest.raises(ValueError, match=re.escape(
-                "unknown concepts: ['ghost']")):
+                "no ball for concepts to draw: ['ghost']")):
             render_balls_2d(space, ["a", "ghost"])
 
     def test_empty_selection_rejected(self):
