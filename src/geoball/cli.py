@@ -4,8 +4,9 @@ Subcommands mirror the pipeline stages (ingest, ich, embed, tune, negatives,
 train-projector, infer, episodes, viz) plus `pipeline`, which runs the whole
 chain from one JSON config. Any subcommand that trains accepts --verbose to
 stream per-epoch losses, and any that draws random numbers accepts --seed.
-Seeds: --seed, else the config section's seed, else the config's global
-seed, else a fixed constant, never wall-clock state.
+Every --config is read whole by `PipelineConfig.from_json`, as `pipeline`
+reads it, and --seed follows `PipelineConfig`'s seed rule, with or without
+a config.
 """
 
 from __future__ import annotations
@@ -17,18 +18,15 @@ from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
-from .embedding import BallSpace, EmbedConfig
+from .embedding import BallSpace
 from .evaluation import GridSpec, grid_search
 from .harness import atomic_open, read_features_csv, read_features_npz
 from .jsonio import read_json
 from .negatives import NegativeSets, build_negative_sets
 from .ontology import OntologyError, compute_ich, load_ontology
-from .pipeline import (EpisodeConfig, PipelineConfig, PipelineError, embed,
-                       episodes_report, global_seed, ingest, learn_base,
-                       load_config_sections, run_pipeline, stage_config,
-                       _write_json)
-from .projector import (Mlp, ProjectorConfig, ancestor_report, classify_batch,
-                        mlp_forward)
+from .pipeline import (PipelineConfig, PipelineError, embed, episodes_report,
+                       ingest, learn_base, run_pipeline, _write_json)
+from .projector import Mlp, ancestor_report, classify_batch, mlp_forward
 from .viz import render_balls_2d
 
 
@@ -105,9 +103,8 @@ def cmd_ich(args) -> int:
 
 def cmd_embed(args) -> int:
     ontology, ich, stats = ingest(args.ontology)
-    config = stage_config(load_config_sections(args.config), "embed",
-                          EmbedConfig, args.seed)
-    space, scores = embed(ontology, ich, stats, config, args.verbose)
+    config = PipelineConfig.from_json(args.config, args.seed)
+    space, scores = embed(ontology, ich, stats, config.embed, args.verbose)
     print(f"f1_all {scores.f1_all:.4f}  f1_leaf {scores.f1_leaf:.4f}  "
           f"s_d_fraction {scores.s_d_fraction:.4f}")
     _write_json(args.out, space.to_dict())
@@ -116,13 +113,12 @@ def cmd_embed(args) -> int:
 
 def cmd_tune(args) -> int:
     ontology, ich, stats = ingest(args.ontology)
-    base = stage_config(load_config_sections(args.config), "embed",
-                        EmbedConfig, args.seed)
+    config = PipelineConfig.from_json(args.config, args.seed)
     grid = GridSpec(gammas=_float_list(args.gammas, "--gammas"),
                     psis=_float_list(args.psis, "--psis"),
                     phis=_float_list(args.phis, "--phis"),
                     s_d_threshold=args.s_d_threshold)
-    result = grid_search(ontology, ich, stats, grid, base)
+    result = grid_search(ontology, ich, stats, grid, config.embed)
     best = result.best_scores
     print(f"best: gamma {result.best_config.gamma} psi {result.best_config.psi} "
           f"phi {result.best_config.phi} -> f1_leaf {best.f1_leaf:.4f}")
@@ -138,8 +134,8 @@ def cmd_negatives(args) -> int:
     space = _load(args.space, BallSpace)
     names = (_space_names(args.leaves, space, "--leaves", args.space)
              if args.leaves else tuple(space.concepts))
-    negatives = build_negative_sets(space, names, k=args.k,
-                                    seed=global_seed({}, args.seed))
+    seed = PipelineConfig.from_json(None, args.seed).seed
+    negatives = build_negative_sets(space, names, k=args.k, seed=seed)
     _write_json(args.out, negatives.to_dict())
     print(f"negative sets for {len(negatives.negatives)} classes")
     return 0
@@ -149,9 +145,9 @@ def cmd_train_projector(args) -> int:
     space = _load(args.space, BallSpace)
     negatives = _load(args.negatives, NegativeSets)
     features = _read_features(args.features)
-    config = stage_config(load_config_sections(args.config), "projector",
-                          ProjectorConfig, args.seed)
-    mlp, losses = learn_base(features, space, negatives, config, args.verbose)
+    config = PipelineConfig.from_json(args.config, args.seed)
+    mlp, losses = learn_base(features, space, negatives, config.projector,
+                             args.verbose)
     print(f"final loss {losses[-1]:.6f}" if losses else "no training epochs")
     _write_json(args.out, mlp.to_dict())
     return 0
@@ -194,19 +190,16 @@ def cmd_episodes(args) -> int:
     mlp = _load(args.mlp, Mlp)
     novel = _read_features(args.novel)
     negatives = _load(args.negatives, NegativeSets)
-    sections = load_config_sections(args.config)
-    config = stage_config(sections, "projector", ProjectorConfig, args.seed)
-    # episodes are sampled with the global seed, as the pipeline samples them
-    seed = global_seed(sections, args.seed)
+    config = PipelineConfig.from_json(args.config, args.seed)
     ich = None
     if args.ontology:
         ich = compute_ich(load_ontology(args.ontology))
     flags = {"w": args.w, "s": args.s, "q": args.q,
              "n_episodes": args.episodes}
-    protocol = replace(stage_config(sections, "episodes", EpisodeConfig),
+    protocol = replace(config.episodes,
                        **{k: v for k, v in flags.items() if v is not None})
-    summary = episodes_report(space, mlp, novel, negatives, config, protocol,
-                              seed, ich=ich)
+    summary = episodes_report(space, mlp, novel, negatives, config.projector,
+                              protocol, config.seed, ich=ich)
     report = summary["episodes"]
     print(f"accuracy {report['accuracy']:.4f} +/- {report['ci95']:.4f} "
           f"(baseline {summary['baseline_nearest_centroid']['accuracy']:.4f})")

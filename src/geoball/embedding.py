@@ -10,7 +10,7 @@ hinge kinks and at coincident centres.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property
 from typing import NamedTuple
 
@@ -151,13 +151,7 @@ class LossBreakdown:
         return self.subsumption + self.disjointness + self.radius_floor + self.center_norm
 
     def to_dict(self) -> dict:
-        return {
-            "total": self.total,
-            "subsumption": self.subsumption,
-            "disjointness": self.disjointness,
-            "radius_floor": self.radius_floor,
-            "center_norm": self.center_norm,
-        }
+        return {"total": self.total, **asdict(self)}
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 import logging
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -36,12 +36,7 @@ class Scores:
     s_d_fraction: float
 
     def to_dict(self) -> dict:
-        return {
-            "f1_all": self.f1_all,
-            "f1_leaf": self.f1_leaf,
-            "s_d": self.s_d,
-            "s_d_fraction": self.s_d_fraction,
-        }
+        return asdict(self)
 
 
 def _f1(tp: int, fp: int, fn: int) -> F1Result:
@@ -173,8 +168,7 @@ class GridPoint:
     scores: Scores
 
     def to_dict(self) -> dict:
-        return {"gamma": self.gamma, "psi": self.psi, "phi": self.phi,
-                "scores": self.scores.to_dict()}
+        return asdict(self)
 
 
 @dataclass(frozen=True)

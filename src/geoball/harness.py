@@ -23,7 +23,7 @@ import pickle
 import re
 import warnings
 import zipfile
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -326,10 +326,12 @@ def read_features_csv(path) -> FeatureDataset:
             if k == 0:
                 next(lines)  # the header
             # comments=None: a label may start with '#'. A header-only file
-            # is a valid empty dataset, so loadtxt's no-data warning is not
-            # passed on.
+            # is a valid empty dataset and a blank line holds no row, so
+            # loadtxt's no-data warnings are not passed on.
             with warnings.catch_warnings():
                 warnings.filterwarnings("ignore", "loadtxt: input contained "
+                                        "no data", UserWarning)
+                warnings.filterwarnings("ignore", r"Input line \d+ contained "
                                         "no data", UserWarning)
                 while True:
                     try:
@@ -598,13 +600,7 @@ class EvalReport:
     semantic_error_fraction: float | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "accuracy": self.accuracy,
-            "ci95": self.ci95,
-            "episodes": len(self.per_episode),
-            "per_episode": list(self.per_episode),
-            "semantic_error_fraction": self.semantic_error_fraction,
-        }
+        return {**asdict(self), "episodes": len(self.per_episode)}
 
 
 def _aggregate(per_episode, semantic: float | None) -> EvalReport:

@@ -2,14 +2,14 @@
 
 Stages run in dependency order (ingest, embed, negatives, features,
 train-projector, episodes). Every stage derives its seed from the global one
-unless its config section pins its own (``stage_config``, which the CLI uses
-too), so re-running the same config file at the same BLAS thread count
-reproduces each artifact byte for byte; ``mlp.json`` and ``report.json`` can
-differ between thread counts, since LAPACK's threaded ``eigh`` behind the
-input reduction does. A stage failure aborts the run with the stage name
-attached; artifacts of completed stages stay on disk, and as each is written
-to a temporary file that is renamed into place, nothing half-written is left
-behind.
+unless its config section pins its own (``PipelineConfig``, which reads
+every subcommand's ``--config`` too), so re-running the same config file at
+the same BLAS thread count reproduces each artifact byte for byte;
+``mlp.json`` and ``report.json`` can differ between thread counts, since
+LAPACK's threaded ``eigh`` behind the input reduction does. A stage failure
+aborts the run with the stage name attached; artifacts of completed stages
+stay on disk, and as each is written to a temporary file that is renamed
+into place, nothing half-written is left behind.
 
 The work of a stage that a subcommand also runs is written once, here:
 ``ingest``, ``embed`` (training and scoring, with the ``--verbose`` loss
@@ -90,7 +90,7 @@ class EpisodeConfig:
             raise ValueError("episode parameters must be >= 1")
 
 
-def global_seed(sections: dict, seed: int | None = None) -> int:
+def _global_seed(sections: dict, seed: int | None = None) -> int:
     """A given ``seed``, else the config document's global seed, else
     DEFAULT_SEED; a negative one is a ValueError."""
     chosen = sections.get("seed", DEFAULT_SEED) if seed is None else seed
@@ -99,42 +99,30 @@ def global_seed(sections: dict, seed: int | None = None) -> int:
     return chosen
 
 
-def load_config_sections(path) -> dict:
-    """The pipeline config document at ``path``, its top-level keys and
-    values checked; ``{}`` when there is none."""
-    if path is None:
-        return {}
-    obj = read_json(path, "config file")
-    if not isinstance(obj, dict):
-        raise ValueError(f"config file {path} must hold a JSON object")
-    return check_fields(PipelineConfig, obj, "pipeline config")
-
-
-def stage_config(sections: dict, name: str, cls, seed: int | None = None):
+def _stage_config(sections: dict, name: str, cls, seed: int | None = None):
     """A ``cls`` built from section ``name`` of a pipeline config document.
 
     Keys and values are checked (``check_fields``); an omitted key takes the
     dataclass default, through the constructor checks. For configs with a
     seed, a given ``seed`` wins, then the section's own seed, then
-    ``global_seed``.
+    ``_global_seed``.
     """
     raw = dict(check_fields(cls, sections.get(name, {}),
                             f"config section {name!r}"))
     if "seed" in {f.name for f in fields(cls)} and (
             seed is not None or "seed" not in raw):
-        raw["seed"] = global_seed(sections, seed)
-    if "hidden_sizes" in raw:
-        raw["hidden_sizes"] = tuple(raw["hidden_sizes"])
+        raw["seed"] = _global_seed(sections, seed)
     return cls(**raw)
 
 
 @dataclass(frozen=True)
 class PipelineConfig:
     """Paths plus the per-stage configs; the global seed reaches every stage
-    whose section does not pin its own."""
+    whose section does not pin its own. Only ``run_pipeline`` needs the
+    paths."""
 
-    ontology_path: str
-    out_dir: str
+    ontology_path: str | None = None
+    out_dir: str | None = None
     seed: int = DEFAULT_SEED
     embed: EmbedConfig = field(default_factory=EmbedConfig)
     projector: ProjectorConfig = field(default_factory=ProjectorConfig)
@@ -147,23 +135,27 @@ class PipelineConfig:
         """Sections override the config defaults field by field; a given
         ``seed`` replaces the global seed and every section's own."""
         check_fields(cls, obj, "pipeline config")
-        for key in ("ontology_path", "out_dir"):
-            if key not in obj:
-                raise ValueError(f"pipeline config needs {key!r}")
         return cls(
-            ontology_path=obj["ontology_path"],
-            out_dir=obj["out_dir"],
-            seed=global_seed(obj, seed),
-            embed=stage_config(obj, "embed", EmbedConfig, seed),
-            projector=stage_config(obj, "projector", ProjectorConfig, seed),
-            generator=stage_config(obj, "generator", GeneratorConfig),
-            episodes=stage_config(obj, "episodes", EpisodeConfig),
+            ontology_path=obj.get("ontology_path"),
+            out_dir=obj.get("out_dir"),
+            seed=_global_seed(obj, seed),
+            embed=_stage_config(obj, "embed", EmbedConfig, seed),
+            projector=_stage_config(obj, "projector", ProjectorConfig, seed),
+            generator=_stage_config(obj, "generator", GeneratorConfig),
+            episodes=_stage_config(obj, "episodes", EpisodeConfig),
             negatives_k=obj.get("negatives_k"),
         )
 
     @classmethod
     def from_json(cls, path, seed: int | None = None) -> "PipelineConfig":
-        return cls.from_dict(load_config_sections(path), seed)
+        """The config document in the file at ``path``, read as ``from_dict``
+        reads it; the defaults when ``path`` is None."""
+        if path is None:
+            return cls.from_dict({}, seed)
+        obj = read_json(path, "config file")
+        if not isinstance(obj, dict):
+            raise ValueError(f"config file {path} must hold a JSON object")
+        return cls.from_dict(obj, seed)
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -267,6 +259,9 @@ def _stage(name: str):
 
 def run_pipeline(config: PipelineConfig, verbose: bool = False) -> list[Path]:
     """Execute all stages; returns the artifact paths in creation order."""
+    for key in ("ontology_path", "out_dir"):
+        if getattr(config, key) is None:
+            raise ValueError(f"pipeline config needs {key!r}")
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     with _stage("ingest"):

@@ -141,6 +141,8 @@ class ProjectorConfig:
     reduce_dim: int | None = 12
 
     def __post_init__(self):
+        # a config document gives a JSON list
+        object.__setattr__(self, "hidden_sizes", tuple(self.hidden_sizes))
         if self.mu <= 0 or self.nu <= 0:
             raise ValueError("mu and nu must be > 0")
         if self.epochs_bl < 0 or self.epochs_fsl < 0:

@@ -426,6 +426,32 @@ def test_config_document_that_is_not_an_object_is_a_clean_error(
     assert not (tmp_path / "out.json").exists()
 
 
+def test_one_config_document_gets_one_verdict(world, tmp_path, capsys):
+    """Every subcommand that takes --config reads the whole document as the
+    pipeline reads it: a bad section that it does not use is an error, the
+    same one everywhere, and is found before the missing paths are."""
+    run_dir, config = world
+    space, mlp, negatives = (str(run_dir / f"{name}.json")
+                             for name in ("space", "mlp", "negatives"))
+    ontology, out = str(config.parent / "poodle.json"), tmp_path / "out.json"
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"embed": {"dim": "big"},
+                               "generator": {"per_class": 0}}))
+    lines = []
+    for argv in (["embed", ontology, "--out", str(out)],
+                 ["tune", ontology, "--out", str(out)],
+                 ["train-projector", space, negatives,
+                  str(run_dir / "features_base.npz"), "--out", str(out)],
+                 ["episodes", space, mlp, "--negatives", negatives,
+                  "--novel", str(run_dir / "features_novel.npz")],
+                 ["pipeline"]):
+        assert main(argv + ["--config", str(bad)]) == 1, argv
+        lines += capsys.readouterr().err.splitlines()
+    assert lines == ["error: config section 'embed' key 'dim' must be int, "
+                     'not "big"'] * 5
+    assert not out.exists()
+
+
 def test_cli_rejects_non_finite_and_bad_artifacts(world, tmp_path, capsys):
     run_dir, _ = world
     space = json.loads((run_dir / "space.json").read_text())
@@ -746,12 +772,38 @@ def feature_mutations(dataset):
         yield what, {"labels": labels, "features": features, **arrays}
 
 
-# the config sections each subcommand reads, whose every key is mutated; a
-# config's other sections are mutated at their first key only
-READ_SECTIONS = {"embed": ("embed",), "tune": ("embed",),
-                 "train-projector": ("projector",),
-                 "episodes": ("projector", "episodes"),
-                 "pipeline": ("generator",)}
+def csv_mutations(text: str):
+    """``(what, bytes)`` for mutations of a feature CSV's ``text``: its
+    header, the fields of its first row, its line ends and its encoding."""
+    header, row, *rest = text.split("\n")
+    label, values = row.split(",", 1)
+
+    def with_row(new):
+        return "\n".join([header, new, *rest])
+
+    for what, mutant in (
+            ("a renamed label header", text.replace("label", "labels", 1)),
+            ("a BOM", "\ufeff" + text),
+            ("header only", header + "\n"),
+            ("an empty file", ""),
+            ("a short row", with_row(row.rsplit(",", 1)[0])),
+            ("a long row", with_row(row + ",1.0")),
+            ("a label-only row", with_row(label)),
+            *((f"{value} as a value",
+               with_row(f"{label},{value},{values.split(',', 1)[1]}"))
+              for value in ("1_0", "0x1p3", "nan", "inf")),
+            ("an unknown label", with_row("nope," + values)),
+            ("an empty label", with_row("," + values)),
+            ("a quoted label holding a line break",
+             with_row(f'"{label}\n{label}",{values}')),
+            ("bare \\r line ends", text.replace("\n", "\r")),
+            ("\\r\\n line ends", text.replace("\n", "\r\n")),
+            ("a blank line", with_row(row + "\n")),
+            ("one column fewer", "\n".join(line.rsplit(",", 1)[0]
+                                           for line in text.split("\n")))):
+        yield what, mutant.encode()
+    yield "a non-UTF-8 byte", with_row("\udcff" + row).encode(
+        errors="surrogateescape")
 
 
 @pytest.mark.parametrize("kind, command", [
@@ -763,28 +815,37 @@ READ_SECTIONS = {"embed": ("embed",), "tune": ("embed",),
     ("config", "train-projector"), ("config", "episodes"),
     ("config", "pipeline"), ("features", "train-projector"),
     ("features", "infer"), ("features", "episodes"),
+    ("csv", "train-projector"), ("csv", "infer"), ("csv", "episodes"),
 ])
 def test_every_mutated_artifact_ends_cleanly(world, tmp_path, capfd,
                                              monkeypatch, kind, command):
     """Each structured mutation of a valid input file (a dropped key or
     entry, a shortened list, a value of another type, NaN, an empty
     container or an unknown name; for a feature file, a changed label, a
-    changed shape or type, or a NaN) ends in exit 0, or in exit 1 with
-    exactly one ``error:`` line and no traceback."""
+    changed shape or type, or a NaN; for a feature CSV, a changed header,
+    row, value, label, line end or byte) ends in exit 0, or in exit 1 with
+    exactly one ``error:`` line and no traceback. A config's every section
+    is mutated at every key under every command that takes --config, since
+    each reads the whole document."""
     run_dir, config = world
     files = {name: run_dir / f"{name}.json"
              for name in ("space", "mlp", "negatives")}
     files["ontology"] = config.parent / "poodle.json"
     files["config"] = config
     novel, base = run_dir / "features_novel.npz", run_dir / "features_base.npz"
+    source = base if command == "train-projector" else novel
     if kind == "features":
-        source = base if command == "train-projector" else novel
         cases = feature_mutations(read_features_npz(source))
         novel = base = tmp_path / "features.npz"
 
         def write(arrays):
             with open(novel, "wb") as fh:
                 np.savez(fh, **arrays)
+    elif kind == "csv":
+        novel = base = tmp_path / "features.csv"
+        write_features_csv(read_features_npz(source), novel)
+        cases = csv_mutations(novel.read_text())
+        write = novel.write_bytes
     else:
         doc = json.loads(files[kind].read_text())
         every = ((),)
@@ -793,7 +854,8 @@ def test_every_mutated_artifact_ends_cleanly(world, tmp_path, capfd,
             # world's; a relative out_dir lands there too
             doc["out_dir"] = str(tmp_path / "run")
             monkeypatch.chdir(tmp_path)
-            every += tuple((section,) for section in READ_SECTIONS[command])
+            every += tuple((key,) for key, value in doc.items()
+                           if isinstance(value, dict))
         files[kind] = tmp_path / f"{kind}.json"
         cases = mutations(doc, every)
 

@@ -934,14 +934,26 @@ def split_csv(monkeypatch, path, cpus):
     return dataset, seen[0]
 
 
-@pytest.mark.parametrize("newline", ["\n", "\r\n"])
-def test_csv_shares_read_the_same_bytes(tmp_path, monkeypatch, newline):
+@pytest.mark.parametrize("newline, blank", [
+    pytest.param("\n", None, id="\n"),
+    pytest.param("\r\n", None, id="\r\n"),
+    *(pytest.param(newline, at, id=f"{ending}-blank-{where}")
+      for ending, newline in (("lf", "\n"), ("crlf", "\r\n"))
+      for where, at in (("after-header", 1), ("mid-file", 120),
+                        ("trailing", 201)))])
+def test_csv_shares_read_the_same_bytes(tmp_path, monkeypatch, newline,
+                                        blank):
+    """A blank line, put before line ``blank`` (counted from 0), holds no
+    row and is skipped without a warning at every share count."""
     rng = np.random.default_rng(3)
     dataset = FeatureDataset(7, tuple(f"#c{i % 5}" for i in range(200)),
                              rng.normal(size=(200, 7)))
     path = tmp_path / "f.csv"
     write_features_csv(dataset, path)
-    path.write_bytes(path.read_bytes().replace(b"\n", newline.encode()))
+    lines = path.read_bytes().split(b"\n")
+    if blank is not None:
+        lines.insert(blank, b"")
+    path.write_bytes(newline.encode().join(lines))
     for cpus in (1, 2, 3):
         back, starts = split_csv(monkeypatch, path, cpus)
         assert len(starts) == cpus
@@ -963,6 +975,8 @@ def test_csv_with_a_quoted_newline_is_one_share(tmp_path, monkeypatch):
 @pytest.mark.parametrize("bad, reason", [
     ("c9,1.0,abc,2.0", "could not convert string 'abc' to float64"),
     ("c9,1.0,2.0", "requires 4 columns but 3 were found"),
+    pytest.param("\nc9,1.0,abc,2.0", "could not convert string 'abc'",
+                 id="after-a-blank-line"),
 ])
 def test_csv_bad_row_in_a_later_share_names_the_file_and_line(
         tmp_path, monkeypatch, bad, reason):
@@ -979,7 +993,8 @@ def test_csv_bad_row_in_a_later_share_names_the_file_and_line(
             read_features_csv(path)
         assert_no_child_left()
         messages.append(str(err.value))
-    assert messages[0].startswith(f"feature CSV {path}, line 281: ")
+    line = 281 + bad.count("\n")
+    assert messages[0].startswith(f"feature CSV {path}, line {line}: ")
     assert reason in messages[0]
     assert messages == [messages[0]] * 3
 

@@ -170,7 +170,7 @@ def test_config_seed_argument_overrides_pinned_sections(tmp_path):
 
 def test_config_validation(tmp_path):
     with pytest.raises(ValueError, match="ontology_path"):
-        PipelineConfig.from_dict({"out_dir": "y"})
+        run_pipeline(PipelineConfig.from_dict({"out_dir": "y"}))
     with pytest.raises(ValueError, match="unknown"):
         PipelineConfig.from_dict({"ontology_path": "x", "out_dir": "y",
                                   "typo_section": {}})
