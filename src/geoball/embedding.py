@@ -25,6 +25,25 @@ class Ball(NamedTuple):
     radius: float
 
 
+_DISTANCE_BLOCK = 1 << 16
+
+
+def distances(points, centres) -> np.ndarray:
+    """The (points x centres) matrix of ||p - c||, from at most
+    ``_DISTANCE_BLOCK`` difference floats at a time, each entry bitwise the
+    scalar oracles' 1-D ``np.linalg.norm(p - c)``. Training's paired rows
+    (``_hinges``, ``_ranking_loss_grad``) and k-means stay apart."""
+    points = np.asarray(points, dtype=float)
+    centres = np.asarray(centres, dtype=float)
+    out = np.empty((len(points), len(centres)))
+    block = max(1, _DISTANCE_BLOCK // max(1, centres.size))
+    for start in range(0, len(points), block):
+        diff = points[start:start + block, None, :] - centres
+        # vecdot is the dot product np.linalg.norm takes of one vector
+        out[start:start + block] = np.sqrt(np.vecdot(diff, diff))
+    return out
+
+
 @dataclass(frozen=True)
 class EmbedConfig:
     """Hyperparameters for ball training.
@@ -54,6 +73,8 @@ class EmbedConfig:
             raise ValueError("dim must be >= 2")
         if self.psi <= 0 or self.phi <= 0:
             raise ValueError("psi and phi must be > 0")
+        if self.learning_rate <= 0:
+            raise ValueError("learning_rate must be > 0")
         if self.epochs < 0:
             raise ValueError("epochs must be >= 0")
         if self.lr_decay < 0:
@@ -92,6 +113,11 @@ class BallSpace:
     @cached_property
     def index(self) -> dict[str, int]:
         return {c: i for i, c in enumerate(self.concepts)}
+
+    @cached_property
+    def pairwise(self) -> np.ndarray:
+        """pairwise[i, j] is the distance between centres i and j."""
+        return distances(self.centres, self.centres)
 
     def rows(self, names, what: str) -> np.ndarray:
         """The row of each of ``names``, the one way a name reaches its

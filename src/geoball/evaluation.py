@@ -56,16 +56,6 @@ def containment_holds(ball_p: Ball, ball_q: Ball) -> bool:
     return bool(np.linalg.norm(c_p - c_q) <= ball_q.radius - ball_p.radius)
 
 
-def _distance_matrix(space: BallSpace) -> np.ndarray:
-    diff = space.centres[:, None, :] - space.centres[None, :, :]
-    return np.sqrt((diff * diff).sum(axis=-1))
-
-
-def _containment_matrix(space: BallSpace) -> np.ndarray:
-    """containment[i, j] is the predicate for ball i inside ball j."""
-    return _distance_matrix(space) <= space.radii[None, :] - space.radii[:, None]
-
-
 def direct_parents(ich: Ich, leaves) -> frozenset[str]:
     """Minimal ancestors of the leaves: closure ancestors with no closer one."""
     parents: set[str] = set()
@@ -86,7 +76,8 @@ def _pair_f1(space: BallSpace, ich: Ich, rows, cols) -> F1Result:
     actual = np.zeros((len(space.concepts),) * 2, dtype=bool)
     actual[ends[0::2], ends[1::2]] = True
     block = np.ix_(r, c)
-    pred, actual = _containment_matrix(space)[block], actual[block]
+    pred = space.pairwise[block] <= space.radii[c] - space.radii[r, None]
+    actual = actual[block]
     off = r[:, None] != c[None, :]
     tp = int((pred & actual & off).sum())
     fp = int((pred & ~actual & off).sum())
@@ -115,9 +106,8 @@ def s_d(space: BallSpace, leaves) -> int:
     if len(leaves) < 2:
         raise ValueError("separation count needs at least 2 leaves")
     rows = space.rows(leaves, "leaves")
-    dist = _distance_matrix(space)[np.ix_(rows, rows)]
     radii = space.radii[rows]
-    separated = dist >= radii[None, :] + radii[:, None]
+    separated = space.pairwise[np.ix_(rows, rows)] >= radii + radii[:, None]
     upper = np.triu(np.ones_like(separated, dtype=bool), k=1)
     return int((separated & upper).sum())
 

@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .embedding import BallSpace
+from .embedding import BallSpace, distances
 from .evaluation import direct_parents
 from .negatives import NegativeSets
 from .ontology import Ich, Ontology, _topological_order, ontology_from_dict
@@ -645,10 +645,8 @@ def evaluate_episodes(space: BallSpace, base_mlp: Mlp, episodes,
         idx = support.class_indices()
         centroids = np.stack([support.features[idx[name]].mean(axis=0)
                               for name in episode.classes])
-        baseline_hits = 0
-        for row, truth in zip(query.features, query.labels):
-            d = np.linalg.norm(centroids - row, axis=1)
-            baseline_hits += episode.classes[int(d.argmin())] == truth
+        nearest = distances(query.features, centroids).argmin(axis=1)
+        baseline_hits = int((np.array(episode.classes)[nearest] == truths).sum())
         return ((len(truths) - len(missed)) / len(truths), len(missed),
                 semantic_hits, baseline_hits / len(truths))
 

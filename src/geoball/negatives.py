@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .embedding import BallSpace
+from .embedding import BallSpace, distances
 
 
 MAX_ITERS = 100
@@ -176,7 +176,7 @@ def build_negative_sets(space: BallSpace, leaves, k: int | None = None,
         groups.setdefault(int(label), []).append(leaf)
     clusters = tuple(sorted(tuple(sorted(g)) for g in groups.values()))
 
-    dist = np.linalg.norm(points[:, None, :] - points[None, :, :], axis=-1)
+    dist = distances(points, points)
     np.fill_diagonal(dist, np.inf)
     negatives: dict[str, tuple[str, ...]] = {}
     for members in clusters:

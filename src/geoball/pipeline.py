@@ -76,6 +76,9 @@ class GeneratorConfig:
             raise ValueError("dim and per_class must be >= 1")
         if self.noise_sigma < 0:
             raise ValueError("noise_sigma must be >= 0")
+        if (self.intrinsic_dim is not None
+                and not 1 <= self.intrinsic_dim <= self.dim):
+            raise ValueError("intrinsic_dim must lie in [1, dim]")
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .embedding import Ball, BallSpace, Optimizer
+from .embedding import Ball, BallSpace, Optimizer, distances
 from .jsonio import check_value, float_array
 from .negatives import NegativeSets
 
@@ -143,8 +143,12 @@ class ProjectorConfig:
     def __post_init__(self):
         # a config document gives a JSON list
         object.__setattr__(self, "hidden_sizes", tuple(self.hidden_sizes))
+        if any(size < 1 for size in self.hidden_sizes):
+            raise ValueError("hidden_sizes entries must be >= 1")
         if self.mu <= 0 or self.nu <= 0:
             raise ValueError("mu and nu must be > 0")
+        if self.learning_rate <= 0:
+            raise ValueError("learning_rate must be > 0")
         if self.epochs_bl < 0 or self.epochs_fsl < 0:
             raise ValueError("epoch counts must be >= 0")
         if self.batch_size < 1:
@@ -458,10 +462,6 @@ def finetune_fewshot(mlp: Mlp, support, space: BallSpace,
                input_mean=mlp.input_mean, input_basis=mlp.input_basis)
 
 
-# centre differences held at once by classify_batch, in floats
-_CLASSIFY_BLOCK = 1 << 16
-
-
 def classify_batch(points, candidates):
     """Classify each row of ``points``, shape (m, dim), against the
     candidate balls.
@@ -478,18 +478,12 @@ def classify_batch(points, candidates):
     points = np.asarray(points, dtype=float)
     if not np.isfinite(points).all():
         raise ValueError("non-finite point h")
-    centres = np.array([ball.centre for _, ball in candidates], dtype=float)
+    dist = distances(points, [ball.centre for _, ball in candidates])
     radii = np.array([ball.radius for _, ball in candidates], dtype=float)
-    distances = np.empty((len(points), len(candidates)))
-    block = max(1, _CLASSIFY_BLOCK // centres.size)
-    for start in range(0, len(points), block):
-        diff = points[start:start + block, None, :] - centres
-        # vecdot is the dot product np.linalg.norm takes of one vector
-        distances[start:start + block] = np.sqrt(np.vecdot(diff, diff))
-    u = distances - radii
+    u = dist - radii
     best_u = u.argmin(axis=1)
     inside = u[np.arange(len(u)), best_u] <= 0.0
-    return np.where(inside, best_u, distances.argmin(axis=1)), u, inside
+    return np.where(inside, best_u, dist.argmin(axis=1)), u, inside
 
 
 def classify(h, candidates) -> Prediction:
@@ -508,8 +502,6 @@ def ancestor_report(h, space: BallSpace, ich) -> list[str]:
     Depth is ordered by closure ancestor count (leaves have the most), with
     name as the deterministic tiebreak.
     """
-    diff = np.asarray(h, dtype=float) - space.centres
-    # every concept at once, bitwise the per-concept np.linalg.norm
-    inside = np.sqrt(np.vecdot(diff, diff)) <= space.radii
+    inside = distances([h], space.centres)[0] <= space.radii
     return sorted((c for c, hit in zip(space.concepts, inside) if hit),
                   key=lambda c: (-len(ich.ancestors_of(c)), c))

@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from geoball.evaluation import (
     s_d,
     score_space,
 )
+from geoball.harness import synthetic_ontology
 from geoball.ontology import compute_ich, compute_stats, ontology_from_dict
 
 from test_embedding import embed_config
@@ -266,6 +268,24 @@ def test_scores_invariant_under_translation_and_rotation(poodle):
     assert other.s_d == base.s_d
     assert other.f1_all == pytest.approx(base.f1_all)
     assert other.f1_leaf == pytest.approx(base.f1_leaf)
+
+
+def test_scoring_holds_row_blocks_not_the_difference_tensor():
+    onto = synthetic_ontology((10, 9))  # 101 concepts, 90 leaves
+    ich = compute_ich(onto)
+    n, dim = len(onto.concepts), 200
+    rng = np.random.default_rng(4)
+    space = BallSpace(dim, onto.concepts, rng.normal(size=(n, dim)),
+                      rng.uniform(0.5, 2.0, n))
+    tensor = n * n * dim * 8  # the n x n x d differences, 16 MB
+    tracemalloc.start()
+    try:
+        score_space(space, ich, onto.leaves)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the distance matrix plus one row block of differences (0.5 MB)
+    assert peak < tensor / 4
 
 
 def test_scores_serializable(poodle):

@@ -13,8 +13,10 @@ import warnings
 import numpy as np
 import pytest
 
+import geoball.embedding
 from geoball import harness
-from geoball.embedding import EmbedConfig, train_embeddings
+from geoball.embedding import BallSpace, EmbedConfig, train_embeddings
+from geoball.evaluation import score_space
 from geoball.harness import (
     FeatureDataset,
     _hierarchy_anchors,
@@ -700,6 +702,31 @@ def test_batched_evaluation_matches_per_query_oracles(small_world):
     assert report.per_episode == tuple(expected)
     assert report.semantic_error_fraction == semantic / wrong
     assert baseline.per_episode == tuple(expected_baseline)
+
+
+def test_distance_row_blocks_keep_scores_negatives_and_baseline(
+        small_world, monkeypatch):
+    # every caller of the one centre-distance kernel, at the default row
+    # block and at one row of differences at a time
+    onto, ich, space, negatives = small_world
+    base, novel = small_datasets(onto, noise=3.0)
+    mlp, _ = train_base(base, space, negatives, SMALL_PROJECTOR)
+    episodes = sample_episodes(novel, w=4, s=2, q=4, n_episodes=4, seed=5)
+
+    def run():
+        # a new space each time, since the pairwise matrix is cached
+        fresh = BallSpace(space.dim, space.concepts, space.centres,
+                          space.radii)
+        _, baseline = evaluate_episodes(fresh, mlp, episodes,
+                                        SMALL_PROJECTOR, negatives)
+        return (fresh.pairwise.tobytes(),
+                score_space(fresh, ich, onto.leaves),
+                build_negative_sets(fresh, onto.leaves, seed=0),
+                baseline)
+
+    whole = run()
+    monkeypatch.setattr(geoball.embedding, "_DISTANCE_BLOCK", 1)
+    assert run() == whole
 
 
 def test_evaluation_rejects_support_from_base_classes(small_world):

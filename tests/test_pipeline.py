@@ -202,6 +202,14 @@ def test_config_validation(tmp_path):
     ({"generator": {"intrinsic_dim": 1.5}}, "'intrinsic_dim' must be int | None"),
     ({"negatives_k": "3"}, "'negatives_k'"),
     ({"out_dir": 5}, "'out_dir' must be str"),
+    ({"projector": {"hidden_sizes": [0]}}, "hidden_sizes entries must be >= 1"),
+    ({"projector": {"hidden_sizes": [8, -1]}},
+     "hidden_sizes entries must be >= 1"),
+    ({"generator": {"intrinsic_dim": 0}}, "intrinsic_dim must lie in [1, dim]"),
+    ({"generator": {"dim": 12, "intrinsic_dim": 13}},
+     "intrinsic_dim must lie in [1, dim]"),
+    ({"embed": {"learning_rate": -1.0}}, "learning_rate must be > 0"),
+    ({"projector": {"learning_rate": 0.0}}, "learning_rate must be > 0"),
 ])
 def test_config_refuses_a_value_of_the_wrong_type(tmp_path, overrides, message):
     with pytest.raises(ValueError, match=re.escape(message)):

@@ -9,6 +9,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import geoball.embedding
 import geoball.projector
 from geoball.embedding import Ball, BallSpace, EmbedConfig
 from geoball.negatives import NegativeSets, build_negative_sets
@@ -548,7 +549,7 @@ def test_classify_batch_row_blocks_give_the_same_bits(monkeypatch, block):
     candidates = [(f"c{i}", Ball(rng.normal(size=5), rng.uniform(0.5, 2.0)))
                   for i in range(7)]
     whole = classify_batch(points, candidates)
-    monkeypatch.setattr(geoball.projector, "_CLASSIFY_BLOCK", block)
+    monkeypatch.setattr(geoball.embedding, "_DISTANCE_BLOCK", block)
     blocked = classify_batch(points, candidates)
     for got, want in zip(blocked, whole):
         assert got.tobytes() == want.tobytes()

@@ -2,8 +2,8 @@
 writer writes the text of ``json.dumps``, the array ranking loss and the
 packed ball hinges agree with their scalar definitions, classification does
 not depend on candidate order beyond its documented tie rule and batches
-follow the per-point rule, and every entry point names the same cycle
-witness."""
+follow the per-point rule, the centre-distance matrix is the per-pair norm
+at every row block, and every entry point names the same cycle witness."""
 
 import io
 import json
@@ -15,9 +15,10 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import geoball.embedding
 from geoball.embedding import (Ball, BallSpace, EmbedConfig,
-                               disjointness_hinge, subsumption_hinge,
-                               total_loss)
+                               disjointness_hinge, distances,
+                               subsumption_hinge, total_loss)
 from geoball.evaluation import containment_holds, s_d
 from geoball.harness import (FeatureDataset, read_features_csv,
                              read_features_npz, synthetic_ontology,
@@ -56,6 +57,36 @@ def test_ball_space_roundtrip_is_exact(space):
     assert again.concepts == space.concepts
     assert np.array_equal(again.centres, space.centres)
     assert np.array_equal(again.radii, space.radii)
+
+
+# small enough that no squared difference or sum of them overflows
+COORDS = st.floats(min_value=-1e150, max_value=1e150)
+
+
+@st.composite
+def distance_cases(draw):
+    # wide enough for the vectorised and unrolled sums to take other orders
+    dim = draw(st.integers(1, 40))
+    points = draw(arrays(float, (draw(st.integers(0, 7)), dim),
+                         elements=COORDS))
+    centres = draw(arrays(float, (draw(st.integers(0, 5)), dim),
+                          elements=COORDS))
+    return points, centres
+
+
+@given(distance_cases())
+@example((np.zeros((0, 3)), np.ones((2, 3))))
+def test_distances_are_the_per_pair_norm_at_every_row_block(case):
+    points, centres = case
+    want = np.array([[np.linalg.norm(p - c) for c in centres]
+                     for p in points]).reshape(len(points), len(centres))
+    # one row, three rows, and the whole matrix at a time
+    for block in (1, 3 * centres.size, max(1, len(points)) * centres.size):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(geoball.embedding, "_DISTANCE_BLOCK", block)
+            got = distances(points, centres)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
 
 @st.composite
