@@ -21,6 +21,7 @@ import multiprocessing
 import os
 import pickle
 import re
+import stat
 import warnings
 import zipfile
 from dataclasses import asdict, dataclass
@@ -96,7 +97,13 @@ class FeatureDataset:
 def atomic_open(path, mode: str = "w"):
     """Handle on a temporary file beside ``path``, text for ``mode="w"`` and
     binary for ``mode="wb"``, fsynced and renamed onto ``path`` when the block
-    completes and removed if the block raises."""
+    completes and removed if the block raises. An existing ``path`` that is
+    not a regular file (a symlink, FIFO, device or directory) is refused
+    before anything is written, since the rename would replace it."""
+    with contextlib.suppress(FileNotFoundError):
+        if not stat.S_ISREG(os.lstat(path).st_mode):
+            raise ValueError(f"output {path} exists and is not a regular "
+                             "file; it is not replaced")
     tmp = Path(f"{path}.{os.getpid()}.tmp")
     try:
         with open(tmp, mode, newline=None if "b" in mode else "") as fh:

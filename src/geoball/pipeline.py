@@ -1,15 +1,22 @@
 """End-to-end orchestration: one JSON config in, six artifact files out.
 
 Stages run in dependency order (ingest, embed, negatives, features,
-train-projector, episodes). Every stage derives its seed from the global one
-unless its config section pins its own (``PipelineConfig``, which reads
-every subcommand's ``--config`` too), so re-running the same config file at
-the same BLAS thread count reproduces each artifact byte for byte;
-``mlp.json`` and ``report.json`` can differ between thread counts, since
-LAPACK's threaded ``eigh`` behind the input reduction does. A stage failure
-aborts the run with the stage name attached; artifacts of completed stages
-stay on disk, and as each is written to a temporary file that is renamed
-into place, nothing half-written is left behind.
+train-projector, episodes). The ball embedding and the image features meet
+only at base learning, so after ingest the two halves run side by side as
+two shares (``_map_shares``): embed and negatives in this process, while a
+forked child writes both feature files and fits the input reduction on the
+base split, which base learning then takes as it is. On one usable CPU the
+halves run in this process, embed first. Every stage derives its seed from
+the global one unless its config section pins its own (``PipelineConfig``,
+which reads every subcommand's ``--config`` too), so re-running the same
+config file at the same BLAS thread count reproduces each artifact byte for
+byte; ``mlp.json`` and ``report.json`` can differ between thread counts,
+since LAPACK's threaded ``eigh`` behind the input reduction does. A stage
+failure aborts the run with the stage name attached; artifacts of completed
+stages stay on disk (after an embed or negatives failure, the complete
+feature files may already be there too), and as each is written to a
+temporary file that is renamed into place, nothing half-written is left
+behind.
 
 The work of a stage that a subcommand also runs is written once, here:
 ``ingest``, ``embed`` (training and scoring, with the ``--verbose`` loss
@@ -30,6 +37,7 @@ from .embedding import EmbedConfig, train_embeddings
 from .evaluation import score_space
 from .harness import (
     REFERENCE_RESULTS,
+    _map_shares,
     atomic_open,
     evaluate_episodes,
     generate_synthetic_features,
@@ -40,7 +48,7 @@ from .harness import (
 from .jsonio import check_fields, read_json
 from .negatives import build_negative_sets
 from .ontology import compute_ich, compute_stats, load_ontology
-from .projector import ProjectorConfig, train_base
+from .projector import ProjectorConfig, fit_reduction, train_base
 
 # unset seeds fall back to this constant, never to wall-clock state
 DEFAULT_SEED = 0
@@ -115,7 +123,10 @@ def _stage_config(sections: dict, name: str, cls, seed: int | None = None):
     if "seed" in {f.name for f in fields(cls)} and (
             seed is not None or "seed" not in raw):
         raw["seed"] = _global_seed(sections, seed)
-    return cls(**raw)
+    try:
+        return cls(**raw)
+    except ValueError as exc:
+        raise ValueError(f"config section {name!r}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -170,6 +181,11 @@ class PipelineError(RuntimeError):
     def __init__(self, stage: str, cause: Exception):
         super().__init__(f"stage {stage!r} failed: {cause}")
         self.stage = stage
+        self.cause = cause
+
+    def __reduce__(self):
+        # so that a failure in a forked share comes back as itself
+        return type(self), (self.stage, self.cause)
 
 
 def _write_json(path, obj: dict) -> None:
@@ -207,11 +223,11 @@ def embed(ontology, ich, stats, config: EmbedConfig, verbose: bool = False,
 
 
 def learn_base(features, space, negatives, config: ProjectorConfig,
-               verbose: bool = False, prefix: str = ""):
+               verbose: bool = False, prefix: str = "", reduction=None):
     """``train_base``'s projector and losses; with ``verbose``, one loss line
     per epoch, led by ``prefix``."""
     mlp, losses = train_base(features, space, negatives, config,
-                             history=verbose)
+                             history=verbose, reduction=reduction)
     if verbose:
         print_losses(losses, prefix)
     return mlp, losses
@@ -238,7 +254,8 @@ def episodes_report(space, mlp, novel, negatives, projector: ProjectorConfig,
 def _write_features(ontology, config: PipelineConfig, out: Path):
     """Generate both feature splits and write each to its ``.npz`` artifact;
     returns only their row counts, so that no split outlives this call and
-    later stages read theirs back from the bytes on disk."""
+    later stages read theirs back from the bytes on disk. It runs in the
+    share beside embed and negatives, so only that share holds them."""
     gen = config.generator
     base, novel = generate_synthetic_features(
         ontology, dim=gen.dim, per_class=gen.per_class,
@@ -272,23 +289,35 @@ def run_pipeline(config: PipelineConfig, verbose: bool = False) -> list[Path]:
     if verbose:
         print(f"ingest: {len(ontology.concepts)} concepts, "
               f"{len(ontology.leaves)} leaves")
-    with _stage("embed"):
-        space, scores = embed(ontology, ich, stats, config.embed, verbose,
-                              "embed ")
-        _write_json(out / "space.json", space.to_dict())
-    with _stage("negatives"):
-        negatives = build_negative_sets(space, ontology.leaves,
-                                        k=config.negatives_k, seed=config.seed)
-        _write_json(out / "negatives.json", negatives.to_dict())
-    with _stage("features"):
-        n_base, n_novel = _write_features(ontology, config, out)
+
+    def balls():
+        with _stage("embed"):
+            space, scores = embed(ontology, ich, stats, config.embed, verbose,
+                                  "embed ")
+            _write_json(out / "space.json", space.to_dict())
+        with _stage("negatives"):
+            negatives = build_negative_sets(
+                space, ontology.leaves, k=config.negatives_k, seed=config.seed)
+            _write_json(out / "negatives.json", negatives.to_dict())
+        return space, scores, negatives
+
+    def features():
+        with _stage("features"):
+            counts = _write_features(ontology, config, out)
+        with _stage("train-projector"):
+            return *counts, fit_reduction(
+                read_features_npz(out / "features_base.npz"), config.projector)
+
+    # the first job runs here, the second in a forked share beside it
+    (space, scores, negatives), (n_base, n_novel, reduction) = _map_shares(
+        lambda job: job(), (balls, features))
     if verbose:
         print(f"features: {n_base} base / {n_novel} novel examples in "
               f"{config.generator.dim}d")
     with _stage("train-projector"):
         mlp, losses = learn_base(read_features_npz(out / "features_base.npz"),
                                  space, negatives, config.projector, verbose,
-                                 "projector ")
+                                 "projector ", reduction)
         _write_json(out / "mlp.json", mlp.to_dict())
     with _stage("episodes"):
         summary = episodes_report(space, mlp,

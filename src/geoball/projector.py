@@ -248,6 +248,13 @@ def _fit_reduction(x: np.ndarray, k: int):
     return mean, basis
 
 
+def fit_reduction(features, config: ProjectorConfig):
+    """Base learning's frozen input compression of the base split
+    ``features``: ``(mean, basis)``, or None without ``reduce_dim``."""
+    return None if config.reduce_dim is None else _fit_reduction(
+        np.asarray(features.features, dtype=float), config.reduce_dim)
+
+
 def _check_ball_dim(ball: Ball, dim: int):
     if np.asarray(ball.centre).shape != (dim,):
         raise ValueError(f"ball dimension {np.asarray(ball.centre).shape} != ({dim},)")
@@ -408,22 +415,26 @@ def _run_training(x, rows, flat, sizes, targets, config, epochs: int,
 
 
 def train_base(features, space: BallSpace, negatives: NegativeSets,
-               config: ProjectorConfig, history: bool = False):
+               config: ProjectorConfig, history: bool = False,
+               reduction=None):
     """Base learning: fit a fresh MLP on the base-class feature set.
 
     Returns (Mlp, losses). ``losses`` holds the mean loss over the base set
     after every epoch with ``history``, else after the last epoch only; it is
     empty without epochs. The MLP records its training labels so few-shot
-    fine-tuning can reject overlapping class sets.
+    fine-tuning can reject overlapping class sets. A given ``reduction``
+    (``fit_reduction`` of these features) is used in place of a fit.
     """
     labels = list(features.labels)
     if not labels:
         raise ValueError("base learning needs at least one feature row")
     rows, targets = _resolve_targets(labels, space, negatives)
     x = np.asarray(features.features, dtype=float)
+    if reduction is None:
+        reduction = fit_reduction(features, config)
     mean = basis = None
-    if config.reduce_dim is not None:
-        mean, basis = _fit_reduction(x, config.reduce_dim)
+    if reduction is not None:
+        mean, basis = reduction
         x = (x - mean) @ basis
     sizes = (x.shape[1], *config.hidden_sizes, space.dim)
     flat, weights, biases = _flat_parameters(init_mlp(sizes, seed=config.seed))

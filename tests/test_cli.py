@@ -115,6 +115,19 @@ def test_missing_file_is_a_clean_error(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_output_that_is_a_symlink_is_one_error_line(poodle_path, tmp_path,
+                                                    capsys):
+    linked = tmp_path / "elsewhere.json"
+    linked.write_text("{}")
+    out = tmp_path / "ich.json"
+    out.symlink_to(linked)
+    assert main(["ich", str(poodle_path), "--out", str(out)]) == 1
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line == (f"error: output {out} exists and is not a regular file; "
+                    "it is not replaced")
+    assert out.is_symlink() and linked.read_text() == "{}"
+
+
 def test_ich_writes_closure(poodle_path, tmp_path):
     out = tmp_path / "ich.json"
     assert main(["ich", str(poodle_path), "--out", str(out)]) == 0

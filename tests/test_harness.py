@@ -433,6 +433,30 @@ def test_npz_writer_refuses_trailing_nul_label(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("kind", ["fifo", "symlink", "directory"])
+def test_atomic_write_refuses_a_target_that_is_not_a_regular_file(tmp_path,
+                                                                 kind):
+    target = tmp_path / "target"
+    linked = tmp_path / "linked.txt"
+    linked.write_text("kept")
+    if kind == "fifo":
+        os.mkfifo(target)
+    elif kind == "symlink":
+        target.symlink_to(linked)
+    else:
+        target.mkdir()
+    before = os.lstat(target)
+    with pytest.raises(ValueError, match=f"output {re.escape(str(target))} "
+                       "exists and is not a regular file"):
+        with harness.atomic_open(target) as fh:
+            fh.write("new")
+    after = os.lstat(target)
+    assert (after.st_mode, after.st_ino) == (before.st_mode, before.st_ino)
+    assert linked.read_text() == "kept"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["linked.txt",
+                                                          "target"]
+
+
 def test_npz_read_holds_little_beside_its_matrix(tmp_path):
     labels = tuple(f"c{i % 20}" for i in range(455))
     features = np.random.default_rng(0).normal(size=(455, 2304))

@@ -2,6 +2,7 @@
 
 import json
 import os
+import pickle
 import re
 import subprocess
 import sys
@@ -11,7 +12,9 @@ from pathlib import Path
 
 import pytest
 
+import geoball.harness
 import geoball.pipeline
+from geoball.cli import main
 from geoball.pipeline import (
     ARTIFACT_NAMES,
     DEFAULT_SEED,
@@ -210,6 +213,18 @@ def test_config_validation(tmp_path):
      "intrinsic_dim must lie in [1, dim]"),
     ({"embed": {"learning_rate": -1.0}}, "learning_rate must be > 0"),
     ({"projector": {"learning_rate": 0.0}}, "learning_rate must be > 0"),
+    # a check in a section's constructor names the section it read
+    ({"embed": {"learning_rate": 0.0}},
+     "config section 'embed': learning_rate must be > 0"),
+    ({"projector": {"learning_rate": -1.0}},
+     "config section 'projector': learning_rate must be > 0"),
+    ({"embed": {"batch_size": 0}},
+     "config section 'embed': batch_size must be >= 1"),
+    ({"projector": {"batch_size": 0}},
+     "config section 'projector': batch_size must be >= 1"),
+    ({"embed": {"seed": -1}}, "config section 'embed': seed must be >= 0"),
+    ({"projector": {"seed": -1}},
+     "config section 'projector': seed must be >= 0"),
 ])
 def test_config_refuses_a_value_of_the_wrong_type(tmp_path, overrides, message):
     with pytest.raises(ValueError, match=re.escape(message)):
@@ -232,39 +247,55 @@ def test_config_dict_roundtrip(tmp_path):
     assert PipelineConfig.from_dict(config.to_dict()) == config
 
 
+@pytest.fixture(params=[1, 2], ids=["1share", "2shares"])
+def shares(request, monkeypatch):
+    """Run the pipeline's forked shares at one and at two usable CPUs; at
+    one, both halves run in order in this process."""
+    monkeypatch.setattr(geoball.harness, "_usable_cpus", lambda: request.param)
+    return request.param
+
+
 def test_interrupted_write_keeps_old_artifact(tmp_path, monkeypatch):
-    config = PipelineConfig.from_dict(small_config(tmp_path))
-    run_pipeline(config)
-    out = tmp_path / "run"
-    before = {name: (out / name).read_bytes() for name in ARTIFACT_NAMES}
+    for n in (1, 2):
+        monkeypatch.setattr(geoball.harness, "_usable_cpus", lambda n=n: n)
+        config = PipelineConfig.from_dict(small_config(tmp_path, f"run{n}"))
+        run_pipeline(config)
+        out = tmp_path / f"run{n}"
+        before = {name: (out / name).read_bytes() for name in ARTIFACT_NAMES}
 
-    # a re-run with another seed changes every artifact; the third write
-    # (features_base.npz, a binary write) dies after its data went to the
-    # temporary file
-    calls = []
+        # a re-run with another seed changes every artifact; the write of
+        # features_base.npz (a binary write) dies after its data went to the
+        # temporary file, in whichever process writes it
+        real_fsync = os.fsync
 
-    def failing_fsync(fd):
-        calls.append(fd)
-        if len(calls) == 3:
-            raise OSError("disk full")
+        def failing_fsync(fd, out=out):
+            if any(os.path.samestat(os.fstat(fd), tmp.stat())
+                   for tmp in out.glob("features_base.npz.*.tmp")):
+                raise OSError("disk full")
+            real_fsync(fd)
 
-    monkeypatch.setattr(os, "fsync", failing_fsync)
-    with pytest.raises(PipelineError) as err:
-        run_pipeline(PipelineConfig.from_dict(small_config(tmp_path), seed=11))
-    assert err.value.stage == "features"
-    assert (out / "features_base.npz").read_bytes() == before["features_base.npz"]
-    assert (out / "space.json").read_bytes() != before["space.json"]
-    assert sorted(p.name for p in out.iterdir()) == sorted(ARTIFACT_NAMES)
+        with monkeypatch.context() as patch, pytest.raises(
+                PipelineError) as err:
+            patch.setattr(os, "fsync", failing_fsync)
+            run_pipeline(PipelineConfig.from_dict(
+                small_config(tmp_path, f"run{n}"), seed=11))
+        assert err.value.stage == "features"
+        assert (out / "features_base.npz").read_bytes() == before["features_base.npz"]
+        assert (out / "space.json").read_bytes() != before["space.json"]
+        assert sorted(p.name for p in out.iterdir()) == sorted(ARTIFACT_NAMES)
 
 
 def test_generated_splits_are_freed_before_base_learning(tmp_path, monkeypatch):
     # base learning and the episodes read their split back from its .npz
-    # artifact, so neither generated matrix is held past the features stage
+    # artifact, so neither generated matrix is held past the features stage;
+    # with two shares they are generated in the forked child alone
     generated = []
     real_generate = geoball.pipeline.generate_synthetic_features
     real_train = geoball.pipeline.train_base
+    generated_in = tmp_path / "generated_in"
 
     def recording_generate(*args, **kwargs):
+        generated_in.write_text(str(os.getpid()))
         splits = real_generate(*args, **kwargs)
         generated.extend(weakref.ref(split.features) for split in splits)
         return splits
@@ -278,8 +309,69 @@ def test_generated_splits_are_freed_before_base_learning(tmp_path, monkeypatch):
     monkeypatch.setattr(geoball.pipeline, "generate_synthetic_features",
                         recording_generate)
     monkeypatch.setattr(geoball.pipeline, "train_base", recording_train)
-    run_pipeline(PipelineConfig.from_dict(small_config(tmp_path)))
+    monkeypatch.setattr(geoball.harness, "_usable_cpus", lambda: 1)
+    run_pipeline(PipelineConfig.from_dict(small_config(tmp_path, "run1")))
+    assert generated_in.read_text() == str(os.getpid())
     assert alive == [False, False]
+
+    monkeypatch.setattr(geoball.harness, "_usable_cpus", lambda: 2)
+    run_pipeline(PipelineConfig.from_dict(small_config(tmp_path, "run2")))
+    assert generated_in.read_text() != str(os.getpid())
+    assert len(generated) == 2  # the child's splits never reached this process
+
+
+def test_pipeline_artifacts_do_not_depend_on_the_share_count(tmp_path,
+                                                             monkeypatch):
+    """All six artifacts, with the input reduction fitted beside the
+    embedding in a forked share or in order in this process."""
+    for n in (1, 2):
+        monkeypatch.setattr(geoball.harness, "_usable_cpus", lambda n=n: n)
+        obj = small_config(tmp_path, f"shares{n}")
+        obj["projector"]["reduce_dim"] = 4
+        run_pipeline(PipelineConfig.from_dict(obj))
+    for name in ARTIFACT_NAMES:
+        assert ((tmp_path / "shares1" / name).read_bytes()
+                == (tmp_path / "shares2" / name).read_bytes()), name
+    mlp = json.loads((tmp_path / "shares2" / "mlp.json").read_text())
+    assert len(mlp["input_basis"][0]) == 4
+
+
+def test_reduction_failure_is_a_train_projector_failure(tmp_path, shares):
+    # 12 base rows cannot give 20 directions; the fit runs beside the
+    # embedding, but its failure is still base learning's
+    obj = small_config(tmp_path)
+    obj["projector"]["reduce_dim"] = 20
+    with pytest.raises(PipelineError, match="exceeds feature matrix rank "
+                       "bound") as err:
+        run_pipeline(PipelineConfig.from_dict(obj))
+    assert err.value.stage == "train-projector"
+    present = sorted(p.name for p in (tmp_path / "run").iterdir())
+    assert present == sorted(ARTIFACT_NAMES[:4])
+
+
+def test_pipeline_error_survives_a_pickle_round_trip():
+    error = PipelineError("features", ValueError("need at least 2 leaves"))
+    copy = pickle.loads(pickle.dumps(error))
+    assert type(copy) is PipelineError
+    assert copy.stage == "features"
+    assert str(copy) == str(error)
+    assert type(copy.cause) is ValueError
+    assert str(copy.cause) == "need at least 2 leaves"
+
+
+def test_features_failure_is_one_error_line(tmp_path, monkeypatch, capsys,
+                                            shares):
+    def failing_generate(*args, **kwargs):
+        raise ValueError("generator out of order")
+
+    monkeypatch.setattr(geoball.pipeline, "generate_synthetic_features",
+                        failing_generate)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(small_config(tmp_path)))
+    assert main(["pipeline", "--config", str(config)]) == 1
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line == ("error: stage 'features' failed: generator out of "
+                    "order")
 
 
 def test_json_write_streams_its_text(tmp_path):

@@ -22,6 +22,7 @@ from geoball.projector import (
     classify,
     classify_batch,
     finetune_fewshot,
+    fit_reduction,
     init_mlp,
     mlp_forward,
     ranking_loss,
@@ -769,6 +770,23 @@ def test_reduction_frozen_through_finetune(world):
     assert np.array_equal(tuned.input_basis, mlp.input_basis)
     assert np.array_equal(tuned.input_mean, mlp.input_mean)
     assert tuned.in_dim == world.base.dim
+
+
+def test_given_reduction_replaces_the_fit(world):
+    fitted, losses = train_base(world.base, world.space, world.negatives,
+                                REDUCE_CONFIG)
+    reduction = fit_reduction(world.base, REDUCE_CONFIG)
+    given, given_losses = train_base(world.base, world.space, world.negatives,
+                                     REDUCE_CONFIG, reduction=reduction)
+    assert given.to_dict() == fitted.to_dict() and given_losses == losses
+    # a given pair is used as it is, not refitted
+    mean, basis = reduction
+    other, _ = train_base(world.base, world.space, world.negatives,
+                          REDUCE_CONFIG, reduction=(mean + 1.0, -basis))
+    assert np.array_equal(other.input_basis, -basis)
+    assert np.array_equal(other.input_mean, mean + 1.0)
+    assert fit_reduction(world.base, replace(REDUCE_CONFIG,
+                                             reduce_dim=None)) is None
 
 
 def test_reduced_mlp_json_roundtrip(world):
