@@ -4,14 +4,17 @@ Stages run in dependency order (ingest, embed, negatives, features,
 train-projector, episodes). The ball embedding and the image features meet
 only at base learning, so after ingest the two halves run side by side as
 two shares (``_map_shares``): embed and negatives in this process, while a
-forked child writes both feature files and fits the input reduction on the
-base split, which base learning then takes as it is. On one usable CPU the
-halves run in this process, embed first. Every stage derives its seed from
-the global one unless its config section pins its own (``PipelineConfig``,
-which reads every subcommand's ``--config`` too), so re-running the same
-config file at the same BLAS thread count reproduces each artifact byte for
-byte; ``mlp.json`` and ``report.json`` can differ between thread counts,
-since LAPACK's threaded ``eigh`` behind the input reduction does. A stage
+forked child writes both feature files, fits the input reduction on the
+base split and sends back only the split's labels, its reduced rows and the
+fitted pair, which base learning takes as they are. So this process never
+holds the raw base split; it reads that file back only when there is no
+reduction. On one usable CPU the halves run in this process, embed first.
+Every stage derives its seed from the global one unless its config section
+pins its own (``PipelineConfig``, which reads every subcommand's
+``--config`` too), so re-running the same config file at the same BLAS
+thread count reproduces each artifact byte for byte; ``mlp.json`` and
+``report.json`` can differ between thread counts, since LAPACK's threaded
+``eigh`` behind the input reduction does. A stage
 failure aborts the run with the stage name attached; artifacts of completed
 stages stay on disk (after an embed or negatives failure, the complete
 feature files may already be there too), and as each is written to a
@@ -37,6 +40,7 @@ from .embedding import EmbedConfig, train_embeddings
 from .evaluation import score_space
 from .harness import (
     REFERENCE_RESULTS,
+    FeatureDataset,
     _map_shares,
     atomic_open,
     evaluate_episodes,
@@ -48,7 +52,7 @@ from .harness import (
 from .jsonio import check_fields, read_json
 from .negatives import build_negative_sets
 from .ontology import compute_ich, compute_stats, load_ontology
-from .projector import ProjectorConfig, fit_reduction, train_base
+from .projector import ProjectorConfig, reduce_features, train_base
 
 # unset seeds fall back to this constant, never to wall-clock state
 DEFAULT_SEED = 0
@@ -302,22 +306,31 @@ def run_pipeline(config: PipelineConfig, verbose: bool = False) -> list[Path]:
         return space, scores, negatives
 
     def features():
+        """Writes both feature files; returns their row counts, then the
+        base split's labels with its reduced rows and the fitted pair (None
+        and None without ``reduce_dim``), so only this share holds the raw
+        split."""
         with _stage("features"):
             counts = _write_features(ontology, config, out)
+        if config.projector.reduce_dim is None:
+            return *counts, None, None
         with _stage("train-projector"):
-            return *counts, fit_reduction(
-                read_features_npz(out / "features_base.npz"), config.projector)
+            base = read_features_npz(out / "features_base.npz")
+            rows, reduction = reduce_features(base, config.projector)
+            return (*counts, FeatureDataset(rows.shape[1], base.labels, rows),
+                    reduction)
 
     # the first job runs here, the second in a forked share beside it
-    (space, scores, negatives), (n_base, n_novel, reduction) = _map_shares(
-        lambda job: job(), (balls, features))
+    (space, scores, negatives), (n_base, n_novel, base, reduction) = (
+        _map_shares(lambda job: job(), (balls, features)))
     if verbose:
         print(f"features: {n_base} base / {n_novel} novel examples in "
               f"{config.generator.dim}d")
     with _stage("train-projector"):
-        mlp, losses = learn_base(read_features_npz(out / "features_base.npz"),
-                                 space, negatives, config.projector, verbose,
-                                 "projector ", reduction)
+        if base is None:  # nothing to reduce: the raw split, read here
+            base = read_features_npz(out / "features_base.npz")
+        mlp, losses = learn_base(base, space, negatives, config.projector,
+                                 verbose, "projector ", reduction)
         _write_json(out / "mlp.json", mlp.to_dict())
     with _stage("episodes"):
         summary = episodes_report(space, mlp,

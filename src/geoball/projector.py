@@ -255,6 +255,31 @@ def fit_reduction(features, config: ProjectorConfig):
         np.asarray(features.features, dtype=float), config.reduce_dim)
 
 
+def reduce_features(features, config: ProjectorConfig):
+    """The rows of the base split ``features`` through the input compression
+    ``fit_reduction`` fits on them: ``(rows, reduction)``; without
+    ``reduce_dim``, the rows as they are and None."""
+    x = np.asarray(features.features, dtype=float)
+    reduction = fit_reduction(features, config)
+    if reduction is not None:
+        mean, basis = reduction
+        x = (x - mean) @ basis
+    return x, reduction
+
+
+def _check_reduced(x: np.ndarray, reduction) -> None:
+    """Refuse rows ``x`` that cannot be the image of the ``(mean, basis)``
+    pair ``reduction``, before any training step runs."""
+    mean, basis = reduction
+    if np.shape(mean) != (basis.shape[0],):
+        raise ValueError(f"reduction mean of shape {np.shape(mean)} does not "
+                         f"fit a basis of input width {basis.shape[0]}")
+    if x.shape[1] != basis.shape[1]:
+        raise ValueError(f"feature width {x.shape[1]} != reduced width "
+                         f"{basis.shape[1]}: a given reduction takes the "
+                         "reduced rows, not the raw split")
+
+
 def _check_ball_dim(ball: Ball, dim: int):
     if np.asarray(ball.centre).shape != (dim,):
         raise ValueError(f"ball dimension {np.asarray(ball.centre).shape} != ({dim},)")
@@ -422,20 +447,22 @@ def train_base(features, space: BallSpace, negatives: NegativeSets,
     Returns (Mlp, losses). ``losses`` holds the mean loss over the base set
     after every epoch with ``history``, else after the last epoch only; it is
     empty without epochs. The MLP records its training labels so few-shot
-    fine-tuning can reject overlapping class sets. A given ``reduction``
-    (``fit_reduction`` of these features) is used in place of a fit.
+    fine-tuning can reject overlapping class sets. Without a ``reduction``,
+    the compression is fitted on ``features`` and applied to them
+    (``reduce_features``). A given ``(mean, basis)`` pair is stored in the
+    MLP as it is, and ``features`` must already be its image: the reduced
+    rows, not the raw split.
     """
     labels = list(features.labels)
     if not labels:
         raise ValueError("base learning needs at least one feature row")
     rows, targets = _resolve_targets(labels, space, negatives)
-    x = np.asarray(features.features, dtype=float)
     if reduction is None:
-        reduction = fit_reduction(features, config)
-    mean = basis = None
-    if reduction is not None:
-        mean, basis = reduction
-        x = (x - mean) @ basis
+        x, reduction = reduce_features(features, config)
+    else:
+        x = np.asarray(features.features, dtype=float)
+        _check_reduced(x, reduction)
+    mean, basis = reduction or (None, None)
     sizes = (x.shape[1], *config.hidden_sizes, space.dim)
     flat, weights, biases = _flat_parameters(init_mlp(sizes, seed=config.seed))
     losses = _run_training(x, rows, flat, sizes, targets, config,

@@ -324,16 +324,68 @@ def test_pipeline_artifacts_do_not_depend_on_the_share_count(tmp_path,
                                                              monkeypatch):
     """All six artifacts, with the input reduction fitted beside the
     embedding in a forked share or in order in this process."""
-    for n in (1, 2):
-        monkeypatch.setattr(geoball.harness, "_usable_cpus", lambda n=n: n)
-        obj = small_config(tmp_path, f"shares{n}")
-        obj["projector"]["reduce_dim"] = 4
-        run_pipeline(PipelineConfig.from_dict(obj))
-    for name in ARTIFACT_NAMES:
-        assert ((tmp_path / "shares1" / name).read_bytes()
-                == (tmp_path / "shares2" / name).read_bytes()), name
-    mlp = json.loads((tmp_path / "shares2" / "mlp.json").read_text())
-    assert len(mlp["input_basis"][0]) == 4
+    # without a reduction this process reads the raw base split itself
+    for reduce_dim in (4, None):
+        for n in (1, 2):
+            monkeypatch.setattr(geoball.harness, "_usable_cpus", lambda n=n: n)
+            obj = small_config(tmp_path, f"shares{n}-{reduce_dim}")
+            obj["projector"]["reduce_dim"] = reduce_dim
+            run_pipeline(PipelineConfig.from_dict(obj))
+        for name in ARTIFACT_NAMES:
+            assert ((tmp_path / f"shares1-{reduce_dim}" / name).read_bytes()
+                    == (tmp_path / f"shares2-{reduce_dim}" / name).read_bytes()
+                    ), (name, reduce_dim)
+        mlp = json.loads(
+            (tmp_path / f"shares2-{reduce_dim}" / "mlp.json").read_text())
+        if reduce_dim is None:
+            assert "input_basis" not in mlp
+        else:
+            assert len(mlp["input_basis"][0]) == reduce_dim
+
+
+def test_calling_process_never_holds_the_raw_base_split(tmp_path,
+                                                        monkeypatch):
+    """With a reduction and two shares, base learning takes the reduced base
+    rows from the forked features share: this process never reads
+    ``features_base.npz``, and its traced peak stays below 1.5 times one
+    split's matrix. The bound lies between the one split the episodes read
+    and the two copies that reading and centring the base split here
+    would hold."""
+    monkeypatch.setattr(geoball.harness, "_usable_cpus", lambda: 2)
+    # a fourth leaf splits the leaves 2/2, so both splits are the same size
+    doc = json.loads(json.dumps(POODLE))
+    doc["concepts"].append("lamp_post")
+    doc["subclass"].append(["lamp_post", "entity"])
+    doc["leaves"].append("lamp_post")
+    ontology = tmp_path / "four_leaves.json"
+    ontology.write_text(json.dumps(doc))
+    dim, per_class = 2048, 128
+    split_bytes = 2 * per_class * dim * 8
+    assert split_bytes >= 4 * 2**20
+    obj = small_config(tmp_path, ontology_path=str(ontology),
+                       generator={"dim": dim, "per_class": per_class,
+                                  "noise_sigma": 0.3, "intrinsic_dim": None})
+    obj["projector"].update(reduce_dim=4, epochs_bl=5)
+    config = PipelineConfig.from_dict(obj)
+
+    reads = []
+    real_read = geoball.pipeline.read_features_npz
+    here = os.getpid()
+
+    def recording_read(path):
+        if os.getpid() == here:
+            reads.append(Path(path).name)
+        return real_read(path)
+
+    monkeypatch.setattr(geoball.pipeline, "read_features_npz", recording_read)
+    tracemalloc.start()
+    try:
+        run_pipeline(config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert reads == ["features_novel.npz"]
+    assert peak < 1.5 * split_bytes, (peak, split_bytes)
 
 
 def test_reduction_failure_is_a_train_projector_failure(tmp_path, shares):

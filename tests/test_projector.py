@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 import tracemalloc
 from dataclasses import replace
 from types import SimpleNamespace
@@ -776,17 +777,47 @@ def test_given_reduction_replaces_the_fit(world):
     fitted, losses = train_base(world.base, world.space, world.negatives,
                                 REDUCE_CONFIG)
     reduction = fit_reduction(world.base, REDUCE_CONFIG)
-    given, given_losses = train_base(world.base, world.space, world.negatives,
+    # a given pair comes with the base split's image under it
+    mean, basis = reduction
+    reduced = SimpleNamespace(labels=world.base.labels,
+                              features=(world.base.features - mean) @ basis)
+    given, given_losses = train_base(reduced, world.space, world.negatives,
                                      REDUCE_CONFIG, reduction=reduction)
     assert given.to_dict() == fitted.to_dict() and given_losses == losses
     # a given pair is used as it is, not refitted
-    mean, basis = reduction
-    other, _ = train_base(world.base, world.space, world.negatives,
+    other, _ = train_base(reduced, world.space, world.negatives,
                           REDUCE_CONFIG, reduction=(mean + 1.0, -basis))
     assert np.array_equal(other.input_basis, -basis)
     assert np.array_equal(other.input_mean, mean + 1.0)
     assert fit_reduction(world.base, replace(REDUCE_CONFIG,
                                              reduce_dim=None)) is None
+
+
+@pytest.mark.parametrize("case, message", [
+    ("raw rows", "feature width 8 != reduced width 5"),
+    ("short mean", "reduction mean of shape (7,) does not fit a basis of "
+     "input width 8"),
+    ("2-d mean", "reduction mean of shape (1, 8) does not fit a basis of "
+     "input width 8"),
+])
+def test_mismatched_reduction_is_refused_before_training(world, monkeypatch,
+                                                         case, message):
+    mean, basis = fit_reduction(world.base, REDUCE_CONFIG)
+    reduced = SimpleNamespace(labels=world.base.labels,
+                              features=(world.base.features - mean) @ basis)
+    features, reduction = {
+        "raw rows": (world.base, (mean, basis)),
+        "short mean": (reduced, (mean[:-1], basis)),
+        "2-d mean": (reduced, (mean[None, :], basis)),
+    }[case]
+
+    def no_training(*args, **kwargs):
+        raise AssertionError("a training step ran")
+
+    monkeypatch.setattr(geoball.projector, "_run_training", no_training)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        train_base(features, world.space, world.negatives, REDUCE_CONFIG,
+                   reduction=reduction)
 
 
 def test_reduced_mlp_json_roundtrip(world):
