@@ -20,7 +20,8 @@ from pathlib import Path
 
 from .embedding import BallSpace
 from .evaluation import GridSpec, grid_search
-from .harness import atomic_open, read_features_csv, read_features_npz
+from .harness import (FeatureNpz, atomic_open, read_features_csv,
+                      read_features_npz)
 from .jsonio import read_json
 from .negatives import NegativeSets, build_negative_sets
 from .ontology import OntologyError, compute_ich, load_ontology
@@ -41,11 +42,14 @@ def _load(path, cls):
                          f"{type(exc).__name__}: {exc}") from exc
 
 
-def _read_features(path):
+def _read_features(path, on_demand: bool = False):
     """A ``.npz`` feature file as the pipeline writes it, any other as CSV;
-    one without rows is a ValueError that names it."""
-    features = (read_features_npz(path) if Path(path).suffix == ".npz"
-                else read_features_csv(path))
+    one without rows is a ValueError that names it. With ``on_demand``, a
+    ``.npz`` is opened as a ``FeatureNpz``, which reads rows when asked."""
+    if Path(path).suffix != ".npz":
+        features = read_features_csv(path)
+    else:
+        features = (FeatureNpz if on_demand else read_features_npz)(path)
     if not features.labels:
         raise ValueError(f"feature file {path} holds no rows")
     return features
@@ -188,7 +192,7 @@ def cmd_infer(args) -> int:
 def cmd_episodes(args) -> int:
     space = _load(args.space, BallSpace)
     mlp = _load(args.mlp, Mlp)
-    novel = _read_features(args.novel)
+    novel = _read_features(args.novel, on_demand=True)
     negatives = _load(args.negatives, NegativeSets)
     config = PipelineConfig.from_json(args.config, args.seed)
     ich = None

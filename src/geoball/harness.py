@@ -22,7 +22,9 @@ import os
 import pickle
 import re
 import stat
+import struct
 import warnings
+import weakref
 import zipfile
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -63,8 +65,21 @@ REFERENCE_RESULTS = {
 }
 
 
+class _Labelled:
+    """The classes of a split with ``labels``, and the rows of each."""
+
+    def class_names(self) -> tuple[str, ...]:
+        return tuple(sorted(set(self.labels)))
+
+    def class_indices(self) -> dict[str, np.ndarray]:
+        out: dict[str, list[int]] = {}
+        for i, label in enumerate(self.labels):
+            out.setdefault(label, []).append(i)
+        return {label: np.array(idx) for label, idx in sorted(out.items())}
+
+
 @dataclass(frozen=True)
-class FeatureDataset:
+class FeatureDataset(_Labelled):
     """Labelled feature vectors for one split of the leaf classes."""
 
     dim: int
@@ -77,15 +92,6 @@ class FeatureDataset:
         if self.features.shape != (len(self.labels), self.dim):
             raise ValueError("feature array shape does not match labels/dim")
         self.features.setflags(write=False)
-
-    def class_names(self) -> tuple[str, ...]:
-        return tuple(sorted(set(self.labels)))
-
-    def class_indices(self) -> dict[str, np.ndarray]:
-        out: dict[str, list[int]] = {}
-        for i, label in enumerate(self.labels):
-            out.setdefault(label, []).append(i)
-        return {label: np.array(idx) for label, idx in sorted(out.items())}
 
     def subset(self, indices) -> "FeatureDataset":
         indices = np.asarray(indices, dtype=int)
@@ -395,55 +401,174 @@ def write_features_npz(dataset: FeatureDataset, path) -> None:
                           np.asarray(dataset.features, dtype=np.float64))
 
 
-def _read_npy_member(archive: zipfile.ZipFile, name: str) -> np.ndarray:
-    """The array of the ``.npy`` member ``name``, read straight into its own
-    buffer in blocks (``np.load`` holds two 256 KiB chunk copies at a time).
-    An object array, which only unpickling could read, is refused."""
+def _npy_header(entry, name: str):
+    """``(shape, fortran_order, dtype)`` of the ``.npy`` member open as
+    ``entry``, which is left at the member's data. An object array, which
+    only unpickling could read, is refused."""
     fmt = np.lib.format
-    with archive.open(name) as entry:
-        version = fmt.read_magic(entry)
-        if version not in ((1, 0), (2, 0)):
-            raise ValueError(f"{name}: unsupported .npy version {version}")
-        read_header = (fmt.read_array_header_1_0 if version == (1, 0)
-                       else fmt.read_array_header_2_0)
-        shape, fortran_order, dtype = read_header(entry)
-        if dtype.hasobject:
-            raise ValueError(f"{name} holds Python objects, which are not "
-                             "unpickled (allow_pickle=False)")
-        array = np.empty(shape[::-1] if fortran_order else shape, dtype)
-        buf = memoryview(array.reshape(-1).view(np.uint8))
-        for start in range(0, len(buf), _BLOCK_BYTES):
-            block = buf[start:start + _BLOCK_BYTES]
-            if entry.readinto(block) != len(block):
-                raise ValueError(f"{name} is truncated")
+    version = fmt.read_magic(entry)
+    if version not in ((1, 0), (2, 0)):
+        raise ValueError(f"{name}: unsupported .npy version {version}")
+    read_header = (fmt.read_array_header_1_0 if version == (1, 0)
+                   else fmt.read_array_header_2_0)
+    shape, fortran_order, dtype = read_header(entry)
+    if dtype.hasobject:
+        raise ValueError(f"{name} holds Python objects, which are not "
+                         "unpickled (allow_pickle=False)")
+    return shape, fortran_order, dtype
+
+
+def _read_npy_data(entry, name: str, shape, fortran_order, dtype):
+    """The array whose data ``entry`` is at, read straight into its own
+    buffer in blocks (``np.load`` holds two 256 KiB chunk copies at a
+    time)."""
+    array = np.empty(shape[::-1] if fortran_order else shape, dtype)
+    buf = memoryview(array.reshape(-1).view(np.uint8))
+    for start in range(0, len(buf), _BLOCK_BYTES):
+        block = buf[start:start + _BLOCK_BYTES]
+        if entry.readinto(block) != len(block):
+            raise ValueError(f"{name} is truncated")
     return array.T if fortran_order else array
 
 
-def read_features_npz(path) -> FeatureDataset:
-    """The dataset ``write_features_npz`` wrote, loaded without unpickling;
-    anything else is a ValueError that names the file."""
+def _checked_npz(fh, path, whole: bool):
+    """The checks that ``read_features_npz`` and ``FeatureNpz`` share, run on
+    the feature NPZ open as the binary file ``fh``. Returns its labels, its
+    width, and either its matrix and None, or None and the file offset at
+    which the matrix's rows start. The second form is given only when
+    ``whole`` is false and the matrix is stored uncompressed in C order; its
+    values are then streamed through in blocks for the finite check. Every
+    refusal is a ValueError that names the file."""
     try:
-        with open(path, "rb") as fh, zipfile.ZipFile(fh) as archive:
+        with zipfile.ZipFile(fh) as archive:
             members = set(archive.namelist())
             missing = [key for key in ("features", "labels")
                        if f"{key}.npy" not in members]
             if missing:
                 raise ValueError(f"missing arrays {missing}")
-            labels = _read_npy_member(archive, "labels.npy")
-            features = _read_npy_member(archive, "features.npy")
+            with archive.open("labels.npy") as entry:
+                labels = _read_npy_data(entry, "labels.npy",
+                                        *_npy_header(entry, "labels.npy"))
+            info = archive.getinfo("features.npy")
+            with archive.open(info) as entry:
+                shape, fortran_order, dtype = _npy_header(entry, "features.npy")
+                if dtype != np.float64 or len(shape) != 2 or shape[1] < 1:
+                    raise ValueError("needs a float64 matrix with at least "
+                                     f"one column, not {dtype} {shape}")
+                if labels.dtype.kind != "U" or labels.shape != shape[:1]:
+                    raise ValueError(f"needs one str label per row: "
+                                     f"{labels.dtype} {labels.shape} for "
+                                     f"{shape[0]} rows")
+                if (whole or fortran_order
+                        or info.compress_type != zipfile.ZIP_STORED):
+                    features = _read_npy_data(entry, "features.npy", shape,
+                                              fortran_order, dtype)
+                    _require_finite(features, "features.npy")
+                    return tuple(labels.tolist()), shape[1], features, None
+                at = entry.tell()
+                block = np.empty(_BLOCK_BYTES // 8)
+                for start in range(0, math.prod(shape), len(block)):
+                    part = block[:math.prod(shape) - start]
+                    if entry.readinto(part) != part.nbytes:
+                        raise ValueError("features.npy is truncated")
+                    if not np.isfinite(part).all():
+                        raise ValueError("features.npy holds non-finite values")
+        # the member's data follows its local header, whose extra field
+        # need not match the central directory's
+        fh.seek(info.header_offset)
+        local = fh.read(zipfile.sizeFileHeader)
+        if (len(local) != zipfile.sizeFileHeader
+                or not local.startswith(zipfile.stringFileHeader)):
+            raise zipfile.BadZipFile("features.npy has no local header")
+        *_, name_bytes, extra_bytes = struct.unpack(zipfile.structFileHeader,
+                                                    local)
+        return (tuple(labels.tolist()), shape[1], None,
+                info.header_offset + len(local) + name_bytes + extra_bytes + at)
     except (EOFError, ValueError, zipfile.BadZipFile) as exc:
         raise ValueError(f"feature NPZ {path}: {exc}") from exc
-    if (features.dtype != np.float64 or features.ndim != 2
-            or features.shape[1] < 1):
-        raise ValueError(f"feature NPZ {path} needs a float64 matrix with at "
-                         f"least one column, not {features.dtype} "
-                         f"{features.shape}")
-    if labels.dtype.kind != "U" or labels.shape != features.shape[:1]:
-        raise ValueError(f"feature NPZ {path} needs one str label per row: "
-                         f"{labels.dtype} {labels.shape} for "
-                         f"{len(features)} rows")
-    _require_finite(features, f"feature NPZ {path}")
-    return FeatureDataset(features.shape[1], tuple(labels.tolist()), features)
+
+
+def read_features_npz(path) -> FeatureDataset:
+    """The dataset ``write_features_npz`` wrote, loaded without unpickling;
+    anything else is a ValueError that names the file."""
+    with open(path, "rb") as fh:
+        labels, dim, features, _ = _checked_npz(fh, path, whole=True)
+    return FeatureDataset(dim, labels, features)
+
+
+def _read_at(fh, buffer, offset: int) -> int:
+    """Reads ``fh`` from ``offset`` on into ``buffer``; returns the bytes
+    read. ``os.preadv`` leaves alone the file offset, which forked shares
+    share; where it is missing (Windows), so is ``os.sched_getaffinity``,
+    and the shares run one after another in this process."""
+    if hasattr(os, "preadv"):
+        return os.preadv(fh.fileno(), [buffer], offset)
+    fh.seek(offset)
+    return fh.readinto(buffer)
+
+
+class FeatureNpz(_Labelled):
+    """The feature NPZ at ``path``, kept open with only its labels in
+    memory; ``subset`` reads the rows it is asked for. Opening runs every
+    check that ``read_features_npz`` runs (``_checked_npz``). A matrix
+    stored compressed or in Fortran order has no rows to read in place, so
+    it is read whole at open and the file is closed.
+
+    Rows come only from the file that was checked: they are read through
+    the handle opened here, so a file put in place of ``path`` later is not
+    read, and a checked file that has changed or shrunk since is a
+    ValueError that names it. Close the handle with ``close`` or a with
+    block; it is also closed when the object is collected.
+    """
+
+    def __init__(self, path):
+        self.path = path
+        self._fh = open(path, "rb")
+        self._finalizer = weakref.finalize(self, self._fh.close)
+        self._whole = None
+        try:
+            self._stamp = self._fstamp()
+            self.labels, self.dim, features, self._offset = _checked_npz(
+                self._fh, path, whole=False)
+        except BaseException:
+            self.close()
+            raise
+        if features is not None:
+            self._whole = FeatureDataset(self.dim, self.labels, features)
+            self.close()
+
+    def _fstamp(self):
+        info = os.fstat(self._fh.fileno())
+        return info.st_size, info.st_mtime_ns
+
+    def subset(self, indices) -> FeatureDataset:
+        """The rows at ``indices``, as ``FeatureDataset.subset`` gives them,
+        in a new C-ordered matrix."""
+        if self._whole is not None:
+            return self._whole.subset(indices)
+        indices = np.asarray(indices, dtype=int)
+        labels = tuple(self.labels[i] for i in indices)  # IndexError first
+        if self._fstamp() != self._stamp:
+            raise ValueError(f"feature NPZ {self.path} changed after its "
+                             "checks")
+        out = np.empty((len(indices), self.dim))
+        row_bytes = self.dim * out.itemsize
+        rows = np.where(indices < 0, indices + len(self.labels), indices)
+        for row, target in zip(rows.tolist(), out):
+            if (_read_at(self._fh, target, self._offset + row * row_bytes)
+                    != row_bytes):
+                raise ValueError(f"feature NPZ {self.path} was truncated "
+                                 "after its checks")
+        return FeatureDataset(self.dim, labels, out)
+
+    def close(self) -> None:
+        self._finalizer()
+
+    def __enter__(self) -> "FeatureNpz":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
 
 
 def synthetic_ontology(fanouts) -> Ontology:
@@ -555,10 +680,12 @@ def generate_synthetic_features(ontology: Ontology, dim: int, per_class: int,
 class Episode:
     """One w-way s-shot task: candidate classes, and the rows of the novel
     split that form its support and query examples. The subsets are copied
-    out on access, so a list of episodes holds row indices, not features."""
+    out on access, so a list of episodes holds row indices, not features;
+    from a ``FeatureNpz`` split, each access reads just its rows from the
+    file, in whichever share scores the episode."""
 
     classes: tuple[str, ...]
-    novel: FeatureDataset
+    novel: FeatureDataset | FeatureNpz
     support_rows: np.ndarray
     query_rows: np.ndarray
 
@@ -571,8 +698,8 @@ class Episode:
         return self.novel.subset(self.query_rows)
 
 
-def sample_episode(novel: FeatureDataset, w: int, s: int, q: int,
-                   seed: int) -> Episode:
+def sample_episode(novel: FeatureDataset | FeatureNpz, w: int, s: int,
+                   q: int, seed: int) -> Episode:
     """Seeded class and example sampling without replacement."""
     by_class = novel.class_indices()
     names = sorted(by_class)
@@ -593,8 +720,8 @@ def sample_episode(novel: FeatureDataset, w: int, s: int, q: int,
                    np.array(query_idx, dtype=int))
 
 
-def sample_episodes(novel: FeatureDataset, w: int, s: int, q: int,
-                    n_episodes: int, seed: int) -> list[Episode]:
+def sample_episodes(novel: FeatureDataset | FeatureNpz, w: int, s: int,
+                    q: int, n_episodes: int, seed: int) -> list[Episode]:
     seeds = np.random.SeedSequence(seed).generate_state(n_episodes)
     return [sample_episode(novel, w, s, q, int(ep_seed)) for ep_seed in seeds]
 

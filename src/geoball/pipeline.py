@@ -8,7 +8,10 @@ forked child writes both feature files, fits the input reduction on the
 base split and sends back only the split's labels, its reduced rows and the
 fitted pair, which base learning takes as they are. So this process never
 holds the raw base split; it reads that file back only when there is no
-reduction. On one usable CPU the halves run in this process, embed first.
+reduction. Nor does it hold the novel split: the episodes stage opens
+``features_novel.npz`` as a ``FeatureNpz``, which keeps only its labels,
+and each episode reads its own rows from the file in the share that scores
+it. On one usable CPU the halves run in this process, embed first.
 Every stage derives its seed from the global one unless its config section
 pins its own (``PipelineConfig``, which reads every subcommand's
 ``--config`` too), so re-running the same config file at the same BLAS
@@ -41,6 +44,7 @@ from .evaluation import score_space
 from .harness import (
     REFERENCE_RESULTS,
     FeatureDataset,
+    FeatureNpz,
     _map_shares,
     atomic_open,
     evaluate_episodes,
@@ -258,8 +262,10 @@ def episodes_report(space, mlp, novel, negatives, projector: ProjectorConfig,
 def _write_features(ontology, config: PipelineConfig, out: Path):
     """Generate both feature splits and write each to its ``.npz`` artifact;
     returns only their row counts, so that no split outlives this call and
-    later stages read theirs back from the bytes on disk. It runs in the
-    share beside embed and negatives, so only that share holds them."""
+    later stages read from the bytes on disk what they need: the base split
+    whole for the input reduction, the novel split row by row for the
+    episodes. It runs in the share beside embed and negatives, so only that
+    share holds them."""
     gen = config.generator
     base, novel = generate_synthetic_features(
         ontology, dim=gen.dim, per_class=gen.per_class,
@@ -332,10 +338,9 @@ def run_pipeline(config: PipelineConfig, verbose: bool = False) -> list[Path]:
         mlp, losses = learn_base(base, space, negatives, config.projector,
                                  verbose, "projector ", reduction)
         _write_json(out / "mlp.json", mlp.to_dict())
-    with _stage("episodes"):
-        summary = episodes_report(space, mlp,
-                                  read_features_npz(out / "features_novel.npz"),
-                                  negatives, config.projector, config.episodes,
+    with _stage("episodes"), FeatureNpz(out / "features_novel.npz") as novel:
+        summary = episodes_report(space, mlp, novel, negatives,
+                                  config.projector, config.episodes,
                                   config.seed, ich=ich)
         summary["embedding_scores"] = scores.to_dict()
         summary["projector_final_loss"] = losses[-1] if losses else None

@@ -350,6 +350,30 @@ def test_episodes_config_seed_reproduces_pipeline_report(world, tmp_path):
         assert ours["protocol"]["seed"] == 3
 
 
+def test_episodes_report_is_the_same_from_every_npz_form(world, tmp_path):
+    """The novel split as the pipeline stores it, compressed, and with its
+    matrix in Fortran order: the last two are read whole at open, the first
+    row by row, and all three give the same report bytes."""
+    run_dir, config = world
+    stored = run_dir / "features_novel.npz"
+    novel = read_features_npz(stored)
+    labels = np.array(novel.labels, dtype=str)
+    compressed, fortran = tmp_path / "compressed.npz", tmp_path / "fortran.npz"
+    np.savez_compressed(compressed, labels=labels, features=novel.features)
+    np.savez(fortran, labels=labels,
+             features=np.asfortranarray(novel.features))
+    reports = []
+    for path in (stored, compressed, fortran):
+        out = tmp_path / f"{path.stem}.json"
+        assert main(["episodes", str(run_dir / "space.json"),
+                     str(run_dir / "mlp.json"), "--novel", str(path),
+                     "--negatives", str(run_dir / "negatives.json"),
+                     "--ontology", str(config.parent / "poodle.json"),
+                     "--config", str(config), "--out", str(out)]) == 0
+        reports.append(out.read_bytes())
+    assert reports[1] == reports[0] and reports[2] == reports[0]
+
+
 STAGES = {"embed": "train_embeddings", "projector": "train_base"}
 
 

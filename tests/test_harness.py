@@ -19,6 +19,7 @@ from geoball.embedding import BallSpace, EmbedConfig, train_embeddings
 from geoball.evaluation import score_space
 from geoball.harness import (
     FeatureDataset,
+    FeatureNpz,
     _hierarchy_anchors,
     generate_synthetic_features,
     read_features_csv,
@@ -503,9 +504,20 @@ def write_raw_npz(path, **arrays):
 def test_npz_refusals_name_the_file(tmp_path, arrays, reason):
     path = tmp_path / "bad.npz"
     write_raw_npz(path, **arrays)
-    with pytest.raises(ValueError, match=re.escape(str(path))) as err:
-        read_features_npz(path)
-    assert re.search(reason, str(err.value))
+    assert re.search(reason, npz_refusal(path))
+
+
+def npz_refusal(path) -> str:
+    """The refusal of the feature NPZ at ``path``, which must name it and be
+    the same from the whole-file read and from opening it for reads on
+    demand."""
+    messages = []
+    for reader in (read_features_npz, FeatureNpz):
+        with pytest.raises(ValueError, match=re.escape(str(path))) as err:
+            reader(path)
+        messages.append(str(err.value))
+    assert messages[0] == messages[1]
+    return messages[0]
 
 
 def npy_bytes(array):
@@ -520,8 +532,7 @@ def npy_bytes(array):
 def test_npz_unreadable_file_names_the_file(tmp_path, content):
     path = tmp_path / "junk.npz"
     path.write_bytes(content)
-    with pytest.raises(ValueError, match=re.escape(str(path))):
-        read_features_npz(path)
+    npz_refusal(path)
 
 
 # ---------------------------------------------------------------------------
@@ -827,6 +838,62 @@ def test_a_refusal_in_a_child_share_keeps_its_type(small_world, monkeypatch):
     use_cpus(monkeypatch, 3)
     with pytest.raises(ValueError, match="overlap"):
         evaluate_episodes(space, mlp, episodes, SMALL_PROJECTOR, negatives)
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("change", ["replaced", "rewritten", "truncated"])
+def test_rows_come_only_from_the_checked_file(small_world, tmp_path,
+                                              monkeypatch, change, cpus):
+    """A novel split opened for reads on demand, then replaced with
+    ``os.replace``, rewritten in place or truncated in place: the episodes
+    get the rows that were checked at open, or a ValueError that names the
+    file. The first episode reads an in-memory copy, so at two shares the
+    file is read in the forked share."""
+    onto, ich, space, negatives = small_world
+    base, novel = small_datasets(onto, noise=1.0)
+    mlp, _ = train_base(base, space, negatives, SMALL_PROJECTOR)
+    path, other = tmp_path / "novel.npz", tmp_path / "other.npz"
+    write_features_npz(novel, path)
+    write_features_npz(FeatureDataset(novel.dim, novel.labels,
+                                      novel.features + 1.0), other)
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: cpus)
+
+    def episodes(split):
+        return sample_episodes(split, w=4, s=2, q=2, n_episodes=4, seed=1)
+
+    expected = evaluate_episodes(space, mlp, episodes(novel), SMALL_PROJECTOR,
+                                 negatives, ich=ich)
+    every_row = range(len(novel.labels))
+    named = pytest.raises(ValueError, match=re.escape(str(path)))
+    with FeatureNpz(path) as npz:
+        mixed = episodes(novel)[:1] + episodes(npz)[1:]
+        if change == "replaced":
+            os.replace(other, path)
+            assert evaluate_episodes(space, mlp, mixed, SMALL_PROJECTOR,
+                                     negatives, ich=ich) == expected
+            assert npz.subset(every_row).features.tobytes() == (
+                novel.features.tobytes())
+        else:
+            if change == "rewritten":  # same size; file clocks may be coarse
+                mtime = path.stat().st_mtime_ns
+                path.write_bytes(other.read_bytes())
+                os.utime(path, ns=(mtime, mtime + 10**9))
+            else:  # into the matrix's data, which ends just before the
+                # small zip directory
+                with open(path, "r+b") as fh:
+                    fh.truncate(path.stat().st_size
+                                - novel.features.nbytes // 2)
+            with named:
+                evaluate_episodes(space, mlp, mixed, SMALL_PROJECTOR,
+                                  negatives, ich=ich)
+            with named:
+                npz.subset(every_row)
+        if change == "truncated":
+            # a truncation between the size check and the read
+            monkeypatch.setattr(npz, "_fstamp", lambda: npz._stamp)
+            with named:
+                npz.subset(every_row)
     assert_no_child_left()
 
 

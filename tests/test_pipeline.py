@@ -343,14 +343,13 @@ def test_pipeline_artifacts_do_not_depend_on_the_share_count(tmp_path,
             assert len(mlp["input_basis"][0]) == reduce_dim
 
 
-def test_calling_process_never_holds_the_raw_base_split(tmp_path,
-                                                        monkeypatch):
+def test_calling_process_never_holds_a_raw_feature_split(tmp_path,
+                                                         monkeypatch):
     """With a reduction and two shares, base learning takes the reduced base
-    rows from the forked features share: this process never reads
-    ``features_base.npz``, and its traced peak stays below 1.5 times one
-    split's matrix. The bound lies between the one split the episodes read
-    and the two copies that reading and centring the base split here
-    would hold."""
+    rows from the forked features share and the episodes read their rows
+    from ``features_novel.npz`` on demand: this process never reads either
+    split whole, and its traced peak stays below half of one split's
+    matrix. Reading either split whole would hold all of it."""
     monkeypatch.setattr(geoball.harness, "_usable_cpus", lambda: 2)
     # a fourth leaf splits the leaves 2/2, so both splits are the same size
     doc = json.loads(json.dumps(POODLE))
@@ -369,23 +368,24 @@ def test_calling_process_never_holds_the_raw_base_split(tmp_path,
     config = PipelineConfig.from_dict(obj)
 
     reads = []
-    real_read = geoball.pipeline.read_features_npz
+    real_read = geoball.harness._read_npy_data
     here = os.getpid()
 
-    def recording_read(path):
-        if os.getpid() == here:
-            reads.append(Path(path).name)
-        return real_read(path)
+    def recording_read(entry, name, shape, *args):
+        if os.getpid() == here and name == "features.npy":
+            reads.append(shape)
+        return real_read(entry, name, shape, *args)
 
-    monkeypatch.setattr(geoball.pipeline, "read_features_npz", recording_read)
+    # every whole read of a feature matrix, by either reader
+    monkeypatch.setattr(geoball.harness, "_read_npy_data", recording_read)
     tracemalloc.start()
     try:
         run_pipeline(config)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert reads == ["features_novel.npz"]
-    assert peak < 1.5 * split_bytes, (peak, split_bytes)
+    assert reads == []
+    assert peak < 0.5 * split_bytes, (peak, split_bytes)
 
 
 def test_reduction_failure_is_a_train_projector_failure(tmp_path, shares):

@@ -20,7 +20,7 @@ from geoball.embedding import (Ball, BallSpace, EmbedConfig,
                                disjointness_hinge, distances,
                                subsumption_hinge, total_loss)
 from geoball.evaluation import containment_holds, s_d
-from geoball.harness import (FeatureDataset, read_features_csv,
+from geoball.harness import (FeatureDataset, FeatureNpz, read_features_csv,
                              read_features_npz, synthetic_ontology,
                              write_features_csv, write_features_npz)
 from geoball.negatives import NegativeSets
@@ -207,6 +207,43 @@ def test_feature_npz_roundtrip_is_exact(tmp_path_factory, dataset):
     assert back.labels == dataset.labels
     assert back.features.shape == dataset.features.shape
     assert back.features.tobytes() == dataset.features.tobytes()
+
+
+@st.composite
+def npz_row_reads(draw):
+    """A dataset, the form its matrix is stored in, and row indices into it:
+    unsorted, repeated or none."""
+    dataset = draw(npz_datasets())
+    form = draw(st.sampled_from(["c", "fortran", "compressed"]))
+    rows = draw(st.lists(st.integers(0, len(dataset.labels) - 1), max_size=8)
+                if dataset.labels else st.just([]))
+    return dataset, form, rows
+
+
+@settings(max_examples=50)
+@given(npz_row_reads())
+@example((FeatureDataset(2, (), np.zeros((0, 2))), "c", []))
+@example((FeatureDataset(2, ("a", "b", "c"), np.arange(6.0).reshape(3, 2)),
+          "fortran", [2, 0, 2]))
+def test_npz_rows_read_on_demand_match_the_whole_read(tmp_path_factory,
+                                                      case):
+    dataset, form, rows = case
+    path = tmp_path_factory.mktemp("npz") / "features.npz"
+    if form == "compressed":
+        np.savez_compressed(path, labels=np.array(dataset.labels, dtype=str),
+                            features=dataset.features)
+    else:
+        write_features_npz(FeatureDataset(
+            dataset.dim, dataset.labels,
+            np.asfortranarray(dataset.features) if form == "fortran"
+            else dataset.features), path)
+    whole = read_features_npz(path)
+    with FeatureNpz(path) as npz:
+        assert (npz.dim, npz.labels) == (whole.dim, whole.labels)
+        part = npz.subset(np.array(rows, dtype=int))
+    assert part.labels == whole.subset(rows).labels
+    assert part.features.flags.c_contiguous
+    assert part.features.tobytes() == whole.features[rows].tobytes()
 
 
 def test_feature_npz_of_a_csv_read_matches_savez(tmp_path):
