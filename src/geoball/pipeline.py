@@ -51,6 +51,7 @@ from .harness import (
     generate_synthetic_features,
     read_features_npz,
     sample_episodes,
+    split_leaves,
     write_features_npz,
 )
 from .jsonio import check_fields, read_json
@@ -151,6 +152,10 @@ class PipelineConfig:
     generator: GeneratorConfig = field(default_factory=GeneratorConfig)
     episodes: EpisodeConfig = field(default_factory=EpisodeConfig)
     negatives_k: int | None = None
+
+    def __post_init__(self):
+        if self.negatives_k is not None and self.negatives_k < 1:
+            raise ValueError("negatives_k must be >= 1")
 
     @classmethod
     def from_dict(cls, obj: dict, seed: int | None = None) -> "PipelineConfig":
@@ -292,10 +297,20 @@ def run_pipeline(config: PipelineConfig, verbose: bool = False) -> list[Path]:
     for key in ("ontology_path", "out_dir"):
         if getattr(config, key) is None:
             raise ValueError(f"pipeline config needs {key!r}")
-    out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     with _stage("ingest"):
         ontology, ich, stats = ingest(config.ontology_path)
+    # refuse a protocol the novel split cannot draw before any stage writes:
+    # each of split_leaves' novel classes gets per_class rows
+    protocol, novel = config.episodes, len(split_leaves(ontology)[1])
+    if config.generator.per_class < protocol.s + protocol.q:
+        raise ValueError(f"episodes need s + q = {protocol.s + protocol.q} "
+                         "rows per class, but per_class is "
+                         f"{config.generator.per_class}")
+    if protocol.w > novel:
+        raise ValueError(f"episodes need w = {protocol.w} classes, but the "
+                         f"novel split has {novel}")
+    out = Path(config.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     if verbose:
         print(f"ingest: {len(ontology.concepts)} concepts, "
               f"{len(ontology.leaves)} leaves")

@@ -9,12 +9,14 @@ directions that high-dimensional features carry. Classification is by the
 signed boundary distance U = ||c_P - h|| - r_P.
 
 The ranking loss has one array implementation, ``_ranking_loss_grad``. Each
-training run packs its targets once (class balls plus negative pools padded
-to the widest pool), and every optimiser step and base learning's loss
-report go through that one function. The scalar ``ranking_loss`` is the
-readable definition that tests compare the array form against. A training
-run keeps the weights and biases as views into one flat parameter vector,
-and their gradients as views into one flat gradient vector.
+training run packs its targets once into one signed table (per label its
+class ball, then its negative pool padded to the widest pool, radii scaled
+by mu and nu), so one distance, hinge and gradient path serves both kinds of
+ball, in every optimiser step and base learning's loss report. The scalar
+``ranking_loss`` is the readable definition that tests compare the array
+form against. A training run keeps the weights and biases as views into one
+flat parameter vector, and their gradients as views into one flat gradient
+vector.
 """
 
 from __future__ import annotations
@@ -248,23 +250,15 @@ def _fit_reduction(x: np.ndarray, k: int):
     return mean, basis
 
 
-def fit_reduction(features, config: ProjectorConfig):
-    """Base learning's frozen input compression of the base split
-    ``features``: ``(mean, basis)``, or None without ``reduce_dim``."""
-    return None if config.reduce_dim is None else _fit_reduction(
-        np.asarray(features.features, dtype=float), config.reduce_dim)
-
-
 def reduce_features(features, config: ProjectorConfig):
-    """The rows of the base split ``features`` through the input compression
-    ``fit_reduction`` fits on them: ``(rows, reduction)``; without
+    """The rows of the base split ``features`` through base learning's frozen
+    input compression, fit on them: ``(rows, (mean, basis))``; without
     ``reduce_dim``, the rows as they are and None."""
     x = np.asarray(features.features, dtype=float)
-    reduction = fit_reduction(features, config)
-    if reduction is not None:
-        mean, basis = reduction
-        x = (x - mean) @ basis
-    return x, reduction
+    if config.reduce_dim is None:
+        return x, None
+    mean, basis = _fit_reduction(x, config.reduce_dim)
+    return (x - mean) @ basis, (mean, basis)
 
 
 def _check_reduced(x: np.ndarray, reduction) -> None:
@@ -298,43 +292,33 @@ def ranking_loss(h, positive: Ball, negatives, mu: float = 1.0,
 
 
 class _Targets(NamedTuple):
-    """Ranking-loss targets as arrays, one row per distinct label.
+    """Ranking-loss targets as one signed table, a row per distinct label.
 
-    Negative pools are padded to the widest pool (possibly width 0) with
-    radius-0 balls: their hinge nu * 0 - ||c - h|| never exceeds 0, so the
-    padding adds neither loss nor gradient.
+    Slot 0 is the label's own ball with radius mu * r, the other slots its
+    negative pool with radii nu * r, padded to the widest pool (possibly
+    width 0) with radius-0 balls. A slot's hinge is sign * (||h - c|| - r);
+    a padding slot's, -||c - h||, never exceeds 0, so it adds nothing.
     """
 
-    pos_centres: np.ndarray  # (labels, dim)
-    pos_radii: np.ndarray  # (labels,)
-    neg_centres: np.ndarray  # (labels, width, dim)
-    neg_radii: np.ndarray  # (labels, width)
+    centres: np.ndarray  # (labels, 1 + width, dim)
+    radii: np.ndarray  # (labels, 1 + width)
+    signs: np.ndarray  # (1 + width,): +1, then -1
 
 
-def _ranking_loss_grad(h, rows, targets: _Targets, mu, nu):
+def _ranking_loss_grad(h, rows, targets: _Targets):
     """Per-example ranking loss and its gradient w.r.t. h, for h of shape (m, dim).
 
     The array form of ``ranking_loss``: a hinge counts only when strictly
     above 0, and a distance term has gradient 0 at distance 0.
     """
-    diff = h - targets.pos_centres[rows]
-    dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))
-    excess = dist - mu * targets.pos_radii[rows]
-    active = excess > 0.0
-    loss = np.where(active, excess, 0.0)
-    scale = np.divide(1.0, dist, out=np.zeros_like(dist),
+    diff = h[:, None, :] - targets.centres[rows]
+    dist = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+    hinge = targets.signs * (dist - targets.radii[rows])
+    active = hinge > 0.0
+    loss = np.where(active, hinge, 0.0).sum(axis=1)
+    scale = np.divide(targets.signs, dist, out=np.zeros_like(dist),
                       where=active & (dist > 0.0))
-    grad = diff * scale[:, None]
-
-    diff_q = h[:, None, :] - targets.neg_centres[rows]
-    dist_q = np.sqrt(np.einsum("ijk,ijk->ij", diff_q, diff_q))
-    intrusion = nu * targets.neg_radii[rows] - dist_q
-    active_q = intrusion > 0.0
-    loss += np.where(active_q, intrusion, 0.0).sum(axis=1)
-    scale_q = np.divide(1.0, dist_q, out=np.zeros_like(dist_q),
-                        where=active_q & (dist_q > 0.0))
-    grad -= np.einsum("ij,ijk->ik", scale_q, diff_q)
-    return loss, grad
+    return loss, np.einsum("ij,ijk->ik", scale, diff)
 
 
 def _layer_views(flat, sizes):
@@ -357,11 +341,11 @@ def _flat_parameters(mlp: Mlp):
     return flat, *_layer_views(flat, mlp.sizes)
 
 
-def _backprop(x, rows, weights, biases, targets, mu, nu, grads_w, grads_b):
-    """Per-example ranking loss over a batch; writes the gradients of its mean
-    into ``grads_w`` and ``grads_b``."""
+def _backprop(x, rows, weights, biases, targets, grads_w, grads_b):
+    """Writes the gradients of a batch's mean ranking loss into ``grads_w``
+    and ``grads_b``."""
     acts, zs = _forward_pass(x, weights, biases)
-    loss, delta = _ranking_loss_grad(acts[-1], rows, targets, mu, nu)
+    _, delta = _ranking_loss_grad(acts[-1], rows, targets)
     m = len(x)
     for layer in reversed(range(len(weights))):
         np.matmul(delta.T, acts[layer], out=grads_w[layer])
@@ -370,27 +354,26 @@ def _backprop(x, rows, weights, biases, targets, mu, nu, grads_w, grads_b):
         grads_b[layer] /= m
         if layer > 0:
             delta = (delta @ weights[layer]) * (zs[layer - 1] > 0.0)
-    return loss
 
 
-def _epoch_loss(x, rows, weights, biases, targets, mu, nu, block):
+def _epoch_loss(x, rows, weights, biases, targets, block):
     """Mean ranking loss over all examples, evaluated block rows at a time."""
     h = _forward_pass(x, weights, biases)[0][-1]
     total = 0.0
     for start in range(0, len(x), block):
         loss, _ = _ranking_loss_grad(h[start:start + block],
-                                     rows[start:start + block], targets, mu, nu)
+                                     rows[start:start + block], targets)
         total += float(loss.sum())
     return total / len(x)
 
 
 def _resolve_targets(labels, space: BallSpace, negatives: NegativeSets,
-                     restrict_to=None):
+                     mu: float, nu: float, restrict_to=None):
     """Row index per example plus the packed targets of its label, copied
-    from the space's rows; negatives optionally restricted to a label set.
-    Every label and every negative of one must have a ball."""
+    from the space's rows, radii scaled by ``mu`` and ``nu``; negatives
+    optionally restricted to a label set. Every label and every negative of
+    one must have a ball."""
     names = sorted(set(labels))
-    label_rows = space.rows(names, "labels")
     position = {name: i for i, name in enumerate(names)}
     rows = np.array([position[label] for label in labels], dtype=np.intp)
     pools = [negatives.negatives.get(name, ()) for name in names]
@@ -398,20 +381,17 @@ def _resolve_targets(labels, space: BallSpace, negatives: NegativeSets,
     space.rows([q for pool in pools for q in pool], "hard negatives")
     if restrict_to is not None:
         pools = [[q for q in pool if q in restrict_to] for pool in pools]
-    lengths = [len(pool) for pool in pools]
-    width = max(lengths)
-    # the slots of each label's pool, in order; the rest stay padding
-    filled = np.arange(width) < np.array(lengths)[:, None]
-    negative_rows = space.rows([q for pool in pools for q in pool],
-                               "hard negatives")
-    targets = _Targets(
-        pos_centres=space.centres[label_rows],
-        pos_radii=space.radii[label_rows],
-        neg_centres=np.zeros((len(pools), width, space.dim)),
-        neg_radii=np.zeros((len(pools), width)))
-    targets.neg_centres[filled] = space.centres[negative_rows]
-    targets.neg_radii[filled] = space.radii[negative_rows]
-    return rows, targets
+    slots = [(name, *pool) for name, pool in zip(names, pools)]
+    lengths = np.array([len(slot) for slot in slots])
+    signs = np.where(np.arange(lengths.max()) == 0, 1.0, -1.0)
+    # each label's own slots, in order; the rest stay padding
+    filled = np.arange(len(signs)) < lengths[:, None]
+    ball_rows = space.rows([name for slot in slots for name in slot], "labels")
+    centres = np.zeros((*filled.shape, space.dim))
+    radii = np.zeros(filled.shape)
+    centres[filled] = space.centres[ball_rows]
+    radii[filled] = space.radii[ball_rows]
+    return rows, _Targets(centres, radii * np.where(signs > 0.0, mu, nu), signs)
 
 
 def _run_training(x, rows, flat, sizes, targets, config, epochs: int,
@@ -431,11 +411,11 @@ def _run_training(x, rows, flat, sizes, targets, config, epochs: int,
         for start in range(0, len(x), config.batch_size):
             batch = order[start:start + config.batch_size]
             _backprop(x[batch], rows[batch], weights, biases, targets,
-                      config.mu, config.nu, grads_w, grads_b)
+                      grads_w, grads_b)
             optimizer.step(grad)
         if history:
             losses.append(_epoch_loss(x, rows, weights, biases, targets,
-                                      config.mu, config.nu, config.batch_size))
+                                      config.batch_size))
     return losses
 
 
@@ -456,7 +436,8 @@ def train_base(features, space: BallSpace, negatives: NegativeSets,
     labels = list(features.labels)
     if not labels:
         raise ValueError("base learning needs at least one feature row")
-    rows, targets = _resolve_targets(labels, space, negatives)
+    rows, targets = _resolve_targets(labels, space, negatives, config.mu,
+                                     config.nu)
     if reduction is None:
         x, reduction = reduce_features(features, config)
     else:
@@ -468,8 +449,8 @@ def train_base(features, space: BallSpace, negatives: NegativeSets,
     losses = _run_training(x, rows, flat, sizes, targets, config,
                            config.epochs_bl, config.seed, history)
     if config.epochs_bl and not history:
-        losses = [_epoch_loss(x, rows, weights, biases, targets, config.mu,
-                              config.nu, config.batch_size)]
+        losses = [_epoch_loss(x, rows, weights, biases, targets,
+                              config.batch_size)]
     trained = Mlp(sizes, tuple(weights), tuple(biases),
                   trained_labels=frozenset(labels),
                   input_mean=mean, input_basis=basis)
@@ -489,8 +470,9 @@ def finetune_fewshot(mlp: Mlp, support, space: BallSpace,
     if overlap:
         raise ValueError(
             f"support classes overlap base classes: {sorted(overlap)}")
-    rows, targets = _resolve_targets(
-        support_labels, space, negatives, restrict_to=set(support_labels))
+    rows, targets = _resolve_targets(support_labels, space, negatives,
+                                     config.mu, config.nu,
+                                     restrict_to=set(support_labels))
     flat, weights, biases = _flat_parameters(mlp)
     x = mlp.reduce(np.asarray(support.features, dtype=float))
     _run_training(x, rows, flat, mlp.sizes, targets, config, config.epochs_fsl,

@@ -130,17 +130,35 @@ def test_pipeline_missing_ontology_aborts_cleanly(tmp_path):
     assert not any(out.glob("*")) if out.exists() else True
 
 
-def test_pipeline_late_stage_failure_keeps_earlier_artifacts(tmp_path):
-    # w exceeds the single novel class, so only the episodes stage can fail
-    obj = small_config(tmp_path, episodes={"w": 5, "s": 2, "q": 2,
-                                           "n_episodes": 3})
-    config = PipelineConfig.from_dict(obj)
+def test_pipeline_late_stage_failure_keeps_earlier_artifacts(tmp_path,
+                                                            monkeypatch):
+    def no_episodes(*args, **kwargs):
+        raise ValueError("no episodes")
+
+    # the protocol is checked before any stage, so the failure is injected
+    monkeypatch.setattr(geoball.pipeline, "sample_episodes", no_episodes)
+    config = PipelineConfig.from_dict(small_config(tmp_path))
     with pytest.raises(PipelineError) as err:
         run_pipeline(config)
     assert err.value.stage == "episodes"
     out = tmp_path / "run"
     present = sorted(p.name for p in out.glob("*"))
     assert present == sorted(ARTIFACT_NAMES[:-1])
+
+
+@pytest.mark.parametrize("overrides, message", [
+    # w exceeds the single novel class
+    ({"episodes": {"w": 5, "s": 2, "q": 2, "n_episodes": 3}},
+     "episodes need w = 5 classes, but the novel split has 1"),
+    ({"generator": {"dim": 12, "per_class": 3}},
+     "episodes need s + q = 4 rows per class, but per_class is 3"),
+])
+def test_undrawable_protocol_is_refused_before_any_stage(tmp_path, overrides,
+                                                        message):
+    config = PipelineConfig.from_dict(small_config(tmp_path, **overrides))
+    with pytest.raises(ValueError, match=re.escape(message)):
+        run_pipeline(config)
+    assert not (tmp_path / "run").exists()
 
 
 def test_config_seed_propagates_unless_overridden(tmp_path):
@@ -225,6 +243,8 @@ def test_config_validation(tmp_path):
     ({"embed": {"seed": -1}}, "config section 'embed': seed must be >= 0"),
     ({"projector": {"seed": -1}},
      "config section 'projector': seed must be >= 0"),
+    ({"negatives_k": 0}, "negatives_k must be >= 1"),
+    ({"negatives_k": -2}, "negatives_k must be >= 1"),
 ])
 def test_config_refuses_a_value_of_the_wrong_type(tmp_path, overrides, message):
     with pytest.raises(ValueError, match=re.escape(message)):

@@ -23,10 +23,10 @@ from geoball.projector import (
     classify,
     classify_batch,
     finetune_fewshot,
-    fit_reduction,
     init_mlp,
     mlp_forward,
     ranking_loss,
+    reduce_features,
     train_base,
 )
 from geoball.projector import (_backprop, _epoch_loss, _fit_reduction,
@@ -242,7 +242,7 @@ def random_gradient_case(seed):
     return x, labels, weights, biases, balls, negative_balls
 
 
-def resolve_hand_made(labels, balls, negative_balls):
+def resolve_hand_made(labels, balls, negative_balls, mu=1.0, nu=1.0):
     """``_resolve_targets`` on a space of the hand-made balls, in which each
     negative ball is a concept of its own."""
     named, pools = dict(balls), {}
@@ -252,7 +252,7 @@ def resolve_hand_made(labels, balls, negative_balls):
     space = BallSpace(len(next(iter(named.values())).centre), tuple(named),
                       np.array([ball.centre for ball in named.values()]),
                       np.array([ball.radius for ball in named.values()]))
-    return _resolve_targets(labels, space, NegativeSets(pools))
+    return _resolve_targets(labels, space, NegativeSets(pools), mu, nu)
 
 
 def loss_and_gradients(x, labels, weights, biases, balls, negative_balls):
@@ -261,8 +261,8 @@ def loss_and_gradients(x, labels, weights, biases, balls, negative_balls):
     rows, targets = resolve_hand_made(labels, balls, negative_balls)
     grads_w = [np.empty_like(w) for w in weights]
     grads_b = [np.empty_like(b) for b in biases]
-    _backprop(x, rows, weights, biases, targets, 1.0, 1.0, grads_w, grads_b)
-    loss = _epoch_loss(x, rows, weights, biases, targets, 1.0, 1.0, len(x))
+    _backprop(x, rows, weights, biases, targets, grads_w, grads_b)
+    loss = _epoch_loss(x, rows, weights, biases, targets, len(x))
     return loss, grads_w, grads_b
 
 
@@ -439,9 +439,9 @@ def test_only_base_learning_computes_a_loss_history(world, monkeypatch):
 # parameter vector replaced, kept as bitwise oracles
 
 
-def oracle_loss_and_grads(x, rows, weights, biases, targets, mu, nu):
+def oracle_loss_and_grads(x, rows, weights, biases, targets):
     acts, zs = _forward_pass(x, weights, biases)
-    loss, delta = _ranking_loss_grad(acts[-1], rows, targets, mu, nu)
+    loss, delta = _ranking_loss_grad(acts[-1], rows, targets)
     m = len(x)
     grads_w = [None] * len(weights)
     grads_b = [None] * len(weights)
@@ -462,8 +462,7 @@ def oracle_run_training(x, rows, weights, biases, targets, config, epochs, seed)
         for start in range(0, len(x), config.batch_size):
             batch = order[start:start + config.batch_size]
             _, grads_w, grads_b = oracle_loss_and_grads(
-                x[batch], rows[batch], weights, biases, targets,
-                config.mu, config.nu)
+                x[batch], rows[batch], weights, biases, targets)
             optimizer.step(grads_w + grads_b)
 
 
@@ -473,7 +472,8 @@ def test_training_matches_per_array_oracle_bitwise(world, optimizer):
                      optimizer=optimizer, learning_rate=0.01)
     mlp, _ = train_base(world.base, world.space, world.negatives, config)
     labels = list(world.base.labels)
-    rows, targets = _resolve_targets(labels, world.space, world.negatives)
+    rows, targets = _resolve_targets(labels, world.space, world.negatives,
+                                     config.mu, config.nu)
     sizes = (world.base.dim, *config.hidden_sizes, world.space.dim)
     init = init_mlp(sizes, seed=config.seed)
     weights = [np.array(w) for w in init.weights]
@@ -487,6 +487,7 @@ def test_training_matches_per_array_oracle_bitwise(world, optimizer):
                              config)
     support = list(world.support.labels)
     rows, targets = _resolve_targets(support, world.space, world.negatives,
+                                     config.mu, config.nu,
                                      restrict_to=set(support))
     weights = [np.array(w) for w in mlp.weights]
     biases = [np.array(b) for b in mlp.biases]
@@ -776,7 +777,7 @@ def test_reduction_frozen_through_finetune(world):
 def test_given_reduction_replaces_the_fit(world):
     fitted, losses = train_base(world.base, world.space, world.negatives,
                                 REDUCE_CONFIG)
-    reduction = fit_reduction(world.base, REDUCE_CONFIG)
+    _, reduction = reduce_features(world.base, REDUCE_CONFIG)
     # a given pair comes with the base split's image under it
     mean, basis = reduction
     reduced = SimpleNamespace(labels=world.base.labels,
@@ -789,8 +790,8 @@ def test_given_reduction_replaces_the_fit(world):
                           REDUCE_CONFIG, reduction=(mean + 1.0, -basis))
     assert np.array_equal(other.input_basis, -basis)
     assert np.array_equal(other.input_mean, mean + 1.0)
-    assert fit_reduction(world.base, replace(REDUCE_CONFIG,
-                                             reduce_dim=None)) is None
+    assert reduce_features(world.base, replace(REDUCE_CONFIG,
+                                               reduce_dim=None))[1] is None
 
 
 @pytest.mark.parametrize("case, message", [
@@ -802,7 +803,7 @@ def test_given_reduction_replaces_the_fit(world):
 ])
 def test_mismatched_reduction_is_refused_before_training(world, monkeypatch,
                                                          case, message):
-    mean, basis = fit_reduction(world.base, REDUCE_CONFIG)
+    _, (mean, basis) = reduce_features(world.base, REDUCE_CONFIG)
     reduced = SimpleNamespace(labels=world.base.labels,
                               features=(world.base.features - mean) @ basis)
     features, reduction = {

@@ -308,11 +308,28 @@ def kink_distance(h, positive, negatives, mu, nu):
     return min(gaps)
 
 
+# the strategy's shape on three concepts: ci has i negative balls
+LOSS_BALLS = {"c0": Ball(np.array([-4.0, 0.5]), 0.7),
+              "c1": Ball(np.array([2.5, -3.0]), 1.1),
+              "c2": Ball(np.array([5.3, 0.2]), 1.3)}
+LOSS_NEGATIVES = {"c0": [], "c1": [Ball(np.array([-0.4, 2.2]), 0.9)],
+                  "c2": [Ball(np.array([1.1, 0.3]), 2.3),
+                         Ball(np.array([0.2, 1.7]), 3.1)]}
+
+
 @given(loss_batches())
+# kink-free, outside its own ball and inside both negatives: three hinges
+# summed in one row
+@example((np.array([[0.3, 0.1]]), ["c2"], LOSS_BALLS, LOSS_NEGATIVES,
+          1.2, 0.9))
+# pools of width 0 and 2 in one batch, so padding sits beside live slots;
+# the last point is on its own centre
+@example((np.array([[-1.0, 0.5], [2.0, 1.0], [-4.0, 0.5]]),
+          ["c0", "c2", "c0"], LOSS_BALLS, LOSS_NEGATIVES, 1.0, 1.0))
 def test_array_ranking_loss_matches_scalar_definition(batch):
     h, labels, balls, negative_balls, mu, nu = batch
-    rows, targets = resolve_hand_made(labels, balls, negative_balls)
-    loss, grad = _ranking_loss_grad(h, rows, targets, mu, nu)
+    rows, targets = resolve_hand_made(labels, balls, negative_balls, mu, nu)
+    loss, grad = _ranking_loss_grad(h, rows, targets)
     assert loss.shape == (len(h),) and grad.shape == h.shape
     assert np.isfinite(grad).all()
     step = 1e-6
