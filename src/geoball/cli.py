@@ -21,7 +21,7 @@ from pathlib import Path
 from .embedding import BallSpace
 from .evaluation import GridSpec, grid_search
 from .harness import (FeatureNpz, atomic_open, read_features_csv,
-                      read_features_npz)
+                      read_features_npz, read_mlp_npz, write_mlp_npz)
 from .jsonio import read_json
 from .negatives import NegativeSets, build_negative_sets
 from .ontology import OntologyError, compute_ich, load_ontology
@@ -40,6 +40,14 @@ def _load(path, cls):
     except (KeyError, TypeError, AttributeError, ValueError) as exc:
         raise ValueError(f"{path} does not hold a {cls.__name__} artifact: "
                          f"{type(exc).__name__}: {exc}") from exc
+
+
+def _load_mlp(path) -> Mlp:
+    """The projector at ``path``: a ``.npz`` as the pipeline writes it
+    (``read_mlp_npz``), any other file as ``Mlp.to_dict``'s JSON."""
+    if Path(path).suffix == ".npz":
+        return read_mlp_npz(path)
+    return _load(path, Mlp)
 
 
 def _read_features(path, on_demand: bool = False):
@@ -146,6 +154,9 @@ def cmd_negatives(args) -> int:
 
 
 def cmd_train_projector(args) -> int:
+    if Path(args.out).suffix != ".npz":
+        raise ValueError(f"--out {args.out}: the projector is written as "
+                         "NPZ, to a path that ends in .npz")
     space = _load(args.space, BallSpace)
     negatives = _load(args.negatives, NegativeSets)
     features = _read_features(args.features)
@@ -153,13 +164,13 @@ def cmd_train_projector(args) -> int:
     mlp, losses = learn_base(features, space, negatives, config.projector,
                              args.verbose)
     print(f"final loss {losses[-1]:.6f}" if losses else "no training epochs")
-    _write_json(args.out, mlp.to_dict())
+    write_mlp_npz(mlp, args.out)
     return 0
 
 
 def cmd_infer(args) -> int:
     space = _load(args.space, BallSpace)
-    mlp = _load(args.mlp, Mlp)
+    mlp = _load_mlp(args.mlp)
     features = _read_features(args.features)
     if args.candidates:
         names = _space_names(args.candidates, space, "--candidates",
@@ -191,7 +202,7 @@ def cmd_infer(args) -> int:
 
 def cmd_episodes(args) -> int:
     space = _load(args.space, BallSpace)
-    mlp = _load(args.mlp, Mlp)
+    mlp = _load_mlp(args.mlp)
     novel = _read_features(args.novel, on_demand=True)
     negatives = _load(args.negatives, NegativeSets)
     config = PipelineConfig.from_json(args.config, args.seed)
@@ -221,7 +232,7 @@ def cmd_viz(args) -> int:
         dataset = _read_features(args.points)
         labels = dataset.labels
         if args.mlp:
-            points = mlp_forward(dataset.features, _load(args.mlp, Mlp))
+            points = mlp_forward(dataset.features, _load_mlp(args.mlp))
         elif dataset.dim == space.dim:
             points = dataset.features
         else:
@@ -298,13 +309,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("space")
     p.add_argument("negatives")
     p.add_argument("features", help="base-split feature file (.npz or CSV)")
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", required=True,
+                   help="projector file to write; must end in .npz")
     p.add_argument("--config", help="pipeline JSON; the projector section is used")
     p.add_argument("--verbose", action="store_true")
 
     p = add("infer", cmd_infer, "classify feature vectors against balls")
     p.add_argument("space")
-    p.add_argument("mlp")
+    p.add_argument("mlp", help="projector file (.npz, or JSON)")
     p.add_argument("features")
     p.add_argument("--candidates", help="comma-separated candidate classes")
     p.add_argument("--ontology", help="enables ancestor reports")
@@ -313,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("episodes", cmd_episodes, "few-shot episode evaluation",
             seeded=True)
     p.add_argument("space")
-    p.add_argument("mlp")
+    p.add_argument("mlp", help="projector file (.npz, or JSON)")
     p.add_argument("--novel", required=True,
                    help="novel-split feature file (.npz or CSV)")
     p.add_argument("--negatives", required=True,
@@ -334,7 +346,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--concepts", help="comma-separated (default: all)")
     p.add_argument("--points",
                    help="feature file (.npz or CSV) to scatter over the balls")
-    p.add_argument("--mlp", help="projector used to map --points into the space")
+    p.add_argument("--mlp", help="projector (.npz, or JSON) used to map "
+                                 "--points into the space")
 
     p = add("pipeline", cmd_pipeline, "run every stage from one config",
             seeded=True)

@@ -26,6 +26,7 @@ import struct
 import warnings
 import weakref
 import zipfile
+from collections import Counter
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -389,10 +390,7 @@ def write_features_npz(dataset: FeatureDataset, path) -> None:
     ``features`` (float64), byte for byte, written without copying the
     features: exact like the CSV, at a fraction of its size and time. A str_
     array drops trailing NULs, so such a label is refused."""
-    for label in dataset.labels:
-        if label.endswith("\x00"):
-            raise ValueError(f"feature NPZ {path}: label {label!r} ends in NUL, "
-                             "which a str_ array would drop")
+    _refuse_nul_labels(dataset.labels, f"feature NPZ {path}")
     with atomic_open(path, "wb") as fh, zipfile.ZipFile(
             fh, "w", zipfile.ZIP_STORED, allowZip64=True) as archive:
         _write_npy_member(archive, "labels.npy",
@@ -401,10 +399,19 @@ def write_features_npz(dataset: FeatureDataset, path) -> None:
                           np.asarray(dataset.features, dtype=np.float64))
 
 
-def _npy_header(entry, name: str):
+# what reading a member of a damaged archive raises besides ValueError:
+# zipfile's NotImplementedError for an unknown compression method and its
+# RuntimeError for an encrypted member among them
+_ARCHIVE_FAULTS = (EOFError, ValueError, zipfile.BadZipFile,
+                   NotImplementedError, RuntimeError)
+
+
+def _npy_header(entry, name: str, size: int):
     """``(shape, fortran_order, dtype)`` of the ``.npy`` member open as
-    ``entry``, which is left at the member's data. An object array, which
-    only unpickling could read, is refused."""
+    ``entry``, whose uncompressed size is ``size`` bytes; ``entry`` is left
+    at the member's data. An object array, which only unpickling could
+    read, is refused, and so is a header that claims more data than the
+    member holds, before anything is allocated for it."""
     fmt = np.lib.format
     version = fmt.read_magic(entry)
     if version not in ((1, 0), (2, 0)):
@@ -415,6 +422,8 @@ def _npy_header(entry, name: str):
     if dtype.hasobject:
         raise ValueError(f"{name} holds Python objects, which are not "
                          "unpickled (allow_pickle=False)")
+    if math.prod(shape) * dtype.itemsize > size - entry.tell():
+        raise ValueError(f"{name} is truncated")
     return shape, fortran_order, dtype
 
 
@@ -446,12 +455,14 @@ def _checked_npz(fh, path, whole: bool):
                        if f"{key}.npy" not in members]
             if missing:
                 raise ValueError(f"missing arrays {missing}")
-            with archive.open("labels.npy") as entry:
-                labels = _read_npy_data(entry, "labels.npy",
-                                        *_npy_header(entry, "labels.npy"))
+            info = archive.getinfo("labels.npy")
+            with archive.open(info) as entry:
+                labels = _read_npy_data(entry, "labels.npy", *_npy_header(
+                    entry, "labels.npy", info.file_size))
             info = archive.getinfo("features.npy")
             with archive.open(info) as entry:
-                shape, fortran_order, dtype = _npy_header(entry, "features.npy")
+                shape, fortran_order, dtype = _npy_header(
+                    entry, "features.npy", info.file_size)
                 if dtype != np.float64 or len(shape) != 2 or shape[1] < 1:
                     raise ValueError("needs a float64 matrix with at least "
                                      f"one column, not {dtype} {shape}")
@@ -484,7 +495,7 @@ def _checked_npz(fh, path, whole: bool):
                                                     local)
         return (tuple(labels.tolist()), shape[1], None,
                 info.header_offset + len(local) + name_bytes + extra_bytes + at)
-    except (EOFError, ValueError, zipfile.BadZipFile) as exc:
+    except _ARCHIVE_FAULTS as exc:
         raise ValueError(f"feature NPZ {path}: {exc}") from exc
 
 
@@ -569,6 +580,94 @@ class FeatureNpz(_Labelled):
 
     def __exit__(self, *exc) -> None:
         self.close()
+
+
+def _refuse_nul_labels(labels, what: str) -> None:
+    """A str_ array drops a label's trailing NULs, so such a label is
+    refused before it is written."""
+    for label in labels:
+        if label.endswith("\x00"):
+            raise ValueError(f"{what}: label {label!r} ends in NUL, which a "
+                             "str_ array would drop")
+
+
+def write_mlp_npz(mlp: Mlp, path) -> None:
+    """``mlp`` as an uncompressed ``np.savez``-style archive: ``sizes``
+    (int64), ``trained_labels`` (sorted, a str_ array), ``weights_<i>`` and
+    ``biases_<i>`` (float64), and ``input_mean`` and ``input_basis`` when
+    there is an input reduction. The parameters are streamed from their own
+    buffers, so what is read back is bitwise what was trained."""
+    _refuse_nul_labels(mlp.trained_labels, f"projector NPZ {path}")
+    members = {"sizes": np.array(mlp.sizes, dtype=np.int64),
+               "trained_labels": np.array(sorted(mlp.trained_labels),
+                                          dtype=str)}
+    for i, (w, b) in enumerate(zip(mlp.weights, mlp.biases)):
+        members[f"weights_{i}"], members[f"biases_{i}"] = w, b
+    if mlp.input_basis is not None:
+        members["input_mean"] = mlp.input_mean
+        members["input_basis"] = mlp.input_basis
+    with atomic_open(path, "wb") as fh, zipfile.ZipFile(
+            fh, "w", zipfile.ZIP_STORED, allowZip64=True) as archive:
+        for name, array in members.items():
+            _write_npy_member(archive, f"{name}.npy", array)
+
+
+def read_mlp_npz(path) -> Mlp:
+    """The projector ``write_mlp_npz`` wrote, loaded without unpickling and
+    built through ``Mlp``'s constructor, which checks shapes and finiteness.
+    A missing or extra member, a parameter that is not float64, ``sizes``
+    that are not 1-D integers, or labels that are not 1-D str, sorted and
+    distinct (a str_ array drops trailing NULs, so a label that ended in
+    one can come back as another) is a ValueError that names the file."""
+    try:
+        with open(path, "rb") as fh, zipfile.ZipFile(fh) as archive:
+            def read(name):
+                info = archive.getinfo(f"{name}.npy")
+                with archive.open(info) as entry:
+                    return _read_npy_data(entry, info.filename, *_npy_header(
+                        entry, info.filename, info.file_size))
+
+            members = archive.namelist()
+            if "sizes.npy" not in members:
+                raise ValueError("missing members ['sizes.npy']")
+            sizes = read("sizes")
+            if sizes.ndim != 1 or sizes.dtype.kind not in "iu":
+                raise ValueError("sizes must be 1-D integers, not "
+                                 f"{sizes.dtype} {sizes.shape}")
+            layers = [f"{kind}_{i}" for i in range(len(sizes) - 1)
+                      for kind in ("weights", "biases")]
+            if {"input_mean.npy", "input_basis.npy"} & set(members):
+                layers += ["input_mean", "input_basis"]
+            expected = [f"{name}.npy"
+                        for name in ("sizes", "trained_labels", *layers)]
+            missing = sorted(set(expected) - set(members))
+            extra = sorted((Counter(members) - Counter(expected)).elements())
+            if missing or extra:
+                raise ValueError(", ".join(
+                    f"{what} members {names}" for what, names in
+                    (("missing", missing), ("unexpected", extra)) if names))
+            labels = read("trained_labels")
+            if labels.ndim != 1 or labels.dtype.kind != "U":
+                raise ValueError("trained_labels must be 1-D str, not "
+                                 f"{labels.dtype} {labels.shape}")
+            labels = labels.tolist()
+            if any(a >= b for a, b in zip(labels, labels[1:])):
+                raise ValueError("trained_labels must be sorted and distinct")
+            params = {}
+            for name in layers:
+                params[name] = read(name)
+                if params[name].dtype != np.float64:
+                    raise ValueError(f"{name}.npy must be float64, not "
+                                     f"{params[name].dtype}")
+        n = len(sizes) - 1
+        return Mlp(sizes=tuple(sizes.tolist()),
+                   weights=tuple(params[f"weights_{i}"] for i in range(n)),
+                   biases=tuple(params[f"biases_{i}"] for i in range(n)),
+                   trained_labels=frozenset(labels),
+                   input_mean=params.get("input_mean"),
+                   input_basis=params.get("input_basis"))
+    except _ARCHIVE_FAULTS as exc:
+        raise ValueError(f"projector NPZ {path}: {exc}") from exc
 
 
 def synthetic_ontology(fanouts) -> Ontology:
@@ -701,7 +800,14 @@ class Episode:
 def sample_episode(novel: FeatureDataset | FeatureNpz, w: int, s: int,
                    q: int, seed: int) -> Episode:
     """Seeded class and example sampling without replacement."""
-    by_class = novel.class_indices()
+    return _sample_episode(novel, novel.class_indices(), w, s, q, seed)
+
+
+def _sample_episode(novel: FeatureDataset | FeatureNpz,
+                    by_class: dict[str, np.ndarray], w: int, s: int, q: int,
+                    seed: int) -> Episode:
+    """``sample_episode`` with the rows of each class (``class_indices``)
+    given, so that a run of episodes passes over the labels once."""
     names = sorted(by_class)
     if w > len(names):
         raise ValueError(f"episode wants {w} classes, split has {len(names)}")
@@ -723,7 +829,9 @@ def sample_episode(novel: FeatureDataset | FeatureNpz, w: int, s: int,
 def sample_episodes(novel: FeatureDataset | FeatureNpz, w: int, s: int,
                     q: int, n_episodes: int, seed: int) -> list[Episode]:
     seeds = np.random.SeedSequence(seed).generate_state(n_episodes)
-    return [sample_episode(novel, w, s, q, int(ep_seed)) for ep_seed in seeds]
+    by_class = novel.class_indices()
+    return [_sample_episode(novel, by_class, w, s, q, int(ep_seed))
+            for ep_seed in seeds]
 
 
 @dataclass(frozen=True)

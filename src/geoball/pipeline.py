@@ -15,7 +15,7 @@ it. On one usable CPU the halves run in this process, embed first.
 Every stage derives its seed from the global one unless its config section
 pins its own (``PipelineConfig``, which reads every subcommand's
 ``--config`` too), so re-running the same config file at the same BLAS
-thread count reproduces each artifact byte for byte; ``mlp.json`` and
+thread count reproduces each artifact byte for byte; ``mlp.npz`` and
 ``report.json`` can differ between thread counts, since LAPACK's threaded
 ``eigh`` behind the input reduction does. A stage
 failure aborts the run with the stage name attached; artifacts of completed
@@ -53,6 +53,7 @@ from .harness import (
     sample_episodes,
     split_leaves,
     write_features_npz,
+    write_mlp_npz,
 )
 from .jsonio import check_fields, read_json
 from .negatives import build_negative_sets
@@ -67,7 +68,7 @@ ARTIFACT_NAMES = (
     "negatives.json",
     "features_base.npz",
     "features_novel.npz",
-    "mlp.json",
+    "mlp.npz",
     "report.json",
 )
 
@@ -352,7 +353,7 @@ def run_pipeline(config: PipelineConfig, verbose: bool = False) -> list[Path]:
             base = read_features_npz(out / "features_base.npz")
         mlp, losses = learn_base(base, space, negatives, config.projector,
                                  verbose, "projector ", reduction)
-        _write_json(out / "mlp.json", mlp.to_dict())
+        write_mlp_npz(mlp, out / "mlp.npz")
     with _stage("episodes"), FeatureNpz(out / "features_novel.npz") as novel:
         summary = episodes_report(space, mlp, novel, negatives,
                                   config.projector, config.episodes,

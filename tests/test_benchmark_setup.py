@@ -16,7 +16,7 @@ from geoball.cli import main
 REPO = Path(__file__).resolve().parents[1]
 WORLD_FILES = ("space.json", "mlp.json", "negatives.json", "features_novel.csv")
 DESK_ARTIFACTS = ("space.json", "negatives.json", "features_base.npz",
-                  "features_novel.npz", "mlp.json", "report.json")
+                  "features_novel.npz", "mlp.npz", "report.json")
 
 
 def set_up(workload, out):

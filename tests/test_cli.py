@@ -2,8 +2,10 @@
 
 import argparse
 import inspect
+import io
 import json
 import re
+import zipfile
 
 import numpy as np
 import pytest
@@ -12,8 +14,8 @@ import geoball.cli
 import geoball.pipeline
 from geoball.cli import main
 from geoball.harness import (FeatureDataset, read_features_csv,
-                             read_features_npz, write_features_csv,
-                             write_features_npz)
+                             read_features_npz, read_mlp_npz,
+                             write_features_csv, write_features_npz)
 from geoball.pipeline import ARTIFACT_NAMES
 from test_pipeline import POODLE, small_config
 
@@ -141,7 +143,7 @@ def test_stagewise_chain_matches_pipeline(poodle_path, config_path, tmp_path,
     pipeline subcommand; the shared artifacts must agree byte for byte."""
     space = tmp_path / "space.json"
     negs = tmp_path / "negatives.json"
-    mlp = tmp_path / "mlp.json"
+    mlp = tmp_path / "mlp.npz"
     report_a = tmp_path / "report_a.json"
     report_b = tmp_path / "report_b.json"
 
@@ -167,7 +169,7 @@ def test_stagewise_chain_matches_pipeline(poodle_path, config_path, tmp_path,
 
     assert space.read_bytes() == (run_dir / "space.json").read_bytes()
     assert negs.read_bytes() == (run_dir / "negatives.json").read_bytes()
-    assert mlp.read_bytes() == (run_dir / "mlp.json").read_bytes()
+    assert mlp.read_bytes() == (run_dir / "mlp.npz").read_bytes()
     assert report_a.read_bytes() == report_b.read_bytes()
     report = json.loads(report_a.read_text())
     assert report["episodes"]["accuracy"] == 1.0  # w=1 protocol
@@ -182,7 +184,7 @@ def test_infer_and_viz_consume_pipeline_artifacts(config_path, tmp_path,
     run_dir = tmp_path / "run"
     preds = tmp_path / "preds.json"
     assert main(["infer", str(run_dir / "space.json"),
-                 str(run_dir / "mlp.json"),
+                 str(run_dir / "mlp.npz"),
                  str(run_dir / "features_base.npz"),
                  "--out", str(preds)]) == 0
     assert "accuracy" in capsys.readouterr().out
@@ -198,9 +200,19 @@ def test_infer_and_viz_consume_pipeline_artifacts(config_path, tmp_path,
         base.features.tobytes()
     preds_csv = tmp_path / "preds_csv.json"
     assert main(["infer", str(run_dir / "space.json"),
-                 str(run_dir / "mlp.json"), str(exported),
+                 str(run_dir / "mlp.npz"), str(exported),
                  "--out", str(preds_csv)]) == 0
     assert preds_csv.read_bytes() == preds.read_bytes()
+
+    # the projector imported from Mlp.to_dict's JSON gives the same too
+    mlp_json = tmp_path / "mlp.json"
+    mlp_json.write_text(json.dumps(
+        read_mlp_npz(run_dir / "mlp.npz").to_dict()))
+    preds_json = tmp_path / "preds_json.json"
+    assert main(["infer", str(run_dir / "space.json"), str(mlp_json),
+                 str(run_dir / "features_base.npz"),
+                 "--out", str(preds_json)]) == 0
+    assert preds_json.read_bytes() == preds.read_bytes()
 
     svg = tmp_path / "balls.svg"
     assert main(["viz", str(run_dir / "space.json"), "--out", str(svg),
@@ -211,7 +223,7 @@ def test_infer_and_viz_consume_pipeline_artifacts(config_path, tmp_path,
     dotted = tmp_path / "dots.svg"
     assert main(["viz", str(run_dir / "space.json"), "--out", str(dotted),
                  "--points", str(run_dir / "features_base.npz"),
-                 "--mlp", str(run_dir / "mlp.json")]) == 0
+                 "--mlp", str(run_dir / "mlp.npz")]) == 0
     assert "circle" in dotted.read_text()
 
 
@@ -296,13 +308,34 @@ def test_train_projector_prints_the_pipelines_loss_lines(config_path,
     projector = loss_lines(capsys.readouterr().out, "projector ")
     assert len(projector) == small_config(tmp_path)["projector"]["epochs_bl"]
     run_dir = tmp_path / "run"
-    mlp = tmp_path / "mlp.json"
+    mlp = tmp_path / "mlp.npz"
     assert main(["train-projector", str(run_dir / "space.json"),
                  str(run_dir / "negatives.json"),
                  str(run_dir / "features_base.npz"), "--out", str(mlp),
                  "--config", str(config_path), "--verbose"]) == 0
     assert loss_lines(capsys.readouterr().out) == projector
-    assert mlp.read_bytes() == (run_dir / "mlp.json").read_bytes()
+    assert mlp.read_bytes() == (run_dir / "mlp.npz").read_bytes()
+
+
+@pytest.mark.parametrize("name", ["mlp.json", "mlp", "mlp.npz.tmp"])
+def test_train_projector_out_must_end_in_npz(world, tmp_path, capsys,
+                                             monkeypatch, name):
+    """Another --out is refused with one line that names it, before any
+    training runs, and nothing is written."""
+    run_dir, config = world
+
+    def no_training(*args, **kwargs):
+        raise AssertionError("base learning ran")
+
+    monkeypatch.setattr(geoball.pipeline, "train_base", no_training)
+    out = tmp_path / name
+    assert main(["train-projector", str(run_dir / "space.json"),
+                 str(run_dir / "negatives.json"),
+                 str(run_dir / "features_base.npz"), "--out", str(out),
+                 "--config", str(config)]) == 1
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith(f"error: --out {out}: ") and ".npz" in line
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_pipeline_seed_flag_matches_config_global_seed(tmp_path):
@@ -335,7 +368,7 @@ def test_episodes_config_seed_reproduces_pipeline_report(world, tmp_path):
     for flags in (["--w", "1", "--s", "2", "--q", "2", "--episodes", "3"],
                   [], ["--episodes", "2"]):
         assert main(["episodes", str(run_dir / "space.json"),
-                     str(run_dir / "mlp.json"),
+                     str(run_dir / "mlp.npz"),
                      "--novel", str(run_dir / "features_novel.npz"),
                      "--negatives", str(run_dir / "negatives.json"), *flags,
                      "--ontology", str(config.parent / "poodle.json"),
@@ -366,7 +399,7 @@ def test_episodes_report_is_the_same_from_every_npz_form(world, tmp_path):
     for path in (stored, compressed, fortran):
         out = tmp_path / f"{path.stem}.json"
         assert main(["episodes", str(run_dir / "space.json"),
-                     str(run_dir / "mlp.json"), "--novel", str(path),
+                     str(run_dir / "mlp.npz"), "--novel", str(path),
                      "--negatives", str(run_dir / "negatives.json"),
                      "--ontology", str(config.parent / "poodle.json"),
                      "--config", str(config), "--out", str(out)]) == 0
@@ -404,7 +437,7 @@ def test_stage_seed_precedence(world, tmp_path, monkeypatch, stage, doc,
         path = tmp_path / "config.json"
         path.write_text(json.dumps({"seed": doc["seed"], stage: section}))
         argv = [*flag, "--config", str(path)]
-    out = str(tmp_path / "out.json")
+    out = str(tmp_path / ("out.json" if stage == "embed" else "out.npz"))
     if stage == "embed":
         argv = ["embed", str(config.parent / "poodle.json"), "--out", out, *argv]
     else:
@@ -420,7 +453,7 @@ def test_empty_feature_csv_is_a_clean_error(world, tmp_path, capsys):
     empty = tmp_path / "empty.csv"
     empty.write_text("")
     assert main(["episodes", str(run_dir / "space.json"),
-                 str(run_dir / "mlp.json"), "--novel", str(empty),
+                 str(run_dir / "mlp.npz"), "--novel", str(empty),
                  "--negatives", str(run_dir / "negatives.json")]) == 1
     assert capsys.readouterr().err.startswith("error: ")
 
@@ -431,7 +464,7 @@ def test_header_only_feature_csv_is_a_clean_infer_error(world, tmp_path,
     header_only = tmp_path / "header.csv"
     header_only.write_text("label,f_1,f_2\n")
     assert main(["infer", str(run_dir / "space.json"),
-                 str(run_dir / "mlp.json"), str(header_only)]) == 1
+                 str(run_dir / "mlp.npz"), str(header_only)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and str(header_only) in err
 
@@ -442,7 +475,7 @@ def test_header_only_feature_csv_is_a_clean_infer_error(world, tmp_path,
     ({"embed": 5}, ["embed", "ONTOLOGY", "--out", "OUT"]),
     ({"embed": [["dim", 4]]}, ["embed", "ONTOLOGY", "--out", "OUT"]),
     ({"projector": "adam"}, ["train-projector", "SPACE", "NEGATIVES",
-                             "FEATURES", "--out", "OUT"]),
+                             "FEATURES", "--out", "MLP_OUT"]),
     ({"episodes": [1, 2]}, ["episodes", "SPACE", "MLP", "--novel", "FEATURES",
                             "--negatives", "NEGATIVES"]),
 ])
@@ -450,8 +483,8 @@ def test_config_document_that_is_not_an_object_is_a_clean_error(
         world, tmp_path, capsys, doc, argv):
     run_dir, config = world
     paths = {"ONTOLOGY": config.parent / "poodle.json",
-             "OUT": tmp_path / "out.json",
-             "SPACE": run_dir / "space.json", "MLP": run_dir / "mlp.json",
+             "OUT": tmp_path / "out.json", "MLP_OUT": tmp_path / "out.npz",
+             "SPACE": run_dir / "space.json", "MLP": run_dir / "mlp.npz",
              "NEGATIVES": run_dir / "negatives.json",
              "FEATURES": run_dir / "features_base.npz"}
     bad = tmp_path / "bad.json"
@@ -460,7 +493,7 @@ def test_config_document_that_is_not_an_object_is_a_clean_error(
                 + ["--config", str(bad)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "a JSON object" in err
-    assert not (tmp_path / "out.json").exists()
+    assert not paths["OUT"].exists() and not paths["MLP_OUT"].exists()
 
 
 def test_one_config_document_gets_one_verdict(world, tmp_path, capsys):
@@ -468,8 +501,9 @@ def test_one_config_document_gets_one_verdict(world, tmp_path, capsys):
     pipeline reads it: a bad section that it does not use is an error, the
     same one everywhere, and is found before the missing paths are."""
     run_dir, config = world
-    space, mlp, negatives = (str(run_dir / f"{name}.json")
-                             for name in ("space", "mlp", "negatives"))
+    space, negatives = (str(run_dir / f"{name}.json")
+                        for name in ("space", "negatives"))
+    mlp, mlp_out = str(run_dir / "mlp.npz"), tmp_path / "out.npz"
     ontology, out = str(config.parent / "poodle.json"), tmp_path / "out.json"
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"embed": {"dim": "big"},
@@ -478,7 +512,7 @@ def test_one_config_document_gets_one_verdict(world, tmp_path, capsys):
     for argv in (["embed", ontology, "--out", str(out)],
                  ["tune", ontology, "--out", str(out)],
                  ["train-projector", space, negatives,
-                  str(run_dir / "features_base.npz"), "--out", str(out)],
+                  str(run_dir / "features_base.npz"), "--out", str(mlp_out)],
                  ["episodes", space, mlp, "--negatives", negatives,
                   "--novel", str(run_dir / "features_novel.npz")],
                  ["pipeline"]):
@@ -486,13 +520,13 @@ def test_one_config_document_gets_one_verdict(world, tmp_path, capsys):
         lines += capsys.readouterr().err.splitlines()
     assert lines == ["error: config section 'embed' key 'dim' must be int, "
                      'not "big"'] * 5
-    assert not out.exists()
+    assert not out.exists() and not mlp_out.exists()
 
 
 def test_cli_rejects_non_finite_and_bad_artifacts(world, tmp_path, capsys):
     run_dir, _ = world
     space = json.loads((run_dir / "space.json").read_text())
-    mlp = json.loads((run_dir / "mlp.json").read_text())
+    mlp = read_mlp_npz(run_dir / "mlp.npz").to_dict()
     base = read_features_npz(run_dir / "features_base.npz")
     features = base.features.copy()
     features[0, 0] = np.nan
@@ -518,7 +552,7 @@ def test_cli_rejects_non_finite_and_bad_artifacts(world, tmp_path, capsys):
     bad_mlp = tmp_path / "bad_mlp.json"
     bad_mlp.write_text(json.dumps(mlp))
 
-    good_space, good_mlp = str(run_dir / "space.json"), str(run_dir / "mlp.json")
+    good_space, good_mlp = str(run_dir / "space.json"), str(run_dir / "mlp.npz")
     good_features = str(run_dir / "features_base.npz")
     for argv in (["infer", good_space, good_mlp, str(bad_csv)],
                  ["infer", good_space, good_mlp, str(bad_npz)],
@@ -552,7 +586,7 @@ def test_artifact_of_the_wrong_shape_is_a_clean_error(world, tmp_path, capsys):
     """Valid JSON that is not the artifact a command reads is refused with
     one line naming the file and the artifact kind."""
     run_dir, _ = world
-    mlp = json.loads((run_dir / "mlp.json").read_text())
+    mlp = read_mlp_npz(run_dir / "mlp.npz").to_dict()
     del mlp["weights"]
     bad = {}
     for name, doc in (("space", {"dim": 2, "balls": []}),
@@ -561,18 +595,18 @@ def test_artifact_of_the_wrong_shape_is_a_clean_error(world, tmp_path, capsys):
         bad[name].write_text(json.dumps(doc))
     space = str(run_dir / "space.json")
     features = str(run_dir / "features_base.npz")
-    out = str(tmp_path / "out.json")
+    out, mlp_out = str(tmp_path / "out.json"), tmp_path / "out.npz"
     for argv, path, kind in (
             (["negatives", str(bad["space"]), "--out", out], bad["space"],
              "BallSpace"),
             (["train-projector", space, str(bad["negatives"]), features,
-              "--out", out], bad["negatives"], "NegativeSets"),
+              "--out", str(mlp_out)], bad["negatives"], "NegativeSets"),
             (["infer", space, str(bad["mlp"]), features], bad["mlp"], "Mlp")):
         assert main(argv) == 1, argv
         (line,) = capsys.readouterr().err.splitlines()
         assert line.startswith("error: ")
         assert f"{path} does not hold a {kind} artifact" in line
-    assert not (tmp_path / "out.json").exists()
+    assert not (tmp_path / "out.json").exists() and not mlp_out.exists()
 
 
 NAME_FLAGS = (
@@ -596,7 +630,7 @@ def test_unknown_names_in_a_flag_are_a_clean_error(world, tmp_path, capsys,
                                                     flag, argv, names,
                                                     message):
     run_dir, _ = world
-    paths = {"SPACE": run_dir / "space.json", "MLP": run_dir / "mlp.json",
+    paths = {"SPACE": run_dir / "space.json", "MLP": run_dir / "mlp.npz",
              "FEATURES": run_dir / "features_novel.npz",
              "OUT": tmp_path / "out.json"}
     assert main([str(paths.get(arg, arg)) for arg in argv]
@@ -612,7 +646,7 @@ def test_infer_against_another_space_names_both_files(world, tmp_path,
     """Without --candidates, infer classifies into the projector's trained
     labels; one with no ball in the space is named with both files."""
     run_dir, _ = world
-    trained = json.loads((run_dir / "mlp.json").read_text())["trained_labels"]
+    trained = read_mlp_npz(run_dir / "mlp.npz").trained_labels
     space = json.loads((run_dir / "space.json").read_text())
     gone = sorted(trained)[:2]
     for name in gone:
@@ -620,11 +654,11 @@ def test_infer_against_another_space_names_both_files(world, tmp_path,
     other = tmp_path / "other_space.json"
     other.write_text(json.dumps(space))
     out = tmp_path / "preds.json"
-    assert main(["infer", str(other), str(run_dir / "mlp.json"),
+    assert main(["infer", str(other), str(run_dir / "mlp.npz"),
                  str(run_dir / "features_base.npz"), "--out", str(out)]) == 1
     (line,) = capsys.readouterr().err.splitlines()
     assert line == (f"error: no ball for the trained labels of projector "
-                    f"{run_dir / 'mlp.json'} (space {other}): {gone}")
+                    f"{run_dir / 'mlp.npz'} (space {other}): {gone}")
     assert not out.exists()
 
 
@@ -640,7 +674,7 @@ def test_negatives_without_a_ball_are_a_clean_error(world, tmp_path, capsys,
     doc = json.loads((run_dir / "negatives.json").read_text())
     bad = tmp_path / "negatives.json"
     bad.write_text(json.dumps({name: value for name in doc}))
-    out = tmp_path / "mlp.json"
+    out = tmp_path / "mlp.npz"
     assert main(["train-projector", str(run_dir / "space.json"), str(bad),
                  str(run_dir / "features_base.npz"), "--out", str(out)]) == 1
     (line,) = capsys.readouterr().err.splitlines()
@@ -688,7 +722,7 @@ def test_a_grid_value_that_is_not_a_finite_number_is_a_clean_tune_error(
     ["embed", "ONTOLOGY", "--out", "OUT", "--config", "BAD"],
     ["pipeline", "--config", "BAD"],
     ["negatives", "BAD", "--out", "OUT"],
-    ["train-projector", "SPACE", "BAD", "FEATURES", "--out", "OUT"],
+    ["train-projector", "SPACE", "BAD", "FEATURES", "--out", "MLP_OUT"],
     ["infer", "SPACE", "BAD", "FEATURES", "--out", "OUT"],
 ], ids=["ontology", "embed-config", "pipeline-config", "space", "negatives",
         "mlp"])
@@ -697,13 +731,14 @@ def test_a_json_syntax_error_names_the_file(world, tmp_path, capsys, argv):
     paths = {"ONTOLOGY": config.parent / "poodle.json",
              "SPACE": run_dir / "space.json",
              "FEATURES": run_dir / "features_base.npz",
-             "OUT": tmp_path / "out.json", "BAD": tmp_path / "bad.json"}
+             "OUT": tmp_path / "out.json", "MLP_OUT": tmp_path / "out.npz",
+             "BAD": tmp_path / "bad.json"}
     paths["BAD"].write_text('{"a": 1,}')
     assert main([str(paths.get(arg, arg)) for arg in argv]) == 1
     (line,) = capsys.readouterr().err.splitlines()
     assert line.startswith("error: ") and str(paths["BAD"]) in line
     assert "syntax error at line 1, column 9" in line
-    assert not paths["OUT"].exists()
+    assert not paths["OUT"].exists() and not paths["MLP_OUT"].exists()
 
 
 DROPPED = object()
@@ -736,9 +771,8 @@ def test_artifact_fields_are_checked_like_config_fields(
     """A float is not truncated to an int, a numeric string is not read as
     a number, and a string is not a list of names."""
     run_dir, _ = world
-    files = {name: run_dir / f"{name}.json"
-             for name in ("space", "mlp", "negatives")}
-    doc = json.loads(files[kind].read_text())
+    files = world_files(run_dir)
+    doc = json_doc(files[kind])
     set_at(doc, path, value)
     files[kind] = tmp_path / f"{kind}.json"
     files[kind].write_text(json.dumps(doc))
@@ -748,6 +782,20 @@ def test_artifact_fields_are_checked_like_config_fields(
     (line,) = capsys.readouterr().err.splitlines()
     assert line.startswith(f"error: {files[kind]} does not hold a ")
     assert names in line
+
+
+def world_files(run_dir):
+    """The space, projector and negative sets a world's pipeline wrote."""
+    return {"space": run_dir / "space.json", "mlp": run_dir / "mlp.npz",
+            "negatives": run_dir / "negatives.json"}
+
+
+def json_doc(path):
+    """The JSON document of the artifact at ``path``; for the projector NPZ,
+    the document ``Mlp.to_dict`` gives, which the JSON import path reads."""
+    if path.suffix == ".npz":
+        return read_mlp_npz(path).to_dict()
+    return json.loads(path.read_text())
 
 
 def mutation_sites(doc, path=(), every=((),)):
@@ -809,6 +857,58 @@ def feature_mutations(dataset):
         yield what, {"labels": labels, "features": features, **arrays}
 
 
+def npz_bytes(arrays, cut: str | None = None) -> bytes:
+    """The bytes ``np.savez`` writes for ``arrays``, with the last 8 bytes
+    of member ``cut`` left out."""
+    buf = io.BytesIO()
+    with zipfile.ZipFile(buf, "w") as archive:
+        for name, array in arrays.items():
+            member = io.BytesIO()
+            np.save(member, array)
+            data = member.getvalue()
+            archive.writestr(f"{name}.npy", data[:-8] if name == cut else data)
+    return buf.getvalue()
+
+
+def mlp_npz_mutations(path):
+    """``(what, bytes)`` for mutations of the projector NPZ at ``path``: a
+    member dropped or added, a parameter of another type, shape or value, a
+    label that ends in NUL, and the file's bytes cut short."""
+    with np.load(path, allow_pickle=False) as npz:
+        members = {name: npz[name] for name in npz.files}
+    labels = members["trained_labels"]
+    with_nan = members["weights_0"].copy()
+    with_nan[0, 0] = np.nan
+    for name in members:
+        yield f"{name} dropped", npz_bytes(
+            {key: value for key, value in members.items() if key != name})
+    for what, arrays in (
+            ("an extra member", {"extra": np.zeros(1)}),
+            ("float32 weights", {"weights_0":
+                                 members["weights_0"].astype(np.float32)}),
+            ("int biases", {"biases_0":
+                            members["biases_0"].astype(np.int64)}),
+            ("object weights", {"weights_1":
+                                members["weights_1"].astype(object)}),
+            ("transposed weights", {"weights_0": members["weights_0"].T}),
+            ("a short bias", {"biases_1": members["biases_1"][:-1]}),
+            ("float sizes", {"sizes": members["sizes"].astype(float)}),
+            ("one size", {"sizes": members["sizes"][:1]}),
+            ("a NaN weight", {"weights_0": with_nan}),
+            ("a label that ends in NUL",
+             {"trained_labels": np.array([labels[0] + "\x00",
+                                          *labels[1:]])}),
+            ("a label repeated with a NUL",
+             {"trained_labels": np.array([labels[0], labels[0] + "\x00",
+                                          *labels[1:]])}),
+            ("integer labels", {"trained_labels": np.arange(len(labels))})):
+        yield what, npz_bytes({**members, **arrays})
+    yield "a member's data cut short", npz_bytes(members, cut="weights_1")
+    data = path.read_bytes()
+    for cut in (0, 100, len(data) // 2, len(data) - 1):
+        yield f"cut to {cut} bytes", data[:cut]
+
+
 def csv_mutations(text: str):
     """``(what, bytes)`` for mutations of a feature CSV's ``text``: its
     header, the fields of its first row, its line ends and its encoding."""
@@ -846,7 +946,8 @@ def csv_mutations(text: str):
 @pytest.mark.parametrize("kind, command", [
     ("space", "episodes"), ("space", "infer"), ("space", "negatives"),
     ("space", "viz"), ("negatives", "episodes"), ("mlp", "episodes"),
-    ("mlp", "infer"), ("ontology", "ingest"), ("ontology", "embed"),
+    ("mlp", "infer"), ("mlp.npz", "episodes"), ("mlp.npz", "infer"),
+    ("mlp.npz", "viz --mlp"), ("ontology", "ingest"), ("ontology", "embed"),
     ("ontology", "tune"), ("ontology", "infer --ontology"),
     ("config", "embed"), ("config", "tune"),
     ("config", "train-projector"), ("config", "episodes"),
@@ -859,14 +960,15 @@ def test_every_mutated_artifact_ends_cleanly(world, tmp_path, capfd,
     """Each structured mutation of a valid input file (a dropped key or
     entry, a shortened list, a value of another type, NaN, an empty
     container or an unknown name; for a feature file, a changed label, a
-    changed shape or type, or a NaN; for a feature CSV, a changed header,
-    row, value, label, line end or byte) ends in exit 0, or in exit 1 with
+    changed shape or type, or a NaN; for a projector NPZ, a dropped or extra
+    member, a changed type, shape or value, a label that ends in NUL, or
+    cut bytes; for a feature CSV, a changed header, row, value, label, line
+    end or byte) ends in exit 0, or in exit 1 with
     exactly one ``error:`` line and no traceback. A config's every section
     is mutated at every key under every command that takes --config, since
     each reads the whole document."""
     run_dir, config = world
-    files = {name: run_dir / f"{name}.json"
-             for name in ("space", "mlp", "negatives")}
+    files = world_files(run_dir)
     files["ontology"] = config.parent / "poodle.json"
     files["config"] = config
     novel, base = run_dir / "features_novel.npz", run_dir / "features_base.npz"
@@ -883,8 +985,12 @@ def test_every_mutated_artifact_ends_cleanly(world, tmp_path, capfd,
         write_features_csv(read_features_npz(source), novel)
         cases = csv_mutations(novel.read_text())
         write = novel.write_bytes
+    elif kind == "mlp.npz":
+        cases = mlp_npz_mutations(files["mlp"])
+        files["mlp"] = tmp_path / "mlp.npz"
+        write = files["mlp"].write_bytes
     else:
-        doc = json.loads(files[kind].read_text())
+        doc = json_doc(files[kind])
         every = ((),)
         if kind == "config":
             # a run writes into this test's directory, never into the
@@ -907,6 +1013,9 @@ def test_every_mutated_artifact_ends_cleanly(world, tmp_path, capfd,
                                  "--ontology", files["ontology"]],
             "negatives": ["negatives", files["space"], "--out", out],
             "viz": ["viz", files["space"], "--out", tmp_path / "balls.svg"],
+            "viz --mlp": ["viz", files["space"], "--out",
+                          tmp_path / "balls.svg", "--points", novel,
+                          "--mlp", files["mlp"]],
             "ingest": ["ingest", files["ontology"]],
             "embed": ["embed", files["ontology"], "--out", out,
                       "--config", files["config"]],
@@ -914,7 +1023,8 @@ def test_every_mutated_artifact_ends_cleanly(world, tmp_path, capfd,
                      "--config", files["config"], "--gammas=-0.1",
                      "--psis", "0.3", "--phis", "2"],
             "train-projector": ["train-projector", files["space"],
-                                files["negatives"], base, "--out", out,
+                                files["negatives"], base,
+                                "--out", tmp_path / "out.npz",
                                 "--config", files["config"]],
             "pipeline": ["pipeline", "--config", files["config"]]}[command]
     faults = []

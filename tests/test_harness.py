@@ -9,6 +9,8 @@ import re
 import signal
 import tracemalloc
 import warnings
+import zipfile
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -24,6 +26,7 @@ from geoball.harness import (
     generate_synthetic_features,
     read_features_csv,
     read_features_npz,
+    read_mlp_npz,
     sample_episode,
     sample_episodes,
     split_leaves,
@@ -31,11 +34,12 @@ from geoball.harness import (
     evaluate_episodes,
     write_features_csv,
     write_features_npz,
+    write_mlp_npz,
 )
 from geoball.negatives import build_negative_sets
 from geoball.ontology import (Ontology, OntologyError, compute_ich,
                               compute_stats, validate)
-from geoball.projector import ProjectorConfig, train_base
+from geoball.projector import ProjectorConfig, init_mlp, train_base
 
 
 # ---------------------------------------------------------------------------
@@ -535,6 +539,213 @@ def test_npz_unreadable_file_names_the_file(tmp_path, content):
     npz_refusal(path)
 
 
+def write_claiming_npz(path, arrays, name, shape):
+    """``arrays`` as an NPZ whose member ``name`` claims ``shape`` in its
+    header but holds only 64 bytes of data."""
+    with zipfile.ZipFile(path, "w") as archive:
+        for key, array in arrays.items():
+            member = io.BytesIO()
+            if key == name:
+                np.lib.format.write_array_header_1_0(member, {
+                    "descr": np.lib.format.dtype_to_descr(array.dtype),
+                    "fortran_order": False, "shape": shape})
+                member.write(bytes(64))
+            else:
+                np.save(member, array)
+            archive.writestr(f"{key}.npy", member.getvalue())
+
+
+@pytest.mark.parametrize("name, shape", [("labels", (10**15,)),
+                                         ("features", (10**15, 2))])
+def test_npz_header_that_claims_more_than_its_member_is_refused(
+        tmp_path, name, shape):
+    """Refused as truncated before anything is allocated for it (an
+    allocation of 7 PiB would be a MemoryError, not a refusal)."""
+    path = tmp_path / "claims.npz"
+    write_claiming_npz(path, {"labels": np.array(["x"]),
+                              "features": np.zeros((1, 2))}, name, shape)
+    assert f"{name}.npy is truncated" in npz_refusal(path)
+
+
+def damaged(data: bytes, fault: str) -> bytes:
+    """An archive's bytes with every member marked encrypted, or stored
+    with an unknown compression method (99), in its central directory."""
+    out = bytearray(data)
+    at = out.find(b"PK\x01\x02")
+    while at != -1:
+        if fault == "encrypted":
+            out[at + 8] |= 1
+        else:
+            out[at + 10:at + 12] = (99).to_bytes(2, "little")
+        at = out.find(b"PK\x01\x02", at + 4)
+    return bytes(out)
+
+
+@pytest.mark.parametrize("fault", ["encrypted", "unknown compression"])
+def test_npz_damaged_archive_names_the_file(tmp_path, fault):
+    """zipfile raises RuntimeError and NotImplementedError for these, which
+    were tracebacks instead of refusals."""
+    path = tmp_path / "damaged.npz"
+    write_features_npz(FeatureDataset(2, ("x",), np.zeros((1, 2))), path)
+    path.write_bytes(damaged(path.read_bytes(), fault))
+    npz_refusal(path)
+
+
+# ---------------------------------------------------------------------------
+# the projector NPZ
+
+
+def small_mlp(reduced: bool):
+    """A three-layer projector with trained labels, and with an input
+    reduction (its basis in Fortran order) when ``reduced``."""
+    mlp = replace(init_mlp((4, 6, 3), seed=1),
+                  trained_labels=frozenset({"b", "a", "c\x00d"}))
+    if not reduced:
+        return mlp
+    rng = np.random.default_rng(2)
+    return replace(mlp, input_mean=rng.normal(size=7),
+                   input_basis=np.asfortranarray(rng.normal(size=(7, 4))))
+
+
+def mlp_arrays(mlp):
+    return {"sizes": mlp.sizes, "weights": mlp.weights,
+            "biases": mlp.biases, "trained_labels": mlp.trained_labels,
+            "input_mean": mlp.input_mean, "input_basis": mlp.input_basis}
+
+
+@pytest.mark.parametrize("reduced", [False, True])
+def test_mlp_npz_roundtrip_is_bitwise_and_repeatable(tmp_path, reduced):
+    mlp = small_mlp(reduced)
+    first, second = tmp_path / "a.npz", tmp_path / "b.npz"
+    write_mlp_npz(mlp, first)
+    write_mlp_npz(mlp, second)
+    assert first.read_bytes() == second.read_bytes()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.npz", "b.npz"]
+    back = read_mlp_npz(first)
+    assert back.sizes == mlp.sizes
+    assert back.trained_labels == mlp.trained_labels
+    for name, want in mlp_arrays(mlp).items():
+        got = mlp_arrays(back)[name]
+        if name in ("sizes", "trained_labels") or want is None:
+            assert got == want, name
+            continue
+        for a, b in zip(*((got, want) if name in ("weights", "biases")
+                          else ((got,), (want,)))):
+            assert a.dtype == np.float64 and a.shape == b.shape, name
+            assert a.tobytes() == b.tobytes(), name
+    with np.load(first, allow_pickle=False) as npz:
+        assert npz.files == ["sizes", "trained_labels", "weights_0",
+                             "biases_0", "weights_1", "biases_1",
+                             *(["input_mean", "input_basis"] if reduced
+                               else [])]
+        assert npz["sizes"].dtype == np.int64
+        assert npz["trained_labels"].tolist() == ["a", "b", "c\x00d"]
+
+
+def test_mlp_npz_writer_refuses_trailing_nul_label(tmp_path):
+    path = tmp_path / "nul.npz"
+    mlp = replace(small_mlp(False), trained_labels=frozenset({"ok", "bad\x00"}))
+    with pytest.raises(ValueError, match=re.escape(
+            f"projector NPZ {path}: label 'bad\\x00' ends in NUL")):
+        write_mlp_npz(mlp, path)
+    assert list(tmp_path.iterdir()) == []
+
+
+def mlp_members(tmp_path):
+    """The members of a reduced projector's NPZ, by name."""
+    path = tmp_path / "good.npz"
+    write_mlp_npz(small_mlp(True), path)
+    with np.load(path, allow_pickle=False) as npz:
+        return {name: npz[name] for name in npz.files}
+
+
+def changed(members, **arrays):
+    """``members`` with ``arrays`` put in, and those given as None left out."""
+    out = {**members, **arrays}
+    return {name: value for name, value in out.items() if value is not None}
+
+
+def with_nan(array):
+    out = array.copy()
+    out.flat[0] = np.nan
+    return out
+
+
+@pytest.mark.parametrize("mutate, reason", [
+    (lambda m: changed(m, weights_1=None),
+     r"bad.npz: missing members \['weights_1.npy'\]$"),
+    (lambda m: changed(m, sizes=None), r"missing members \['sizes.npy'\]"),
+    (lambda m: changed(m, input_basis=None),
+     r"missing members \['input_basis.npy'\]"),
+    (lambda m: changed(m, extra=np.zeros(1)),
+     r"bad.npz: unexpected members \['extra.npy'\]$"),
+    (lambda m: changed(m, sizes=m["sizes"][:1]),
+     r"bad.npz: unexpected members \['biases_0.npy'"),
+    (lambda m: changed(m, weights_0=m["weights_0"].astype(np.float32)),
+     "weights_0.npy must be float64, not float32"),
+    (lambda m: changed(m, biases_1=np.zeros(3, dtype=np.int64)),
+     "biases_1.npy must be float64, not int64"),
+    (lambda m: changed(m, input_mean=m["input_mean"].astype(object)),
+     "allow_pickle=False"),
+    (lambda m: changed(m, sizes=m["sizes"].astype(float)),
+     "sizes must be 1-D integers"),
+    (lambda m: changed(m, sizes=m["sizes"][None]),
+     "sizes must be 1-D integers"),
+    (lambda m: changed(m, trained_labels=np.arange(3)),
+     "trained_labels must be 1-D str"),
+    (lambda m: changed(m, trained_labels=m["trained_labels"][None]),
+     "trained_labels must be 1-D str"),
+    (lambda m: changed(m, trained_labels=m["trained_labels"][::-1]),
+     "trained_labels must be sorted and distinct"),
+    # a str_ array drops the NUL, so the second label comes back as the first
+    (lambda m: changed(m, trained_labels=np.array(["a", "a\x00", "b"])),
+     "trained_labels must be sorted and distinct"),
+    (lambda m: changed(m, weights_0=m["weights_0"].T),
+     "layer 0 weight shape"),
+    (lambda m: changed(m, biases_0=m["biases_0"][:-1]),
+     "layer 0 bias shape"),
+    (lambda m: changed(m, input_basis=m["input_basis"][:, :-1]),
+     "input basis shape"),
+    (lambda m: changed(m, weights_1=with_nan(m["weights_1"])),
+     "layer 1 has non-finite parameters"),
+    (lambda m: changed(m, input_mean=with_nan(m["input_mean"])),
+     "input compression has non-finite values"),
+], ids=["weights-dropped", "sizes-dropped", "basis-dropped", "extra-member",
+        "one-size", "float32", "int", "object", "float-sizes", "2d-sizes",
+        "int-labels", "2d-labels", "unsorted-labels", "nul-label",
+        "transposed-weights", "short-bias", "narrow-basis", "nan-weight",
+        "nan-mean"])
+def test_mlp_npz_refusals_name_the_file(tmp_path, mutate, reason):
+    path = tmp_path / "bad.npz"
+    write_raw_npz(path, **mutate(mlp_members(tmp_path)))
+    with pytest.raises(ValueError, match=re.escape(f"projector NPZ {path}: ")):
+        read_mlp_npz(path)
+    with pytest.raises(ValueError, match=reason):
+        read_mlp_npz(path)
+
+
+def test_mlp_npz_unreadable_file_names_the_file(tmp_path):
+    good = tmp_path / "good.npz"
+    write_mlp_npz(small_mlp(True), good)
+    data = good.read_bytes()
+    path = tmp_path / "junk.npz"
+    for content in (b"", b"PK\x03\x04truncated", npy_bytes(np.zeros(3)),
+                    data[:len(data) // 2], data[:-1]):
+        path.write_bytes(content)
+        with pytest.raises(ValueError,
+                           match=re.escape(f"projector NPZ {path}: ")):
+            read_mlp_npz(path)
+    for fault in ("encrypted", "unknown compression"):
+        path.write_bytes(damaged(data, fault))
+        with pytest.raises(ValueError,
+                           match=re.escape(f"projector NPZ {path}: ")):
+            read_mlp_npz(path)
+    write_claiming_npz(path, mlp_members(tmp_path), "weights_0", (10**15,))
+    with pytest.raises(ValueError, match=re.escape(
+            f"projector NPZ {path}: weights_0.npy is truncated")):
+        read_mlp_npz(path)
+
+
 # ---------------------------------------------------------------------------
 # episode sampling
 
@@ -584,6 +795,24 @@ def test_episode_seeding():
     assert np.array_equal(a.query.features, b.query.features)
     batch = sample_episodes(novel, w=2, s=2, q=2, n_episodes=12, seed=0)
     assert len({ep.classes for ep in batch}) > 1
+
+
+def test_sampled_episodes_pass_over_the_labels_once(monkeypatch):
+    """A run of episodes groups the labels by class once, and draws what
+    ``sample_episode`` draws at each episode's seed."""
+    novel = unique_novel()
+    calls = []
+    real = FeatureDataset.class_indices
+    monkeypatch.setattr(FeatureDataset, "class_indices",
+                        lambda self: calls.append(self) or real(self))
+    batch = sample_episodes(novel, w=2, s=2, q=2, n_episodes=6, seed=4)
+    assert len(calls) == 1
+    seeds = np.random.SeedSequence(4).generate_state(6)
+    for episode, seed in zip(batch, seeds):
+        alone = sample_episode(novel, w=2, s=2, q=2, seed=int(seed))
+        assert episode.classes == alone.classes
+        assert episode.support_rows.tolist() == alone.support_rows.tolist()
+        assert episode.query_rows.tolist() == alone.query_rows.tolist()
 
 
 def test_sampled_episodes_hold_no_feature_copies():

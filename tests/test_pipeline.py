@@ -10,11 +10,13 @@ import tracemalloc
 import weakref
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import geoball.harness
 import geoball.pipeline
 from geoball.cli import main
+from geoball.harness import read_mlp_npz
 from geoball.pipeline import (
     ARTIFACT_NAMES,
     DEFAULT_SEED,
@@ -95,7 +97,7 @@ def test_pipeline_artifacts_do_not_depend_on_the_blas_thread_count(tmp_path):
     """One config run by ``geoball pipeline`` in two child processes, at one
     and at two BLAS threads (set in the children's environment only),
     writes the same ``space.json``, ``negatives.json`` and feature ``.npz``
-    files. ``mlp.json`` and ``report.json`` are not compared: with an input
+    files. ``mlp.npz`` and ``report.json`` are not compared: with an input
     reduction, base learning runs LAPACK's ``eigh``, and its threaded
     eigensolver gives other last bits at another thread count."""
     src = str(Path(geoball.pipeline.__file__).parents[1])
@@ -355,12 +357,43 @@ def test_pipeline_artifacts_do_not_depend_on_the_share_count(tmp_path,
             assert ((tmp_path / f"shares1-{reduce_dim}" / name).read_bytes()
                     == (tmp_path / f"shares2-{reduce_dim}" / name).read_bytes()
                     ), (name, reduce_dim)
-        mlp = json.loads(
-            (tmp_path / f"shares2-{reduce_dim}" / "mlp.json").read_text())
+        mlp = read_mlp_npz(tmp_path / f"shares2-{reduce_dim}" / "mlp.npz")
         if reduce_dim is None:
-            assert "input_basis" not in mlp
+            assert mlp.input_basis is None
         else:
-            assert len(mlp["input_basis"][0]) == reduce_dim
+            assert mlp.input_basis.shape[1] == reduce_dim
+
+
+def test_pipeline_projector_reads_back_as_trained(tmp_path, monkeypatch):
+    """The ``mlp.npz`` a run writes holds the trained projector bit for bit,
+    the values its ``Mlp.to_dict`` JSON gives, with and without an input
+    reduction."""
+    real = geoball.pipeline.train_base
+    trained = []
+
+    def recording(*args, **kwargs):
+        mlp, losses = real(*args, **kwargs)
+        trained.append(mlp)
+        return mlp, losses
+
+    monkeypatch.setattr(geoball.pipeline, "train_base", recording)
+    for reduce_dim in (4, None):
+        trained.clear()
+        obj = small_config(tmp_path, f"run-{reduce_dim}")
+        obj["projector"]["reduce_dim"] = reduce_dim
+        run_pipeline(PipelineConfig.from_dict(obj))
+        (mlp,) = trained
+        back = read_mlp_npz(tmp_path / f"run-{reduce_dim}" / "mlp.npz")
+        assert back.to_dict() == json.loads(json.dumps(mlp.to_dict()))
+        pairs = [*zip(back.weights, mlp.weights), *zip(back.biases, mlp.biases)]
+        if reduce_dim is not None:
+            pairs += [(back.input_mean, mlp.input_mean),
+                      (back.input_basis, mlp.input_basis)]
+        else:
+            assert back.input_basis is None
+        for got, want in pairs:
+            assert got.dtype == np.float64 and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
 
 
 def test_calling_process_never_holds_a_raw_feature_split(tmp_path,
