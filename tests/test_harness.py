@@ -607,10 +607,11 @@ def small_mlp(reduced: bool):
                    input_basis=np.asfortranarray(rng.normal(size=(7, 4))))
 
 
-def mlp_arrays(mlp):
-    return {"sizes": mlp.sizes, "weights": mlp.weights,
-            "biases": mlp.biases, "trained_labels": mlp.trained_labels,
-            "input_mean": mlp.input_mean, "input_basis": mlp.input_basis}
+def parameters(mlp):
+    """Every float array of ``mlp``, the reduction pair last."""
+    pair = [] if mlp.input_basis is None else [mlp.input_mean,
+                                               mlp.input_basis]
+    return [*mlp.weights, *mlp.biases, *pair]
 
 
 @pytest.mark.parametrize("reduced", [False, True])
@@ -624,15 +625,11 @@ def test_mlp_npz_roundtrip_is_bitwise_and_repeatable(tmp_path, reduced):
     back = read_mlp_npz(first)
     assert back.sizes == mlp.sizes
     assert back.trained_labels == mlp.trained_labels
-    for name, want in mlp_arrays(mlp).items():
-        got = mlp_arrays(back)[name]
-        if name in ("sizes", "trained_labels") or want is None:
-            assert got == want, name
-            continue
-        for a, b in zip(*((got, want) if name in ("weights", "biases")
-                          else ((got,), (want,)))):
-            assert a.dtype == np.float64 and a.shape == b.shape, name
-            assert a.tobytes() == b.tobytes(), name
+    assert (back.input_mean is None) == (back.input_basis is None) == (
+        not reduced)
+    for got, want in zip(parameters(back), parameters(mlp), strict=True):
+        assert got.dtype == np.float64 and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
     with np.load(first, allow_pickle=False) as npz:
         assert npz.files == ["sizes", "trained_labels", "weights_0",
                              "biases_0", "weights_1", "biases_1",
